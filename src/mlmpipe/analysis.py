@@ -12,6 +12,7 @@ import shlex
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from statistics import pstdev
 from typing import Iterable, Protocol, Sequence
 
@@ -176,15 +177,16 @@ class SpanLengthHistogram:
 
 
 def _vocab_occurrences(window, pmi_vocab: PmiVocabulary) -> list[tuple[int, int]]:
-    """All (start, length) occurrences of vocabulary n-grams in a window."""
-    ids = [int(t) for t in window.ids]
-    L = len(ids)
-    max_n = pmi_vocab.max_len
+    """All (start, length) occurrences of vocabulary n-grams in a window.
+
+    Overlapping occurrences all count, and matches may cross sep/pad.
+    """
+    ids = window.ids.tolist()
+    candidates = pmi_vocab.candidates(ids)
     occ: list[tuple[int, int]] = []
-    for start in range(L - 1):
-        for n in range(2, min(max_n, L - start) + 1):
-            if tuple(ids[start:start + n]) in pmi_vocab.entries:
-                occ.append((start, n))
+    for start in compress(range(len(candidates)), candidates):
+        matched = list(pmi_vocab.match_lengths(ids, start, len(ids), candidates[start]))
+        occ.extend((start, n) for n in reversed(matched))
     return occ
 
 
@@ -210,7 +212,7 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
         for start, n in occ_cache[plan.source_sequence]:
             cell = by_length.setdefault(n, LengthCoverage(0, 0))
             cell.occurrence_count += 1
-            if all(p in corrupted for p in range(start, start + n)):
+            if corrupted.issuperset(range(start, start + n)):
                 cell.fully_masked_count += 1
     return CoverageReport(by_length=by_length, masking_rate=masking_rate,
                           strategy=strategy)

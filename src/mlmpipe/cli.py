@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, corpus, masking, pmi
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 from .rng import substream
 
 _STRATEGY_ALIASES = {"uniform": "uniform", "wholeword": "whole_word",
@@ -278,18 +278,28 @@ def _cmd_ppl(args) -> int:
 
 def _cmd_pll(args) -> int:
     vocab = _vocab_from_args(args)
-    ds = corpus.load_packed(args.corpus) if args.corpus else None
-    scorer = analysis.make_scorer(args.scorer, ds=ds, vocab_size=vocab.size)
     pairs = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.startswith("#"):
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"pairs line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"pairs line {lineno}: expected a JSON object")
             if "good" not in rec or "bad" not in rec:
                 raise ConfigError(f"pairs line {lineno}: needs 'good' and 'bad'")
-            pairs.append(([int(t) for t in rec["good"]],
-                          [int(t) for t in rec["bad"]]))
+            try:
+                pairs.append(([int(t) for t in rec["good"]],
+                              [int(t) for t in rec["bad"]]))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"pairs line {lineno}: token ids must be integers") from exc
+    # the pairs are read first, so a bad pairs file never leaves an
+    # external scorer running
+    ds = corpus.load_packed(args.corpus) if args.corpus else None
+    scorer = analysis.make_scorer(args.scorer, ds=ds, vocab_size=vocab.size)
     try:
         accuracy = analysis.minimal_pair_accuracy(pairs, scorer, vocab)
     finally:

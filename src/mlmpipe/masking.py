@@ -193,9 +193,10 @@ def sample_units(units: list[tuple[int, int]], allowed: np.ndarray, budget: int,
         raise InfeasibleError(f"budget {budget} exceeds {n} maskable positions")
     if budget == 0:
         return np.empty(0, dtype=np.int64)
-    allowed_set = set(int(p) for p in allowed)
+    allowed_set = set(allowed.tolist())
     usable = [u for u in units
-              if all(p in allowed_set for p in range(u[0], u[1]))]
+              if (u[0] in allowed_set if u[1] - u[0] == 1
+                  else allowed_set.issuperset(range(u[0], u[1])))]
     picked: list[int] = []
     remaining = budget
     for j in rng.permutation(len(usable)):

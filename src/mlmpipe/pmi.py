@@ -13,12 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab, Window
-from .errors import ConfigError, UndefinedScoreError
+from .errors import ConfigError, DataError, UndefinedScoreError
 
 Gram = tuple[int, ...]
 
@@ -54,16 +54,42 @@ class PmiVocabulary:
     entries: dict[Gram, float]
     n_max: int
     size_cap: int
-    _max_len: int | None = field(default=None, repr=False, compare=False)
+    _bigram_index: dict[tuple[int, int], tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
-    def max_len(self) -> int:
-        if self._max_len is None:
-            self._max_len = max((len(g) for g in self.entries), default=0)
-        return self._max_len
+    def bigram_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Leading bigram -> lengths of the entries starting with it, longest first."""
+        if self._bigram_index is None:
+            lengths: dict[tuple[int, int], set[int]] = {}
+            for gram in self.entries:
+                if len(gram) >= 2:
+                    lengths.setdefault(gram[:2], set()).add(len(gram))
+            self._bigram_index = {key: tuple(sorted(ns, reverse=True))
+                                  for key, ns in lengths.items()}
+        return self._bigram_index
+
+    def candidates(self, ids: list[int]) -> list[tuple[int, ...] | None]:
+        """For each start in ``ids`` but the last, the lengths of the entries
+        that share the leading bigram there (longest first), or None."""
+        return list(map(self.bigram_index.get, zip(ids, ids[1:])))
+
+    def match_lengths(self, ids: list[int], pos: int, end: int,
+                      lengths: tuple[int, ...]) -> Iterator[int]:
+        """Yield each candidate length n, longest first, such that pos + n <= end
+        and ids[pos:pos+n] is an entry.
+
+        ``lengths`` is ``candidates(ids)[pos]``. Longer candidates are confirmed
+        by exact membership in ``entries``; a length-2 candidate needs no check,
+        as its index key is the entry itself.
+        """
+        entries = self.entries
+        for n in lengths:
+            if n <= end - pos and (n == 2 or tuple(ids[pos:pos + n]) in entries):
+                yield n
 
     def save_tsv(self, target, header: str | None = None) -> None:
         """Write rank-ordered TSV: ``id1 id2 ... idN<TAB>score``."""
@@ -84,12 +110,21 @@ class PmiVocabulary:
         fh = open(source, "r", encoding="utf-8") if own else source
         try:
             entries: dict[Gram, float] = {}
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip() or line.startswith("#"):
                     continue
-                gram_part, score_part = line.rstrip("\n").split("\t")
-                gram = tuple(int(t) for t in gram_part.split())
-                entries[gram] = float(score_part)
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 2:
+                    raise DataError(f"PMI TSV line {lineno}: expected 'ids<TAB>score', "
+                                    f"got {len(fields) - 1} tabs")
+                try:
+                    gram = tuple(int(t) for t in fields[0].split())
+                    score = float(fields[1])
+                except ValueError as exc:
+                    raise DataError(f"PMI TSV line {lineno}: {exc}") from exc
+                if not gram:
+                    raise DataError(f"PMI TSV line {lineno}: empty n-gram")
+                entries[gram] = score
             n_max = max((len(g) for g in entries), default=2)
             return cls(entries=entries, n_max=n_max, size_cap=max(len(entries), 1))
         finally:
@@ -197,9 +232,15 @@ def segment_units(window: Window, vocab: Vocab, mode: str,
         raise ConfigError(f"unknown segmentation mode {mode!r}")
     if mode == "pmi" and pmi_vocab is None:
         raise ConfigError("pmi segmentation requires a PMI vocabulary")
-    ids = window.ids
-    word_starts = window.word_starts
-    special = (ids == vocab.pad_id) | (ids == vocab.sep_id)
+    ids = window.ids.tolist()
+    word_starts = window.word_starts.tolist()
+    # one slot per position (the last never starts a bigram); all None
+    # outside pmi mode
+    if mode == "pmi":
+        candidates = pmi_vocab.candidates(ids) + [None]
+    else:
+        candidates = [None] * len(ids)
+    special = ((window.ids == vocab.pad_id) | (window.ids == vocab.sep_id)).tolist()
     units: list[tuple[int, int]] = []
     L = len(ids)
     seg_start = None
@@ -210,29 +251,25 @@ def segment_units(window: Window, vocab: Vocab, mode: str,
             continue
         if seg_start is None:
             continue
-        units.extend(_segment_run(ids, word_starts, seg_start, i, mode, pmi_vocab))
+        units.extend(_segment_run(ids, word_starts, seg_start, i, mode,
+                                  pmi_vocab, candidates))
         seg_start = None
     return units
 
 
-def _segment_run(ids, word_starts, start: int, end: int, mode: str,
-                 pmi_vocab: PmiVocabulary | None) -> list[tuple[int, int]]:
+def _segment_run(ids: list[int], word_starts: list[bool], start: int, end: int,
+                 mode: str, pmi_vocab: PmiVocabulary | None,
+                 candidates: list[tuple[int, ...] | None]) -> list[tuple[int, int]]:
     if mode == "single_token":
         return [(i, i + 1) for i in range(start, end)]
     units: list[tuple[int, int]] = []
     pos = start
-    max_n = pmi_vocab.max_len if (mode == "pmi" and pmi_vocab is not None) else 0
     while pos < end:
-        if mode == "pmi" and max_n >= 2:
-            matched = False
-            for n in range(min(max_n, end - pos), 1, -1):
-                gram = tuple(int(t) for t in ids[pos:pos + n])
-                if gram in pmi_vocab.entries:
-                    units.append((pos, pos + n))
-                    pos += n
-                    matched = True
-                    break
-            if matched:
+        if candidates[pos] is not None:
+            n = next(pmi_vocab.match_lengths(ids, pos, end, candidates[pos]), 0)
+            if n:
+                units.append((pos, pos + n))
+                pos += n
                 continue
         # whole-word unit: run until the next word start (or run end)
         nxt = pos + 1

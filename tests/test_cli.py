@@ -178,6 +178,29 @@ class TestPmiBuildAndStats:
         assert rc == 1
 
 
+MALFORMED_TSV = {"non_numeric_score": "5 6\tabc", "no_tab": "5 6 0.5",
+                 "two_tabs": "5 6\t0.5\t1", "non_integer_id": "5 x\t0.5"}
+
+
+def assert_one_line_error(capsys, rc, needle):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert needle in err
+
+
+class TestMalformedPmiTsv:
+    @pytest.mark.parametrize("bad", MALFORMED_TSV.values(), ids=MALFORMED_TSV.keys())
+    @pytest.mark.parametrize("subcommand", [["mask", "--strategy", "pmi"],
+                                            ["stats", "coverage"]])
+    def test_exit_2_one_line(self, tmp_path, packed_path, capsys, bad, subcommand):
+        tsv = tmp_path / "pmi.tsv"
+        tsv.write_text(f"7 8\t1.0\n{bad}\n")
+        rc = run(subcommand + ["--input", str(packed_path),
+                               "--output", str(tmp_path / "o"), "--pmi-vocab", str(tsv)])
+        assert_one_line_error(capsys, rc, "line 2")
+
+
 class TestScoring:
     def test_ppl_uniform_equals_vocab_size(self, packed_path, capsys):
         rc = run(["ppl", "--input", str(packed_path), "--scorer", "uniform",
@@ -210,6 +233,14 @@ class TestScoring:
         out = json.loads(capsys.readouterr().out)
         assert out["accuracy"] == 0.5
         assert out["pairs"] == 1
+
+    @pytest.mark.parametrize("bad", ['{"good": [5, 6], "bad": [5', "[5, 6]",
+                                     '{"good": ["x"], "bad": [5]}'])
+    def test_pll_bad_pairs_line_is_data_error(self, tmp_path, capsys, bad):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n" + bad + "\n")
+        rc = run(["pll", "--pairs", str(pairs), "--scorer", "uniform"] + VOCAB_FLAGS)
+        assert_one_line_error(capsys, rc, "line 2")
 
 
 class TestMetric:

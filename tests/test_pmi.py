@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe.corpus import TokenSequence, pack_sequences
-from mlmpipe.errors import ConfigError, UndefinedScoreError
+from mlmpipe.errors import ConfigError, DataError, UndefinedScoreError
 from mlmpipe.pmi import (NgramCounts, PmiVocabulary, build_vocab, count_ngrams,
                          count_ngrams_sharded, pmi_score, segment_units)
 
@@ -176,6 +176,14 @@ class TestBuildVocab:
         assert list(back.entries) == list(vocab.entries)
         for g in vocab.entries:
             assert back.entries[g] == pytest.approx(vocab.entries[g], rel=1e-8)
+
+    @pytest.mark.parametrize("bad", ["5 6\tabc", "5 6 0.5", "5 6\t0.5\t1", "5 x\t0.5",
+                                     "\t0.5"])
+    def test_malformed_tsv_names_line(self, tmp_path, bad):
+        path = tmp_path / "pmi.tsv"
+        path.write_text(f"# header\n7 8\t1.0\n{bad}\n")
+        with pytest.raises(DataError, match="line 3"):
+            PmiVocabulary.load_tsv(path)
 
 
 class TestSegmentUnits:
