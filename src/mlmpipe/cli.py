@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, corpus, masking, pmi
-from .errors import ConfigError, DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError, RangeError
 from .rng import substream
 
 _STRATEGY_ALIASES = {"uniform": "uniform", "wholeword": "whole_word",
@@ -102,7 +102,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file value, checked against its flag's type and choices."""
+    if value is None and action.default is None:
+        return None
+    types, what = _CONFIG_TYPES[action.type]
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(value) not in types:
+        raise ConfigError(f"config file key {key!r}: expected {what}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config file key {key!r}: {json.dumps(value)} is not one of "
+                          f"{', '.join(sorted(action.choices))}")
+    return value if action.type is None else action.type(value)
+
+
+def _apply_config_file(args: argparse.Namespace, argv: list[str],
+                       parser: argparse.ArgumentParser) -> None:
     """Fill unset flags from the JSON config file; explicit flags win."""
     if not args.config:
         return
@@ -117,14 +136,19 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     for tok in argv:
         if tok.startswith("--"):
             explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a
+               for a in parser._actions + subparsers.choices[args.subcommand]._actions
+               if hasattr(args, a.dest)}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr in ("subcommand", "kind", "func", "config"):
             continue
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ConfigError(f"config file key {key!r} matches no flag")
         if attr not in explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -178,7 +202,7 @@ def _cmd_pack(args) -> int:
 
 def _cmd_pmi_build(args) -> int:
     docs = corpus.load_tokens(args.input, args.vocab_size)
-    counts = pmi.count_ngrams(docs, args.n_max)
+    counts = pmi.count_ngrams(docs, args.n_max, min_count=args.min_count)
     vocab = pmi.build_vocab(counts, size_cap=args.size_cap, min_count=args.min_count)
     vocab.save_tsv(args.output,
                    header=json.dumps(_resolved_config(args), separators=(",", ":")))
@@ -292,10 +316,14 @@ def _cmd_pll(args) -> int:
             if "good" not in rec or "bad" not in rec:
                 raise ConfigError(f"pairs line {lineno}: needs 'good' and 'bad'")
             try:
-                pairs.append(([int(t) for t in rec["good"]],
-                              [int(t) for t in rec["bad"]]))
+                good, bad = [int(t) for t in rec["good"]], [int(t) for t in rec["bad"]]
             except (TypeError, ValueError) as exc:
                 raise DataError(f"pairs line {lineno}: token ids must be integers") from exc
+            outside = [t for t in good + bad if not 0 <= t < vocab.size]
+            if outside:
+                raise RangeError(f"pairs line {lineno}: token id {outside[0]} outside "
+                                 f"vocabulary of size {vocab.size}")
+            pairs.append((good, bad))
     # the pairs are read first, so a bad pairs file never leaves an
     # external scorer running
     ds = corpus.load_packed(args.corpus) if args.corpus else None
@@ -353,7 +381,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, parser)
         return _DISPATCH[args.subcommand](args)
     except PipelineError as exc:
         print(f"mlmpipe: error: {exc}", file=sys.stderr)

@@ -103,9 +103,9 @@ def _validate_doc(ids: list[int], word_starts: list[bool], size: int, where: str
                          f"({len(ids)} vs {len(word_starts)})")
     if ids and not word_starts[0]:
         raise ParseError(f"{where}: first position must start a word")
-    for tid in ids:
-        if not 0 <= tid < size:
-            raise RangeError(f"{where}: token id {tid} outside vocabulary of size {size}")
+    if ids and (min(ids) < 0 or max(ids) >= size):
+        tid = next(t for t in ids if not 0 <= t < size)
+        raise RangeError(f"{where}: token id {tid} outside vocabulary of size {size}")
 
 
 def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]:
@@ -119,8 +119,14 @@ def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]
             raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(rec, dict) or "ids" not in rec or "word_starts" not in rec:
             raise ParseError(f"line {lineno}: expected object with 'ids' and 'word_starts'")
-        ids = [int(x) for x in rec["ids"]]
-        word_starts = [bool(x) for x in rec["word_starts"]]
+        ids, word_starts = rec["ids"], rec["word_starts"]
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if type(ids) is not list or not set(map(type, ids)) <= {int}:
+            raise ParseError(f"line {lineno}: 'ids' must be a list of integers")
+        if (type(word_starts) is not list or not set(map(type, word_starts)) <= {bool, int}
+                or not set(word_starts) <= {0, 1}):
+            raise ParseError(f"line {lineno}: 'word_starts' must be a list of booleans or 0/1")
+        word_starts = list(map(bool, word_starts))
         _validate_doc(ids, word_starts, _vocab_size(vocab), f"line {lineno}")
         docs.append(TokenSequence(ids=ids, word_starts=word_starts, doc_index=len(docs)))
     return docs
@@ -297,10 +303,16 @@ def load_packed(source) -> PackedDataset:
                 rec = json.loads(line)
                 ids = np.asarray(rec["ids"], dtype=np.int64)
                 word_starts = np.asarray(rec["word_starts"], dtype=bool)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise ParseError(f"packed dataset line {lineno}: {exc}") from exc
             if len(ids) != seq_len or len(word_starts) != seq_len:
                 raise ParseError(f"packed dataset line {lineno}: window is not length {seq_len}")
+            # one reduction per window: viewed as uint64, a negative id exceeds any size
+            if ids.view(np.uint64).max(initial=0) >= vocab.size:
+                tid = next(t for t in ids.tolist() if not 0 <= t < vocab.size)
+                raise RangeError(f"packed dataset line {lineno}: token id {tid} "
+                                 f"outside vocabulary of size {vocab.size}")
             windows.append(Window(ids=ids, word_starts=word_starts))
         return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
     finally:

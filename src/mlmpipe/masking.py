@@ -114,11 +114,13 @@ def effective_rates(config: MaskingConfig) -> tuple[float, float]:
     """Effective corruption/prediction rates under the replacement policy.
 
     Same-token predictions count toward neither rate; random replacements
-    count toward both; extra same-token predictions toward neither.
+    count toward both; extra same-token predictions toward neither. Each
+    rate scales its own budget, so decoupled m_corr and m_pred give two
+    different rates.
     """
     p_mask, p_rand, _ = config.policy
-    eff = config.m * (p_mask + p_rand)
-    return (eff, eff)
+    return (config.corruption_rate * (p_mask + p_rand),
+            config.prediction_rate * (p_mask + p_rand))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,7 +26,11 @@ Gram = tuple[int, ...]
 
 @dataclass
 class NgramCounts:
-    """Exact contiguous n-gram counts plus per-length slot totals."""
+    """Exact contiguous n-gram counts plus per-length slot totals.
+
+    ``counts`` may hold only the n-grams that reached a minimum count (see
+    ``count_ngrams``); ``slots`` always counts every slot.
+    """
 
     counts: Counter
     slots: dict[int, int]
@@ -132,44 +137,95 @@ class PmiVocabulary:
                 fh.close()
 
 
-def _iter_segments(data: PackedDataset | Iterable[TokenSequence]) -> Iterable[Sequence[int]]:
-    """Maximal runs of ordinary tokens; sep/pad break runs in packed data."""
+# n-gram keys are rank_{n-1} * width + token rank, held in int64
+_KEY_LIMIT = 2 ** 63
+
+
+def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """All token ids as one int64 array, plus each position's room: how many
+    positions from it to the end of its run, itself included.
+
+    A run is a document, or in packed data a stretch of a window between
+    sep/pad positions, which themselves have room 0.
+    """
     if isinstance(data, PackedDataset):
-        pad, sep = data.vocab.pad_id, data.vocab.sep_id
-        for win in data.sequences:
-            ids = win.ids
-            breaks = (ids == pad) | (ids == sep)
-            start = None
-            for i in range(len(ids)):
-                if breaks[i]:
-                    if start is not None:
-                        yield ids[start:i].tolist()
-                        start = None
-                elif start is None:
-                    start = i
-            if start is not None:
-                yield ids[start:].tolist()
+        windows = [win.ids for win in data.sequences]
+        ids = np.concatenate(windows).astype(np.int64, copy=False) if windows \
+            else np.empty(0, dtype=np.int64)
+        lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
+        special = (ids == data.vocab.pad_id) | (ids == data.vocab.sep_id)
     else:
-        for doc in data:
-            yield list(doc.ids)
+        docs = [doc.ids for doc in data]
+        lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+        ids = np.fromiter(chain.from_iterable(docs), dtype=np.int64, count=int(lengths.sum()))
+        special = None
+    idx = np.arange(len(ids))
+    run_end = np.repeat(np.cumsum(lengths), lengths)
+    if special is not None:
+        # the nearest sep/pad at or after each position ends its run too
+        next_special = np.minimum.accumulate(np.where(special, idx, len(ids))[::-1])[::-1]
+        run_end = np.minimum(run_end, next_special)
+    return ids, run_end - idx
 
 
-def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int) -> NgramCounts:
-    """Exact counts of all contiguous n-grams of length 1..n_max."""
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense rank of each key, the size of each rank's group, and one index
+    into ``keys`` per group."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return ranks, np.diff(starts, append=len(keys)), order[starts]
+
+
+def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
+                 min_count: int = 1) -> NgramCounts:
+    """Exact counts of the contiguous n-grams of length 1..n_max that occur at
+    least ``min_count`` times; ``slots`` always counts every slot.
+
+    Each level ranks the n-grams starting at every position by chaining the
+    rank of the (n-1)-gram there with the rank of the token that extends it.
+    An n-gram is kept only if its two (n-1)-gram sub-grams were, so positions
+    whose sub-grams fell below ``min_count`` are not ranked again. Every
+    contiguous sub-gram of a kept n-gram is kept, which is all ``pmi_score``
+    reads. Merging pruned counts would be wrong: shards count with the
+    default of 1.
+    """
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
+    ids, room = _flatten(data)
     counts: Counter = Counter()
-    slots = {n: 0 for n in range(1, n_max + 1)}
-    for seg in _iter_segments(data):
-        s = len(seg)
-        for n in range(1, n_max + 1):
-            if s < n:
-                break
-            slots[n] += s - n + 1
-            if n == 1:
-                counts.update((t,) for t in seg)
-            else:
-                counts.update(zip(*(seg[i:] for i in range(n))))
+    slots = {n: int(np.count_nonzero(room >= n)) for n in range(1, n_max + 1)}
+    pos = np.flatnonzero(room >= 1)
+    rank = np.zeros(len(ids), dtype=np.int64)  # rank of the n-gram at each position
+    kept = np.zeros(len(ids) + 1, dtype=bool)  # one spare slot for kept[pos + 1]
+    for n in range(1, n_max + 1):
+        if n == 1:
+            keys = ids[pos]
+        else:
+            if groups * width >= _KEY_LIMIT:
+                raise DataError(f"{groups} distinct {n - 1}-grams over {width} tokens "
+                                "overflow the int64 n-gram keys")
+            pos = pos[(room[pos] >= n) & kept[pos] & kept[pos + 1]]
+            keys = rank[pos] * width + tok_rank[pos + n - 1]
+        ranks, sizes, members = _group(keys)
+        rank[pos] = ranks
+        groups = len(sizes)
+        if n == 1:
+            tok_rank, width = rank.copy(), groups
+            # one Python int per distinct token, shared by every tuple built below
+            tokens = np.array(ids[pos[members]].tolist(), dtype=object)
+        frequent = sizes >= min_count
+        kept[:] = False
+        kept[pos] = frequent[ranks]
+        starts = pos[members[frequent]]
+        columns = [tokens[tok_rank[starts + k]].tolist() for k in range(n)]
+        # dict.update takes the pairs in C; Counter.update would add one by one
+        dict.update(counts, zip(zip(*columns), sizes[frequent].tolist()))
     return NgramCounts(counts=counts, slots=slots, n_max=n_max)
 
 

@@ -121,6 +121,30 @@ class TestMask:
         strip = lambda b: b.decode().split("\n", 1)[1]
         assert strip(out_flags.read_bytes()) == strip(out_cfg.read_bytes())
 
+    @pytest.mark.parametrize("cfg", [{"mask_rate": "0.4"}, {"epochs": "2"}, {"seed": 1.5},
+                                     {"epochs": True}, {"seed": None},
+                                     {"strategy": "bogus"}, {"pmi_vocab": 3}])
+    def test_config_value_of_wrong_type(self, tmp_path, packed_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = run(["--config", str(cfg_path), "mask", "--input", str(packed_path),
+                  "--output", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert repr(next(iter(cfg))) in err
+
+    def test_config_null_where_default_is_none(self, tmp_path, packed_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corruption_rate": None, "prediction_rate": None,
+                                        "mask_rate": 1}))
+        out = tmp_path / "o.jsonl"
+        rc = run(["--config", str(cfg_path), "mask", "--input", str(packed_path),
+                  "--output", str(out)])
+        assert rc == 0
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["_config"]["mask_rate"] == 1.0
+
     def test_flags_win_over_config_file(self, tmp_path, packed_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"mask-rate": 0.8}))
@@ -198,6 +222,29 @@ class TestMalformedPmiTsv:
         tsv.write_text(f"7 8\t1.0\n{bad}\n")
         rc = run(subcommand + ["--input", str(packed_path),
                                "--output", str(tmp_path / "o"), "--pmi-vocab", str(tsv)])
+        assert_one_line_error(capsys, rc, "line 2")
+
+
+class TestOutOfVocabularyIds:
+    @pytest.mark.parametrize("bad_id", [99999, -4, "x", 2 ** 70])
+    @pytest.mark.parametrize("subcommand", [["mask"], ["stats", "spans"]])
+    def test_packed_window_outside_vocab(self, tmp_path, packed_path, capsys,
+                                         bad_id, subcommand):
+        lines = packed_path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["ids"][5] = bad_id
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad_packed.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run(subcommand + ["--input", str(bad), "--output", str(tmp_path / "o")])
+        assert_one_line_error(capsys, rc, "line 3")
+
+    @pytest.mark.parametrize("bad_id", [VOCAB.size, 99999, -1])
+    def test_pll_pair_outside_vocab(self, tmp_path, capsys, bad_id):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n"
+                         + json.dumps({"good": [5, 6], "bad": [5, bad_id]}) + "\n")
+        rc = run(["pll", "--pairs", str(pairs), "--scorer", "uniform"] + VOCAB_FLAGS)
         assert_one_line_error(capsys, rc, "line 2")
 
 

@@ -40,6 +40,30 @@ class TestLoadTokens:
         with pytest.raises(RangeError, match="line 1"):
             load_tokens([line], VOCAB)
 
+    @pytest.mark.parametrize("field,values", [
+        ("ids", [5.7]), ("ids", ["6"]), ("ids", [True]), ("ids", [None]), ("ids", "56"),
+        ("word_starts", ["false"]), ("word_starts", [2]), ("word_starts", [1.0]),
+        ("word_starts", [None]), ("word_starts", True)])
+    def test_wrong_json_type_is_parse_error(self, field, values):
+        rec = {"ids": [5], "word_starts": [True], field: values}
+        good = json.dumps({"ids": [5], "word_starts": [True]})
+        with pytest.raises(ParseError, match=f"line 2: '{field}'"):
+            load_tokens([good, json.dumps(rec)], VOCAB)
+
+    def test_coercible_values_rejected(self):
+        line = '{"ids":[5.7,"6",true],"word_starts":["false",0,"no"]}'
+        with pytest.raises(ParseError, match="line 1"):
+            load_tokens([line], 10)
+
+    def test_zero_one_word_starts_accepted(self):
+        docs = load_tokens(['{"ids":[5,6,7],"word_starts":[1,0,true]}'], VOCAB)
+        assert docs[0].word_starts == [True, False, True]
+
+    def test_negative_id_is_range_error(self):
+        line = json.dumps({"ids": [5, -4], "word_starts": [True, True]})
+        with pytest.raises(RangeError, match="token id -4"):
+            load_tokens([line], VOCAB)
+
     def test_malformed_json_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             load_tokens(['{"ids":[5],"word_starts":[true]}', "{oops"], VOCAB)

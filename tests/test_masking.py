@@ -291,6 +291,12 @@ class TestEffectiveRates:
         cfg = MaskingConfig(m=0.40)
         assert effective_rates(cfg) == (0.40, 0.40)
 
+    def test_decoupled_rates(self):
+        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1))
+        corr, pred = effective_rates(cfg)
+        assert corr == pytest.approx(0.18, abs=1e-12)
+        assert pred == pytest.approx(0.36, abs=1e-12)
+
     def test_five_percent_random(self):
         # 35% mask + 5% random of all tokens = policy (0.875, 0.125, 0) at m=0.40
         cfg = MaskingConfig(m=0.40, policy=(0.875, 0.125, 0.0))

@@ -2,11 +2,14 @@ import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.corpus import TokenSequence, pack_sequences
+from mlmpipe import pmi
+from mlmpipe.cli import run
+from mlmpipe.corpus import PackedDataset, TokenSequence, pack_sequences, serialize_tokens
 from mlmpipe.errors import ConfigError, DataError, UndefinedScoreError
 from mlmpipe.pmi import (NgramCounts, PmiVocabulary, build_vocab, count_ngrams,
                          count_ngrams_sharded, pmi_score, segment_units)
@@ -18,6 +21,53 @@ A, B, C = 10, 11, 12
 
 def doc(ids):
     return TokenSequence(ids=list(ids), word_starts=[True] * len(ids), doc_index=0)
+
+
+def oracle_segments(data):
+    """Maximal runs of ordinary tokens; sep/pad break runs in packed data."""
+    if isinstance(data, PackedDataset):
+        pad, sep = data.vocab.pad_id, data.vocab.sep_id
+        for win in data.sequences:
+            ids = win.ids
+            breaks = (ids == pad) | (ids == sep)
+            start = None
+            for i in range(len(ids)):
+                if breaks[i]:
+                    if start is not None:
+                        yield ids[start:i].tolist()
+                        start = None
+                elif start is None:
+                    start = i
+            if start is not None:
+                yield ids[start:].tolist()
+    else:
+        for d in data:
+            yield list(d.ids)
+
+
+def oracle_count_ngrams(data, n_max):
+    """The Counter-based counting that the array version replaced."""
+    counts = Counter()
+    slots = {n: 0 for n in range(1, n_max + 1)}
+    for seg in oracle_segments(data):
+        s = len(seg)
+        for n in range(1, n_max + 1):
+            if s < n:
+                break
+            slots[n] += s - n + 1
+            if n == 1:
+                counts.update((t,) for t in seg)
+            else:
+                counts.update(zip(*(seg[i:] for i in range(n))))
+    return NgramCounts(counts=counts, slots=slots, n_max=n_max)
+
+
+def assert_counts_match_oracle(data, n_max, min_count):
+    got = count_ngrams(data, n_max, min_count=min_count)
+    oracle = oracle_count_ngrams(data, n_max)
+    assert dict(got.counts) == {g: c for g, c in oracle.counts.items() if c >= min_count}
+    assert got.slots == oracle.slots
+    assert got.n_max == n_max
 
 
 def brute_force_counts(tokens, n_max):
@@ -77,6 +127,45 @@ class TestCountNgrams:
             assert sharded.counts == whole.counts
             assert sharded.slots == whole.slots
 
+    # few distinct ids so that n-grams repeat and min_count prunes some, not all
+    @given(st.lists(st.lists(st.integers(min_value=3, max_value=6), max_size=12), max_size=6),
+           st.integers(min_value=2, max_value=5), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_documents_match_oracle(self, token_lists, n_max, min_count):
+        assert_counts_match_oracle([doc(t) for t in token_lists], n_max, min_count)
+
+    @given(st.lists(st.lists(st.sampled_from([VOCAB.pad_id, VOCAB.sep_id, 3, 4, 5, 6]),
+                             min_size=6, max_size=6), max_size=8),
+           st.integers(min_value=2, max_value=5), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_packed_matches_oracle(self, windows, n_max, min_count):
+        ds = PackedDataset(sequences=[make_window(w) for w in windows], seq_len=6, vocab=VOCAB)
+        assert_counts_match_oracle(ds, n_max, min_count)
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    def test_packed_corpus_matches_oracle(self, min_count):
+        ds = pack_sequences(random_docs(30, 20, seed=4), 16, VOCAB)
+        assert_counts_match_oracle(ds, 5, min_count)
+
+    @pytest.mark.parametrize("min_count", [2, 3, 5])
+    def test_pruned_subgrams_kept(self, min_count):
+        docs = [doc(np.random.default_rng(7).integers(3, 6, size=1000).tolist())]
+        kept = count_ngrams(docs, 5, min_count=min_count).counts
+        assert any(len(g) == 5 for g in kept)
+        assert len(kept) < len(count_ngrams(docs, 5).counts)
+        for gram in kept:
+            for n in range(1, len(gram)):
+                for i in range(len(gram) - n + 1):
+                    assert kept[gram[i:i + n]] >= kept[gram]
+
+    def test_key_overflow_raises(self, monkeypatch):
+        # 4 distinct tokens: 4 unigram groups x width 4 = 16 possible bigram keys
+        monkeypatch.setattr(pmi, "_KEY_LIMIT", 16)
+        with pytest.raises(DataError, match="overflow"):
+            count_ngrams([doc([3, 4, 5, 6])], n_max=2)
+        monkeypatch.setattr(pmi, "_KEY_LIMIT", 17)
+        assert count_ngrams([doc([3, 4, 5, 6])], n_max=2).slots[2] == 3
+
     def test_subgram_count_dominates(self):
         docs = random_docs(5, 40)
         counts = count_ngrams(docs, n_max=3)
@@ -84,6 +173,26 @@ class TestCountNgrams:
             for n in range(1, len(gram)):
                 for i in range(len(gram) - n + 1):
                     assert counts.counts[gram[i:i + n]] >= c
+
+
+class TestPmiBuildCli:
+    @pytest.mark.parametrize("n_max,min_count", [(2, 1), (3, 2), (5, 3)])
+    def test_tsv_matches_oracle_vocab(self, tmp_path, n_max, min_count):
+        docs = random_docs(40, 80, seed=2)
+        corpus = tmp_path / "corpus.jsonl"
+        serialize_tokens(docs, corpus)
+        out = tmp_path / "pmi.tsv"
+        rc = run(["pmi-build", "--input", str(corpus), "--output", str(out),
+                  "--vocab-size", str(VOCAB.size), "--n-max", str(n_max),
+                  "--min-count", str(min_count), "--size-cap", "200"])
+        assert rc == 0
+        got = out.read_bytes()
+        header = got.decode().split("\n", 1)[0][2:]
+        expected = tmp_path / "oracle.tsv"
+        build_vocab(oracle_count_ngrams(docs, n_max), size_cap=200,
+                    min_count=min_count).save_tsv(expected, header=header)
+        assert len(got.splitlines()) > 1
+        assert got == expected.read_bytes()
 
 
 class TestPmiScore:
