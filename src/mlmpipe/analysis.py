@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import ActionKind, MaskingConfig, MaskPlan, generate_plans, materialize
+from .masking import MaskingConfig, MaskPlan, generate_plans, materialize
 from .pmi import PmiVocabulary
 
 Query = tuple[int, int]  # (position, original id)
@@ -208,7 +208,7 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
         if plan.source_sequence not in occ_cache:
             occ_cache[plan.source_sequence] = _vocab_occurrences(
                 ds.sequences[plan.source_sequence], pmi_vocab)
-        corrupted = set(plan.corrupted_positions)
+        corrupted = set(plan.corrupted_positions.tolist())
         for start, n in occ_cache[plan.source_sequence]:
             cell = by_length.setdefault(n, LengthCoverage(0, 0))
             cell.occurrence_count += 1
@@ -223,16 +223,9 @@ def span_histogram(plans: Iterable[MaskPlan]) -> SpanLengthHistogram:
     counts: Counter = Counter()
     for plan in plans:
         positions = plan.corrupted_positions
-        if not positions:
-            continue
-        run = 1
-        for prev, cur in zip(positions, positions[1:]):
-            if cur == prev + 1:
-                run += 1
-            else:
-                counts[run] += 1
-                run = 1
-        counts[run] += 1
+        if len(positions):
+            breaks = np.flatnonzero(np.diff(positions) != 1) + 1
+            counts.update(np.diff(breaks, prepend=0, append=len(positions)).tolist())
     total = sum(counts.values())
     mean = (sum(length * c for length, c in counts.items()) / total) if total else 0.0
     return SpanLengthHistogram(counts=counts, mean_length=mean)

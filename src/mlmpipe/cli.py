@@ -10,14 +10,20 @@ configuration so it can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import analysis, corpus, masking, pmi
+import numpy as np
+
+from . import analysis, corpus, jsonl, masking, pmi
 from .errors import ConfigError, DataError, PipelineError, RangeError
-from .rng import substream
+
+# stream positions masked, materialized and encoded together; bounds the
+# arrays of a block, so memory does not grow with the corpus
+BLOCK_WINDOWS = 64
 
 _STRATEGY_ALIASES = {"uniform": "uniform", "wholeword": "whole_word",
                      "whole_word": "whole_word", "span": "span", "pmi": "pmi"}
@@ -164,11 +170,7 @@ def _vocab_from_args(args) -> corpus.Vocab:
 
 
 def _masking_config(args) -> masking.MaskingConfig:
-    for name in ("mask_rate", "corruption_rate", "prediction_rate",
-                 "p_mask", "p_rand", "p_same", "extra_same"):
-        v = getattr(args, name)
-        if v is not None and not 0.0 <= v <= 1.0:
-            raise ConfigError(f"--{name.replace('_', '-')}={v} outside [0, 1]")
+    # MaskingConfig validates every rate and proportion
     return masking.MaskingConfig(
         strategy=_STRATEGY_ALIASES[args.strategy],
         m=args.mask_rate,
@@ -209,38 +211,32 @@ def _cmd_pmi_build(args) -> int:
     return 0
 
 
-def _example_line(example: masking.MaskedExample) -> str:
-    rec = {"seq": example.corrupted_ids,
-           "targets": [[p, o] for p, o in example.targets],
-           "dup": example.duplicate_index,
-           "src": example.source_sequence}
-    return json.dumps(rec, separators=(",", ":"))
+def _mask_block(ds: corpus.PackedDataset, config: masking.MaskingConfig,
+                pmi_vocab: pmi.PmiVocabulary | None, epoch: int, start: int) -> bytes:
+    """The output lines of stream positions [start, start + BLOCK_WINDOWS)."""
+    plans = list(masking.generate_plans(ds, config, pmi_vocab, epoch,
+                                        start, start + BLOCK_WINDOWS))
+    if not plans:
+        return b""
+    rows = np.stack([ds.sequences[p.source_sequence].ids for p in plans])
+    return jsonl.example_lines(masking.materialize_block(rows, plans, ds.vocab))
 
 
 def _cmd_mask(args) -> int:
     config = _masking_config(args)
     pmi_vocab = _load_pmi_vocab(args, config)
     ds = corpus.load_packed(args.input)
-
-    def window_lines(epoch: int, idx: int) -> str:
-        rng = substream(config.seed, epoch, idx)
-        plans = masking.plan_window(ds.sequences[idx], ds.vocab, config, rng,
-                                    pmi_vocab, source_sequence=idx)
-        examples = [masking.materialize(ds.sequences[idx], p, ds.vocab) for p in plans]
-        return "".join(_example_line(e) + "\n" for e in examples)
-
-    with open(args.output, "w", encoding="utf-8") as out:
+    starts = range(0, len(ds.sequences), BLOCK_WINDOWS)
+    with open(args.output, "wb") as out, \
+            ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
         out.write(json.dumps({"_config": _resolved_config(args)},
-                             separators=(",", ":")) + "\n")
+                             separators=(",", ":")).encode() + b"\n")
+        # blocks are written in stream order whatever the thread count
+        mapper = pool.map if args.threads > 1 else map
         for epoch in range(args.epochs):
-            order = substream(config.seed, epoch).permutation(len(ds.sequences))
-            if args.threads <= 1:
-                for idx in order:
-                    out.write(window_lines(epoch, int(idx)))
-            else:
-                with ThreadPoolExecutor(max_workers=args.threads) as ex:
-                    for chunk in ex.map(lambda i: window_lines(epoch, int(i)), order):
-                        out.write(chunk)
+            block = functools.partial(_mask_block, ds, config, pmi_vocab, epoch)
+            for lines in mapper(block, starts):
+                out.write(lines)
     return 0
 
 
@@ -315,10 +311,11 @@ def _cmd_pll(args) -> int:
                 raise DataError(f"pairs line {lineno}: expected a JSON object")
             if "good" not in rec or "bad" not in rec:
                 raise ConfigError(f"pairs line {lineno}: needs 'good' and 'bad'")
-            try:
-                good, bad = [int(t) for t in rec["good"]], [int(t) for t in rec["bad"]]
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"pairs line {lineno}: token ids must be integers") from exc
+            good, bad = rec["good"], rec["bad"]
+            # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+            if type(good) is not list or type(bad) is not list \
+                    or not set(map(type, good + bad)) <= {int}:
+                raise DataError(f"pairs line {lineno}: token ids must be integers")
             outside = [t for t in good + bad if not 0 <= t < vocab.size]
             if outside:
                 raise RangeError(f"pairs line {lineno}: token id {outside[0]} outside "

@@ -14,6 +14,7 @@ bitset of word_starts.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -249,17 +250,27 @@ def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> Pac
     return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
 
 
-def epoch_stream(ds: PackedDataset, seed: int, epoch: int
-                 ) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield (sequence index, per-sequence substream) in a seeded order.
+def epoch_stream(ds: PackedDataset, seed: int, epoch: int, start: int = 0,
+                 stop: int | None = None) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield (sequence index, per-sequence substream) for stream positions
+    [start, stop) of a seeded order.
 
     The permutation depends only on (seed, epoch); each sequence's
     substream depends only on (seed, epoch, index), so consuming the
     stream in parallel produces the same masks as serial consumption.
     """
-    order = substream(seed, epoch).permutation(len(ds.sequences))
-    for idx in order:
-        yield int(idx), substream(seed, epoch, int(idx))
+    for idx in _epoch_order(seed, epoch, len(ds.sequences))[start:stop].tolist():
+        yield idx, substream(seed, epoch, idx)
+
+
+@functools.lru_cache(maxsize=1)
+def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
+    """The seeded permutation of n sequences for one epoch; read-only, and
+    cached (the latest only) because a block-wise consumer asks for it once
+    per block."""
+    order = substream(seed, epoch).permutation(n)
+    order.setflags(write=False)
+    return order
 
 
 def save_packed(ds: PackedDataset, target, header: dict | None = None) -> None:
@@ -293,8 +304,10 @@ def load_packed(source) -> PackedDataset:
             meta = json.loads(header_line)
             vocab = Vocab(**meta["vocab"])
             seq_len = int(meta["seq_len"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"packed dataset: bad header ({exc})") from exc
+        if seq_len < 2:
+            raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
         windows: list[Window] = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,13 @@ class ActionKind(enum.Enum):
     SAME = "same"
 
 
+# codes of MaskPlan.kinds, in ActionKind order
+MASK, RANDOM, SAME = 0, 1, 2
+_KINDS = tuple(ActionKind)
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
+
+
 @dataclass(slots=True)
 class MaskAction:
     position: int
@@ -40,16 +47,40 @@ class MaskAction:
 
 @dataclass
 class MaskPlan:
-    actions: list[MaskAction]
-    predictions: list[tuple[int, int]]  # (position, original id)
+    """One example's corruption and prediction targets, as arrays.
+
+    ``positions`` (int64, ascending) are the positions the plan touches and
+    ``kinds`` (uint8 codes MASK/RANDOM/SAME, one per position) say how:
+    MASK writes the mask id, RANDOM writes the next entry of
+    ``replacements`` (one per RANDOM position, in position order) and SAME
+    keeps the token. ``pred_positions`` (ascending) and ``pred_originals``
+    are the prediction targets and the ids they must recover.
+    """
+
+    positions: np.ndarray
+    kinds: np.ndarray
+    replacements: np.ndarray
+    pred_positions: np.ndarray
+    pred_originals: np.ndarray
     duplicate_index: int = 0
     source_sequence: int = 0
 
     @property
-    def corrupted_positions(self) -> list[int]:
+    def corrupted_positions(self) -> np.ndarray:
         """Positions whose input identity is destroyed (mask or random)."""
-        return [a.position for a in self.actions
-                if a.kind in (ActionKind.MASK, ActionKind.RANDOM)]
+        return self.positions[self.kinds != SAME]
+
+    @property
+    def predictions(self) -> list[tuple[int, int]]:
+        """(position, original id) pairs; a read-only view built on each call."""
+        return list(zip(self.pred_positions.tolist(), self.pred_originals.tolist()))
+
+    @property
+    def actions(self) -> list[MaskAction]:
+        """One MaskAction per position; a read-only view built on each call."""
+        repl = iter(self.replacements.tolist())
+        return [MaskAction(q, _KINDS[k], next(repl) if k == RANDOM else None)
+                for q, k in zip(self.positions.tolist(), self.kinds.tolist())]
 
 
 @dataclass
@@ -58,6 +89,22 @@ class MaskedExample:
     targets: list[tuple[int, int]]
     duplicate_index: int = 0
     source_sequence: int = 0
+
+
+@dataclass
+class MaskedBlock:
+    """Consecutive materialized examples as arrays, one row per example.
+
+    ``target_positions`` and ``target_originals`` hold every row's targets
+    in row order, ``target_counts[i]`` of them for row i.
+    """
+
+    corrupted_ids: np.ndarray      # (rows, L)
+    target_counts: np.ndarray
+    target_positions: np.ndarray
+    target_originals: np.ndarray
+    duplicate_index: np.ndarray
+    source_sequence: np.ndarray
 
 
 @dataclass
@@ -85,11 +132,12 @@ class MaskingConfig:
                 raise ConfigError(f"{name}={v} outside [0, 1]")
         if (self.m_corr is None) != (self.m_pred is None):
             raise ConfigError("m_corr and m_pred must be given together")
-        if len(self.policy) != 3 or any(p < 0 for p in self.policy):
+        # negated comparisons, so that NaN fails them too
+        if len(self.policy) != 3 or not all(p >= 0 for p in self.policy):
             raise ConfigError(f"policy must be 3 non-negative proportions, got {self.policy}")
-        if abs(sum(self.policy) - 1.0) > _EPS:
+        if not abs(sum(self.policy) - 1.0) <= _EPS:
             raise ConfigError(f"policy proportions must sum to 1, got {self.policy}")
-        if self.mean_span <= 0:
+        if not self.mean_span > 0:
             raise ConfigError(f"mean_span must be positive, got {self.mean_span}")
         if self.policy_sampling not in ("exact", "bernoulli"):
             raise ConfigError(f"unknown policy_sampling {self.policy_sampling!r}")
@@ -251,12 +299,11 @@ def plan_decoupled(window: Window, vocab: Vocab, sampler: Sampler,
     ids = window.ids
 
     def make_plan(positions: np.ndarray, predictions: np.ndarray, dup: int) -> MaskPlan:
-        return MaskPlan(
-            actions=[MaskAction(int(q), ActionKind.MASK) for q in positions],
-            predictions=[(int(q), int(ids[q])) for q in np.sort(predictions)],
-            duplicate_index=dup,
-            source_sequence=source_sequence,
-        )
+        predictions = np.sort(predictions)
+        return MaskPlan(positions=positions, kinds=np.zeros(len(positions), dtype=np.uint8),
+                        replacements=_NO_IDS, pred_positions=predictions,
+                        pred_originals=ids[predictions], duplicate_index=dup,
+                        source_sequence=source_sequence)
 
     if m_pred == m_corr:
         positions = sampler(maskable, c, rng)
@@ -265,7 +312,7 @@ def plan_decoupled(window: Window, vocab: Vocab, sampler: Sampler,
         positions = sampler(maskable, c, rng)
         subset = (rng.choice(positions, size=p, replace=False)
                   if p < len(positions) else positions)
-        return [make_plan(positions, np.asarray(subset), 0)]
+        return [make_plan(positions, subset, 0)]
     if m_corr == 0.0:
         raise ConfigError("m_pred > 0 requires m_corr > 0")
     k = int(math.ceil(m_pred / m_corr - _EPS))
@@ -274,11 +321,14 @@ def plan_decoupled(window: Window, vocab: Vocab, sampler: Sampler,
             f"disjoint duplicates infeasible: {k} x {c} corrupted positions "
             f"> {n} maskable positions")
     plans: list[MaskPlan] = []
+    free = np.zeros(len(ids), dtype=bool)      # maskable and not yet corrupted
+    free[maskable] = True
     remaining = maskable
     for d in range(k):
         positions = sampler(remaining, c, rng)
         plans.append(make_plan(positions, positions, d))
-        remaining = np.setdiff1d(remaining, positions, assume_unique=True)
+        free[positions] = False
+        remaining = np.flatnonzero(free)
     return plans
 
 
@@ -312,74 +362,117 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
     """Partition a plan's mask actions into mask/random/same replacements.
 
     Counts follow exact largest-remainder apportionment (or per-token
-    draws when sampling="bernoulli"). extra_same adds same-token
-    predictions on previously untouched maskable positions; those join
-    the prediction set but are never corrupted.
+    draws when sampling="bernoulli"). The drawn kinds go to the plan's
+    positions in a random permutation order, and random replacements are
+    handed out in that same order. extra_same adds same-token predictions
+    on previously untouched maskable positions; those join the prediction
+    set but are never corrupted.
     """
-    if any(a.kind is not ActionKind.MASK for a in plan.actions):
+    if plan.kinds.any():
         raise DataError("apply_policy requires an all-mask plan")
-    n_act = len(plan.actions)
+    n_act = len(plan.positions)
     if sampling == "exact":
-        counts = largest_remainder(n_act, policy)
-        kinds = ([ActionKind.MASK] * counts[0] + [ActionKind.RANDOM] * counts[1]
-                 + [ActionKind.SAME] * counts[2])
+        drawn = np.repeat(np.arange(3, dtype=np.uint8), largest_remainder(n_act, policy))
     else:
-        draws = rng.choice(3, size=n_act, p=np.asarray(policy) / sum(policy))
-        kinds = [(ActionKind.MASK, ActionKind.RANDOM, ActionKind.SAME)[int(d)]
-                 for d in draws]
+        drawn = rng.choice(3, size=n_act, p=np.asarray(policy) / sum(policy)).astype(np.uint8)
     perm = rng.permutation(n_act)
-    actions = [MaskAction(plan.actions[int(i)].position, kind)
-               for i, kind in zip(perm, kinds)]
-    n_rand = sum(1 for a in actions if a.kind is ActionKind.RANDOM)
-    if n_rand:
-        repls = iter(_random_replacements(n_rand, vocab, rng))
-        for a in actions:
-            if a.kind is ActionKind.RANDOM:
-                a.replacement = int(next(repls))
-    predictions = list(plan.predictions)
+    positions = plan.positions
+    kinds = np.empty(n_act, dtype=np.uint8)
+    kinds[perm] = drawn
+    repl = np.zeros(n_act, dtype=np.int64)
+    random_at = perm[drawn == RANDOM]
+    if len(random_at):
+        repl[random_at] = _random_replacements(len(random_at), vocab, rng)
+    pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
     maskable = window.maskable_positions(vocab)
     e = exact_count(extra_same, len(maskable))
     if e:
-        taken = {a.position for a in actions}
-        candidates = np.array([int(q) for q in maskable if int(q) not in taken],
-                              dtype=np.int64)
+        free = np.zeros(len(window.ids), dtype=bool)
+        free[maskable] = True
+        free[positions] = False
+        candidates = np.flatnonzero(free)
         if e > len(candidates):
             raise InfeasibleError(
                 f"{e} extra same-token predictions requested but only "
                 f"{len(candidates)} untouched positions remain")
         chosen = rng.choice(candidates, size=e, replace=False)
-        actions.extend(MaskAction(int(q), ActionKind.SAME) for q in chosen)
-        predictions.extend((int(q), int(window.ids[q])) for q in chosen)
-    actions.sort(key=lambda a: a.position)
-    predictions.sort()
-    return MaskPlan(actions=actions, predictions=predictions,
+        positions = np.concatenate([positions, chosen])
+        kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
+        repl = np.concatenate([repl, np.zeros(e, dtype=np.int64)])
+        pred_positions = np.concatenate([pred_positions, chosen])
+        pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
+    order = np.argsort(pred_positions)
+    pred_positions, pred_originals = pred_positions[order], pred_originals[order]
+    order = np.argsort(positions)
+    positions, kinds, repl = positions[order], kinds[order], repl[order]
+    return MaskPlan(positions=positions, kinds=kinds, replacements=repl[kinds == RANDOM],
+                    pred_positions=pred_positions, pred_originals=pred_originals,
                     duplicate_index=plan.duplicate_index,
                     source_sequence=plan.source_sequence)
 
 
+def materialize_block(rows: np.ndarray, plans: Sequence[MaskPlan],
+                      vocab: Vocab) -> MaskedBlock:
+    """Apply plans[i] to rows[i], a copy of its window's ids, in place.
+
+    All plans of the block are checked and written at once. A position
+    outside the window, a special token under a plan position, a
+    replacement count that does not match the RANDOM kinds, or a target
+    whose original id differs from the window raises IntegrityError before
+    anything is written.
+    """
+    n_rows, L = rows.shape
+    row_of = np.arange(n_rows)
+    counts = np.fromiter(map(len, (p.positions for p in plans)), dtype=np.int64, count=n_rows)
+    positions = np.concatenate([p.positions for p in plans])
+    kinds = np.concatenate([p.kinds for p in plans])
+    outside = (positions < 0) | (positions >= L)
+    if outside.any():
+        raise IntegrityError(f"plan position {positions[outside.argmax()]} outside window "
+                             f"of length {L}")
+    flat = np.repeat(row_of * L, counts) + positions
+    held = np.take(rows, flat)
+    special = (held == vocab.mask_id) | (held == vocab.pad_id) | (held == vocab.sep_id)
+    if special.any():
+        raise IntegrityError("plan touches special token at position "
+                             f"{positions[special.argmax()]}")
+    is_random = kinds == RANDOM
+    n_random = np.bincount(np.repeat(row_of, counts)[is_random], minlength=n_rows)
+    replacements = np.concatenate([p.replacements for p in plans])
+    if (kinds > SAME).any() or not np.array_equal(
+            n_random, [len(p.replacements) for p in plans]):
+        raise IntegrityError("plan kinds and replacements do not line up")
+
+    target_counts = np.fromiter(map(len, (p.pred_positions for p in plans)),
+                                dtype=np.int64, count=n_rows)
+    target_positions = np.concatenate([p.pred_positions for p in plans])
+    target_originals = np.concatenate([p.pred_originals for p in plans])
+    outside = (target_positions < 0) | (target_positions >= L)
+    if outside.any():
+        raise IntegrityError(f"prediction position {target_positions[outside.argmax()]} "
+                             f"outside window of length {L}")
+    truth = np.take(rows, np.repeat(row_of * L, target_counts) + target_positions)
+    wrong = truth != target_originals
+    if wrong.any():
+        i = wrong.argmax()
+        raise IntegrityError(f"prediction at {target_positions[i]} expects id "
+                             f"{target_originals[i]} but window holds {truth[i]}")
+
+    values = np.where(kinds == MASK, vocab.mask_id, held)
+    values[is_random] = replacements
+    np.put(rows, flat, values)
+    return MaskedBlock(corrupted_ids=rows, target_counts=target_counts,
+                       target_positions=target_positions, target_originals=target_originals,
+                       duplicate_index=np.array([p.duplicate_index for p in plans]),
+                       source_sequence=np.array([p.source_sequence for p in plans]))
+
+
 def materialize(window: Window, plan: MaskPlan, vocab: Vocab) -> MaskedExample:
     """Apply a plan to its window, producing the corrupted example."""
-    L = len(window.ids)
-    corrupted = window.ids.copy()
-    special = set(vocab.special_ids)
-    for a in plan.actions:
-        if not 0 <= a.position < L:
-            raise IntegrityError(f"plan position {a.position} outside window of length {L}")
-        if int(window.ids[a.position]) in special:
-            raise IntegrityError(f"plan touches special token at position {a.position}")
-        if a.kind is ActionKind.MASK:
-            corrupted[a.position] = vocab.mask_id
-        elif a.kind is ActionKind.RANDOM:
-            corrupted[a.position] = a.replacement
-    targets: list[tuple[int, int]] = []
-    for pos, orig in plan.predictions:
-        if not 0 <= pos < L:
-            raise IntegrityError(f"prediction position {pos} outside window of length {L}")
-        if int(window.ids[pos]) != orig:
-            raise IntegrityError(
-                f"prediction at {pos} expects id {orig} but window holds {int(window.ids[pos])}")
-        targets.append((pos, orig))
-    return MaskedExample(corrupted_ids=corrupted.tolist(), targets=targets,
+    block = materialize_block(window.ids[np.newaxis].copy(), [plan], vocab)
+    return MaskedExample(corrupted_ids=block.corrupted_ids[0].tolist(),
+                         targets=list(zip(block.target_positions.tolist(),
+                                          block.target_originals.tolist())),
                          duplicate_index=plan.duplicate_index,
                          source_sequence=plan.source_sequence)
 
@@ -403,10 +496,11 @@ def plan_window(window: Window, vocab: Vocab, config: MaskingConfig,
 
 
 def generate_plans(ds: PackedDataset, config: MaskingConfig,
-                   pmi_vocab: PmiVocabulary | None = None,
-                   epoch: int = 0) -> Iterator[MaskPlan]:
-    """MaskPlans for one epoch in seeded stream order; duplicates adjacent."""
-    for idx, rng in epoch_stream(ds, config.seed, epoch):
+                   pmi_vocab: PmiVocabulary | None = None, epoch: int = 0,
+                   start: int = 0, stop: int | None = None) -> Iterator[MaskPlan]:
+    """MaskPlans for stream positions [start, stop) of one epoch, in seeded
+    stream order; a window's duplicates are adjacent."""
+    for idx, rng in epoch_stream(ds, config.seed, epoch, start, stop):
         yield from plan_window(ds.sequences[idx], ds.vocab, config, rng,
                                pmi_vocab, source_sequence=idx)
 

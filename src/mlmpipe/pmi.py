@@ -139,6 +139,8 @@ class PmiVocabulary:
 
 # n-gram keys are rank_{n-1} * width + token rank, held in int64
 _KEY_LIMIT = 2 ** 63
+# n-grams turned into tuples at a time by count_ngrams
+_CHUNK = 1 << 14
 
 
 def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,15 +196,23 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
     contiguous sub-gram of a kept n-gram is kept, which is all ``pmi_score``
     reads. Merging pruned counts would be wrong: shards count with the
     default of 1.
+
+    Ranking keeps one start position and one count per kept n-gram, in
+    chunks. Tuples are built only once the per-position arrays are freed,
+    shortest n-grams first and a chunk at a time, so the peak is the count
+    table plus little more.
     """
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
     ids, room = _flatten(data)
-    counts: Counter = Counter()
     slots = {n: int(np.count_nonzero(room >= n)) for n in range(1, n_max + 1)}
     pos = np.flatnonzero(room >= 1)
     rank = np.zeros(len(ids), dtype=np.int64)  # rank of the n-gram at each position
     kept = np.zeros(len(ids) + 1, dtype=bool)  # one spare slot for kept[pos + 1]
+    # (n, starts, counts) for a chunk of kept n-grams: one start position and
+    # the count of each
+    chunks: list[tuple[int, np.ndarray, np.ndarray]] = []
+    pos_type = np.min_scalar_type(len(ids))
     for n in range(1, n_max + 1):
         if n == 1:
             keys = ids[pos]
@@ -222,10 +232,21 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
         frequent = sizes >= min_count
         kept[:] = False
         kept[pos] = frequent[ranks]
-        starts = pos[members[frequent]]
+        starts, sizes = pos[members[frequent]], sizes[frequent]
+        count_type = np.min_scalar_type(sizes.max(initial=0))
+        chunks.extend((n, starts[lo:lo + _CHUNK].astype(pos_type),
+                       sizes[lo:lo + _CHUNK].astype(count_type))
+                      for lo in range(0, len(starts), _CHUNK))
+    del ids, room, pos, rank, kept, keys, ranks, sizes, members, frequent, starts
+    tok_rank = tok_rank.astype(np.min_scalar_type(width))
+
+    counts: Counter = Counter()
+    chunks.reverse()
+    while chunks:            # shortest n-grams first; each chunk is freed once used
+        n, starts, sizes = chunks.pop()
         columns = [tokens[tok_rank[starts + k]].tolist() for k in range(n)]
         # dict.update takes the pairs in C; Counter.update would add one by one
-        dict.update(counts, zip(zip(*columns), sizes[frequent].tolist()))
+        dict.update(counts, zip(zip(*columns), sizes.tolist()))
     return NgramCounts(counts=counts, slots=slots, n_max=n_max)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlmpipe.corpus import TokenSequence, Vocab, Window, pack_sequences
+from mlmpipe.masking import MaskPlan
 
 # specials: pad=0, sep=1, mask=2; ordinary tokens start at 3
 VOCAB = Vocab(size=100, mask_id=2, pad_id=0, sep_id=1)
@@ -40,3 +41,13 @@ def random_docs(n_docs, doc_len, vocab=VOCAB, seed=0):
 
 def packed_dataset(n_docs=50, doc_len=100, seq_len=128, vocab=VOCAB, seed=0):
     return pack_sequences(random_docs(n_docs, doc_len, vocab, seed), seq_len, vocab)
+
+
+def mask_plan(positions, predictions=(), src=0):
+    """An all-MASK plan over `positions` with (position, original id) targets."""
+    positions = np.asarray(positions, dtype=np.int64)
+    predictions = np.asarray(predictions, dtype=np.int64).reshape(-1, 2)
+    return MaskPlan(positions=positions, kinds=np.zeros(len(positions), dtype=np.uint8),
+                    replacements=np.empty(0, dtype=np.int64),
+                    pred_positions=predictions[:, 0].copy(),
+                    pred_originals=predictions[:, 1].copy(), source_sequence=src)

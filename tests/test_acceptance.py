@@ -57,7 +57,7 @@ def test_criterion_1_count_exactness():
         for idx in range(n_windows):
             rng = substream(cfg.seed, 0, idx)
             plan = plan_window(ds.sequences[idx], VOCAB, cfg, rng)[0]
-            if len(plan.actions) != expected:
+            if len(plan.positions) != expected:
                 ok = False
                 break
     elapsed = time.perf_counter() - start
@@ -72,7 +72,7 @@ def test_criterion_2_effective_rate_arithmetic():
     ds = full_windows(1, 128, seed=2)
     cfg = MaskingConfig(m=0.40, extra_same=0.05, seed=3)
     plan = next(generate_plans(ds, cfg))
-    n_pred = len(plan.predictions)
+    n_pred = len(plan.pred_positions)
     ok = ok and n_pred == 57 and len(plan.corrupted_positions) == 51
     report(2, "80-10-10 at m=0.40 -> (0.36, 0.36); +5% same -> 57 predictions",
            ok, f"predictions={n_pred}, rates=({corr:.6f}, {pred:.6f})")
@@ -85,7 +85,7 @@ def test_criterion_3_decoupling():
         rng = substream(21, 0, idx)
         plans = plan_decoupled(ds.sequences[idx], VOCAB, sample_uniform,
                                0.20, 0.40, rng, source_sequence=idx)
-        sets = [set(a.position for a in p.actions) for p in plans]
+        sets = [set(p.positions.tolist()) for p in plans]
         if len(plans) != 2 or any(len(s) != 25 for s in sets) or (sets[0] & sets[1]):
             ok = False
             break
@@ -213,7 +213,7 @@ def test_criterion_7_perplexity_contracts():
     total = sum(counts.values())
     logs = [math.log(counts[orig] / total)
             for plan in generate_plans(ds, cfg)
-            for _, orig in plan.predictions]
+            for orig in plan.pred_originals.tolist()]
     brute = math.exp(-sum(logs) / len(logs))
     unigram_ok = abs(ppl_unigram - brute) / brute < 1e-9
     report(7, "uniform-scorer PPL = V; unigram PPL matches brute force "

@@ -14,11 +14,10 @@ from mlmpipe.analysis import (CoverageReport, ExternScorer, OracleScorer,
                               relative_metric, span_histogram)
 from mlmpipe.corpus import TokenSequence
 from mlmpipe.errors import ConfigError, DataError, IntegrityError
-from mlmpipe.masking import (ActionKind, MaskAction, MaskingConfig, MaskPlan,
-                             generate_plans)
+from mlmpipe.masking import MaskingConfig, generate_plans
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, packed_dataset
+from conftest import VOCAB, mask_plan, packed_dataset
 
 
 class SpyScorer:
@@ -59,7 +58,7 @@ class TestMaskedPerplexity:
         total = sum(counts.values())
         logs = []
         for plan in generate_plans(ds, cfg):
-            for _, orig in plan.predictions:
+            for orig in plan.pred_originals.tolist():
                 logs.append(math.log(counts[orig] / total))
         expected = math.exp(-sum(logs) / len(logs))
         assert ppl == pytest.approx(expected, rel=1e-9)
@@ -172,9 +171,7 @@ class TestMetrics:
 
 
 def plan_from_positions(positions, src=0):
-    return MaskPlan(actions=[MaskAction(int(p), ActionKind.MASK)
-                             for p in sorted(positions)],
-                    predictions=[], source_sequence=src)
+    return mask_plan(sorted(positions), src=src)
 
 
 class TestCoverage:
@@ -232,7 +229,7 @@ class TestSpanHistogram:
         total = 0
         n_runs = 0
         for plan in generate_plans(ds, cfg):
-            positions = plan.corrupted_positions
+            positions = plan.corrupted_positions.tolist()
             if not positions:
                 continue
             runs = []
@@ -284,3 +281,19 @@ class TestExternScorer:
         assert isinstance(make_scorer("unigram", ds=ds), UnigramScorer)
         with pytest.raises(ConfigError):
             make_scorer("nope")
+
+
+@given(st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=30), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_span_histogram_counts_runs(position_sets):
+    expected = Counter()
+    for positions in position_sets:
+        run = 0
+        for p in range(42):
+            if p in positions:
+                run += 1
+            elif run:
+                expected[run] += 1
+                run = 0
+    hist = span_histogram([plan_from_positions(s) for s in position_sets])
+    assert hist.counts == expected

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from mlmpipe.cli import run
-from mlmpipe.corpus import serialize_tokens
+from mlmpipe.cli import BLOCK_WINDOWS, run
+from mlmpipe.corpus import load_packed, serialize_tokens
+from mlmpipe.masking import MaskingConfig, generate_examples
 
 from conftest import VOCAB, random_docs
 
@@ -75,21 +76,62 @@ class TestMask:
         assert set(rec) == {"seq", "targets", "dup", "src"}
         assert len(rec["seq"]) == 128
 
-    def test_threads_byte_identical(self, tmp_path, packed_path):
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "uniform", "--mask-rate", "0.15"],
+        ["--strategy", "span", "--mask-rate", "0.4"],
+        ["--strategy", "whole_word", "--mask-rate", "0.4"],
+        ["--strategy", "pmi", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
+         "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1", "--extra-same", "0.05"],
+    ], ids=["uniform", "span", "whole_word", "pmi-dup-80-10-10-extra"])
+    def test_threads_byte_identical(self, tmp_path, flags):
+        # several output blocks, so that threads really split the stream
+        corpus = tmp_path / "corpus.jsonl"
+        serialize_tokens(random_docs(300, 80, seed=1), corpus)
+        packed = tmp_path / "packed.jsonl"
+        assert run(["pack", "--input", str(corpus), "--output", str(packed)] + VOCAB_FLAGS) == 0
+        assert len(packed.read_text().splitlines()) - 1 > 2 * BLOCK_WINDOWS
+        tsv = tmp_path / "pmi.tsv"
+        assert run(["pmi-build", "--input", str(corpus), "--output", str(tsv),
+                    "--vocab-size", str(VOCAB.size), "--n-max", "3",
+                    "--min-count", "2", "--size-cap", "200"]) == 0
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}.jsonl"
-            rc = run(["--seed", "3", "--threads", threads, "mask",
-                      "--input", str(packed_path), "--output", str(out),
-                      "--mask-rate", "0.15"])
+            rc = run(["--seed", "3", "--threads", threads, "mask", "--epochs", "2",
+                      "--input", str(packed), "--output", str(out),
+                      "--pmi-vocab", str(tsv)] + flags)
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bad_rate_is_usage_error(self, tmp_path, packed_path):
-        rc = run(["mask", "--input", str(packed_path),
-                  "--output", str(tmp_path / "o"), "--mask-rate", "1.5"])
-        assert rc == 1
+    def test_lines_match_library_examples(self, tmp_path):
+        # the block writer against one json.dumps line per materialized plan
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize_tokens(random_docs(300, 80, seed=2), corpus_path)
+        packed = tmp_path / "packed.jsonl"
+        assert run(["pack", "--input", str(corpus_path), "--output", str(packed)]
+                   + VOCAB_FLAGS) == 0
+        out = tmp_path / "masked.jsonl"
+        assert run(["--seed", "9", "mask", "--input", str(packed), "--output", str(out),
+                    "--epochs", "2", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
+                    "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"]) == 0
+        ds = load_packed(packed)
+        assert len(ds.sequences) > 2 * BLOCK_WINDOWS
+        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=9)
+        expected = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
+                                "dup": e.duplicate_index, "src": e.source_sequence},
+                               separators=(",", ":"))
+                    for epoch in (0, 1) for e in generate_examples(ds, cfg, epoch=epoch)]
+        assert out.read_text().splitlines()[1:] == expected
+
+    def test_bad_rate_is_usage_error(self, tmp_path, packed_path, capsys):
+        for flag in (["--mask-rate", "1.5"], ["--p-mask", "1.5"], ["--p-rand", "-0.1"],
+                     ["--p-same", "nan"], ["--mean-span", "nan"]):
+            rc = run(["mask", "--input", str(packed_path),
+                      "--output", str(tmp_path / "o"), "--strategy", "span"] + flag)
+            err = capsys.readouterr().err
+            assert rc == 1, flag
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, flag
 
     def test_infeasible_decoupling_is_exit_3(self, tmp_path, packed_path):
         rc = run(["mask", "--input", str(packed_path),
@@ -282,7 +324,11 @@ class TestScoring:
         assert out["pairs"] == 1
 
     @pytest.mark.parametrize("bad", ['{"good": [5, 6], "bad": [5', "[5, 6]",
-                                     '{"good": ["x"], "bad": [5]}'])
+                                     '{"good": ["x"], "bad": [5]}',
+                                     '{"good": [5.7], "bad": [5]}',
+                                     '{"good": [5], "bad": ["6"]}',
+                                     '{"good": [5, true], "bad": [5, 6]}',
+                                     '{"good": 5, "bad": [5]}'])
     def test_pll_bad_pairs_line_is_data_error(self, tmp_path, capsys, bad):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n" + bad + "\n")

@@ -193,3 +193,11 @@ class TestPackedIO:
         for a, b in zip(ds.sequences, back.sequences):
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.word_starts, b.word_starts)
+
+    @pytest.mark.parametrize("seq_len", ['"abc"', "1", "0"])
+    def test_bad_header_seq_len(self, tmp_path, seq_len):
+        path = tmp_path / "packed.jsonl"
+        path.write_text('{"seq_len": %s, "vocab": {"size": 100, "mask_id": 2, "pad_id": 0, '
+                        '"sep_id": 1}}\n' % seq_len)
+        with pytest.raises(ParseError, match="packed dataset"):
+            load_packed(path)

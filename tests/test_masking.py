@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe.errors import ConfigError, DataError, InfeasibleError, IntegrityError
-from mlmpipe.masking import (ActionKind, MaskAction, MaskingConfig, MaskPlan,
-                             apply_policy, effective_rates, exact_count,
+from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, MaskingConfig,
+                             MaskPlan, apply_policy, effective_rates, exact_count,
                              generate_examples, generate_plans, largest_remainder,
-                             make_sampler, materialize, plan_decoupled,
-                             plan_window, sample_span, sample_uniform,
-                             sample_units)
+                             make_sampler, materialize, materialize_block,
+                             plan_decoupled, plan_window, sample_span,
+                             sample_uniform, sample_units)
 from mlmpipe.pmi import PmiVocabulary
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, full_window, make_window, packed_dataset
+from conftest import VOCAB, full_window, make_window, mask_plan, packed_dataset
 
 
 def rng_for(i=0):
@@ -151,31 +151,30 @@ class TestPlanDecoupled:
         win = full_window()
         plans = plan_decoupled(win, VOCAB, sample_uniform, 0.15, 0.15, rng_for())
         assert len(plans) == 1
-        assert len(plans[0].actions) == 19
-        assert [p for p, _ in plans[0].predictions] == \
-               [a.position for a in plans[0].actions]
+        assert len(plans[0].positions) == 19
+        assert plans[0].pred_positions.tolist() == plans[0].positions.tolist()
 
     def test_lower_prediction_rate(self):
         # mask 40% (51), predict on 20% (25)
         win = full_window()
         plans = plan_decoupled(win, VOCAB, sample_uniform, 0.40, 0.20, rng_for())
         assert len(plans) == 1
-        assert len(plans[0].actions) == 51
-        assert len(plans[0].predictions) == 25
-        positions = {a.position for a in plans[0].actions}
-        assert all(p in positions for p, _ in plans[0].predictions)
+        assert len(plans[0].positions) == 51
+        assert len(plans[0].pred_positions) == 25
+        positions = set(plans[0].positions.tolist())
+        assert all(p in positions for p in plans[0].pred_positions.tolist())
 
     def test_duplicates_disjoint(self):
         # m_corr=0.20, m_pred=0.40 -> 2 plans of 25, disjoint
         win = full_window()
         plans = plan_decoupled(win, VOCAB, sample_uniform, 0.20, 0.40, rng_for())
         assert len(plans) == 2
-        sets = [set(a.position for a in p.actions) for p in plans]
+        sets = [set(p.positions.tolist()) for p in plans]
         assert all(len(s) == 25 for s in sets)
         assert not sets[0] & sets[1]
         assert [p.duplicate_index for p in plans] == [0, 1]
         for p in plans:
-            assert len(p.predictions) == 25
+            assert len(p.pred_positions) == 25
 
     def test_ceil_of_exact_ratio(self):
         # 0.40 / 0.20 must give k=2, not 3 (float division artifact)
@@ -217,35 +216,35 @@ class TestApplyPolicy:
         win = full_window()
         plan = apply_policy(self._plan(win), (0.8, 0.1, 0.1), 0.0, VOCAB,
                             rng_for(1), win)
-        kinds = [a.kind for a in plan.actions]
-        assert kinds.count(ActionKind.MASK) == 41
-        assert kinds.count(ActionKind.RANDOM) == 5
-        assert kinds.count(ActionKind.SAME) == 5
+        kinds = plan.kinds.tolist()
+        assert kinds.count(MASK) == 41
+        assert kinds.count(RANDOM) == 5
+        assert kinds.count(SAME) == 5
 
     def test_identity_policy(self):
         win = full_window()
         before = self._plan(win)
         after = apply_policy(before, (1.0, 0.0, 0.0), 0.0, VOCAB, rng_for(1), win)
-        assert [a.position for a in after.actions] == \
-               [a.position for a in before.actions]
-        assert all(a.kind is ActionKind.MASK for a in after.actions)
+        assert after.positions.tolist() == before.positions.tolist()
+        assert all(k == MASK for k in after.kinds.tolist())
 
     def test_extra_same_predictions(self):
         # m=0.40 with extra_same=0.05 -> 51 corrupted + 6 same = 57 predictions
         win = full_window()
         plan = apply_policy(self._plan(win), (1.0, 0.0, 0.0), 0.05, VOCAB,
                             rng_for(1), win)
-        assert len(plan.predictions) == 57
+        assert len(plan.pred_positions) == 57
         assert len(plan.corrupted_positions) == 51
 
     def test_random_replacements_avoid_specials(self):
         win = full_window()
         plan = apply_policy(self._plan(win), (0.0, 1.0, 0.0), 0.0, VOCAB,
                             rng_for(1), win)
-        for a in plan.actions:
-            assert a.kind is ActionKind.RANDOM
-            assert a.replacement not in VOCAB.special_ids
-            assert 0 <= a.replacement < VOCAB.size
+        assert len(plan.replacements) == len(plan.positions)
+        for kind, replacement in zip(plan.kinds.tolist(), plan.replacements.tolist()):
+            assert kind == RANDOM
+            assert replacement not in VOCAB.special_ids
+            assert 0 <= replacement < VOCAB.size
 
     def test_replacement_distribution_uniform(self):
         # over many draws every non-special id appears
@@ -254,7 +253,7 @@ class TestApplyPolicy:
         for i in range(200):
             plan = apply_policy(self._plan(win), (0.0, 1.0, 0.0), 0.0, VOCAB,
                                 rng_for(i), win)
-            seen.update(a.replacement for a in plan.actions)
+            seen.update(plan.replacements.tolist())
         assert seen == set(range(VOCAB.size)) - set(VOCAB.special_ids)
 
     def test_requires_all_mask_plan(self):
@@ -276,7 +275,7 @@ class TestApplyPolicy:
         for i in range(30):
             plan = apply_policy(self._plan(win), (0.8, 0.1, 0.1), 0.0, VOCAB,
                                 rng_for(i), win, sampling="bernoulli")
-            counts.add(sum(1 for a in plan.actions if a.kind is ActionKind.MASK))
+            counts.add(plan.kinds.tolist().count(MASK))
         assert len(counts) > 1
 
 
@@ -308,7 +307,7 @@ class TestEffectiveRates:
 class TestMaterialize:
     def test_empty_plan_identity(self):
         win = full_window()
-        ex = materialize(win, MaskPlan(actions=[], predictions=[]), VOCAB)
+        ex = materialize(win, mask_plan([]), VOCAB)
         assert ex.corrupted_ids == win.ids.tolist()
         assert ex.targets == []
 
@@ -316,28 +315,29 @@ class TestMaterialize:
         win = full_window()
         plan = plan_decoupled(win, VOCAB, sample_uniform, 0.15, 0.15, rng_for())[0]
         ex = materialize(win, plan, VOCAB)
-        positions = {a.position for a in plan.actions}
+        positions = set(plan.positions.tolist())
         for i, (orig, got) in enumerate(zip(win.ids.tolist(), ex.corrupted_ids)):
             if i in positions:
                 assert got == VOCAB.mask_id
             else:
                 assert got == orig
-        assert [(p, o) for p, o in ex.targets] == plan.predictions
+        assert [(p, o) for p, o in ex.targets] == \
+            list(zip(plan.pred_positions.tolist(), plan.pred_originals.tolist()))
 
     def test_position_out_of_range(self):
         win = full_window(L=8)
-        plan = MaskPlan(actions=[MaskAction(9, ActionKind.MASK)], predictions=[])
+        plan = mask_plan([9])
         with pytest.raises(IntegrityError):
             materialize(win, plan, VOCAB)
 
     def test_wrong_original_id(self):
         win = full_window()
-        plan = MaskPlan(actions=[], predictions=[(0, int(win.ids[0]) + 1)])
+        plan = mask_plan([], predictions=[(0, int(win.ids[0]) + 1)])
         with pytest.raises(IntegrityError):
             materialize(win, plan, VOCAB)
 
     def test_never_touches_special_positions(self):
-        plan = MaskPlan(actions=[MaskAction(1, ActionKind.MASK)], predictions=[])
+        plan = mask_plan([1])
         win = make_window([5, VOCAB.sep_id, 6])
         with pytest.raises(IntegrityError):
             materialize(win, plan, VOCAB)
@@ -357,14 +357,14 @@ class TestStreamDeterminism:
         # consuming per-sequence substreams out of order gives identical masks
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(m=0.3, seed=5)
-        serial = {p.source_sequence: [a.position for a in p.actions]
+        serial = {p.source_sequence: p.positions.tolist()
                   for p in generate_plans(ds, cfg)}
         scattered = {}
         for idx in reversed(range(len(ds.sequences))):
             rng = substream(cfg.seed, 0, idx)
             plan = plan_window(ds.sequences[idx], ds.vocab, cfg, rng,
                                source_sequence=idx)[0]
-            scattered[idx] = [a.position for a in plan.actions]
+            scattered[idx] = plan.positions.tolist()
         assert serial == scattered
 
     @given(st.sampled_from(["uniform", "span", "whole_word", "pmi"]),
@@ -380,7 +380,7 @@ class TestStreamDeterminism:
             win = ds.sequences[plan.source_sequence]
             maskable = set(win.maskable_positions(VOCAB).tolist())
             expected = exact_count(m, len(maskable))
-            positions = [a.position for a in plan.actions]
+            positions = plan.positions.tolist()
             assert len(positions) == expected
             assert set(positions) <= maskable
 
@@ -392,7 +392,7 @@ class TestStreamDeterminism:
         for plan in generate_plans(ds, cfg, pv):
             win = ds.sequences[plan.source_sequence]
             units = segment_units(win, VOCAB, "pmi", pv)
-            masked = set(a.position for a in plan.actions)
+            masked = set(plan.positions.tolist())
             full_size = sum(u[1] - u[0] for u in units
                             if set(range(u[0], u[1])) <= masked)
             partial = sum(len(masked & set(range(u[0], u[1]))) for u in units
@@ -400,3 +400,180 @@ class TestStreamDeterminism:
             # everything outside fully-masked units must be single-position fill
             n = len(win.maskable_positions(VOCAB))
             assert full_size + partial == exact_count(0.3, n)
+
+
+# ---------------------------------------------------------------------------
+# array plans against the per-position reference they replaced
+
+
+def reference_plans(window, config, rng, pmi_vocab=None):
+    """Plans as (position, kind, replacement) lists and (position, original)
+    lists, drawn with one MaskAction-style loop per position: the generator
+    calls the array code must reproduce, in the same order and sizes."""
+    sampler = make_sampler(window, VOCAB, config, pmi_vocab)
+    maskable = window.maskable_positions(VOCAB)
+    n = len(maskable)
+    c = exact_count(config.corruption_rate, n)
+    p = exact_count(config.prediction_rate, n)
+    ids = window.ids
+    if config.prediction_rate == config.corruption_rate:
+        positions = sampler(maskable, c, rng)
+        raw = [(positions, positions)]
+    elif config.prediction_rate < config.corruption_rate:
+        positions = sampler(maskable, c, rng)
+        subset = rng.choice(positions, size=p, replace=False) if p < len(positions) \
+            else positions
+        raw = [(positions, subset)]
+    else:
+        k = int(math.ceil(config.prediction_rate / config.corruption_rate - 1e-9))
+        raw, remaining = [], maskable
+        for _ in range(k):
+            positions = sampler(remaining, c, rng)
+            raw.append((positions, positions))
+            remaining = np.setdiff1d(remaining, positions, assume_unique=True)
+    plans = []
+    for positions, predicted in raw:
+        actions = [[int(q), "mask", None] for q in positions]
+        predictions = sorted((int(q), int(ids[q])) for q in predicted)
+        if config.policy != (1.0, 0.0, 0.0) or config.extra_same > 0.0 \
+                or config.policy_sampling == "bernoulli":
+            if config.policy_sampling == "exact":
+                counts = largest_remainder(len(actions), config.policy)
+                kinds = ["mask"] * counts[0] + ["random"] * counts[1] + ["same"] * counts[2]
+            else:
+                draws = rng.choice(3, size=len(actions),
+                                   p=np.asarray(config.policy) / sum(config.policy))
+                kinds = [("mask", "random", "same")[int(d)] for d in draws]
+            perm = rng.permutation(len(actions))
+            actions = [[actions[int(i)][0], kind, None] for i, kind in zip(perm, kinds)]
+            n_rand = sum(1 for a in actions if a[1] == "random")
+            if n_rand:
+                draws = rng.integers(0, VOCAB.size - 3, size=n_rand)
+                for s in sorted(VOCAB.special_ids):
+                    draws[draws >= s] += 1
+                repls = iter(draws.tolist())
+                for a in actions:
+                    if a[1] == "random":
+                        a[2] = next(repls)
+            e = exact_count(config.extra_same, n)
+            if e:
+                taken = {a[0] for a in actions}
+                candidates = np.array([int(q) for q in maskable if int(q) not in taken],
+                                      dtype=np.int64)
+                chosen = rng.choice(candidates, size=e, replace=False)
+                actions.extend([int(q), "same", None] for q in chosen)
+                predictions = sorted(predictions + [(int(q), int(ids[q])) for q in chosen])
+            actions.sort()
+        plans.append(([tuple(a) for a in actions], predictions))
+    return plans
+
+
+@pytest.mark.parametrize("kw", [
+    dict(strategy="uniform", m=0.15),
+    dict(strategy="span", m=0.4, policy=(0.8, 0.1, 0.1)),
+    dict(strategy="whole_word", m=0.5, policy=(0.8, 0.1, 0.1), extra_same=0.05),
+    dict(strategy="uniform", m=0.4, policy=(0.8, 0.1, 0.1), policy_sampling="bernoulli"),
+    dict(strategy="uniform", m_corr=0.4, m_pred=0.2, policy=(0.6, 0.2, 0.2)),
+    dict(strategy="pmi", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1)),
+    dict(strategy="uniform", m_corr=0.1, m_pred=0.3, extra_same=0.05),
+])
+def test_array_plans_match_reference(kw):
+    ds = packed_dataset(n_docs=12, seed=5)
+    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4}, n_max=3, size_cap=10)
+    config = MaskingConfig(seed=3, **kw)
+    for idx, win in enumerate(ds.sequences):
+        got = plan_window(win, VOCAB, config, substream(3, 0, idx), pv, source_sequence=idx)
+        want = reference_plans(win, config, substream(3, 0, idx), pv)
+        assert len(got) == len(want)
+        for d, (plan, (actions, predictions)) in enumerate(zip(got, want)):
+            assert plan.duplicate_index == d and plan.source_sequence == idx
+            assert [(a.position, a.kind.value, a.replacement) for a in plan.actions] == actions
+            assert list(zip(plan.pred_positions.tolist(),
+                            plan.pred_originals.tolist())) == predictions
+
+
+def policy_plan(win):
+    """A plan with every kind: mask at 0-1, random at 2-3, same at 4, predicting 0-4."""
+    ids = win.ids
+    return MaskPlan(positions=np.arange(5), kinds=np.array([MASK, MASK, RANDOM, RANDOM, SAME],
+                                                            dtype=np.uint8),
+                    replacements=np.array([50, 60]), pred_positions=np.arange(5),
+                    pred_originals=ids[:5].copy(), duplicate_index=1, source_sequence=7)
+
+
+class TestArrayPlans:
+    def test_materialize_writes_each_kind(self):
+        win = full_window(L=8)
+        ex = materialize(win, policy_plan(win), VOCAB)
+        ids = win.ids.tolist()
+        assert ex.corrupted_ids == [VOCAB.mask_id, VOCAB.mask_id, 50, 60] + ids[4:]
+        assert ex.targets == list(zip(range(5), ids[:5]))
+        assert (ex.duplicate_index, ex.source_sequence) == (1, 7)
+
+    def test_actions_view(self):
+        win = full_window(L=8)
+        plan = policy_plan(win)
+        assert plan.actions == [MaskAction(0, ActionKind.MASK), MaskAction(1, ActionKind.MASK),
+                                MaskAction(2, ActionKind.RANDOM, 50),
+                                MaskAction(3, ActionKind.RANDOM, 60),
+                                MaskAction(4, ActionKind.SAME)]
+        assert plan.corrupted_positions.tolist() == [0, 1, 2, 3]
+        assert plan.predictions == list(zip(range(5), win.ids[:5].tolist()))
+
+    def test_replacements_must_match_random_kinds(self):
+        win = full_window(L=8)
+        plan = policy_plan(win)
+        plan.replacements = np.array([50])
+        with pytest.raises(IntegrityError):
+            materialize(win, plan, VOCAB)
+
+    def test_unknown_kind_code(self):
+        win = full_window(L=8)
+        plan = mask_plan([1])
+        plan.kinds = np.array([3], dtype=np.uint8)
+        with pytest.raises(IntegrityError):
+            materialize(win, plan, VOCAB)
+
+    def test_prediction_outside_window(self):
+        win = full_window(L=8)
+        with pytest.raises(IntegrityError):
+            materialize(win, mask_plan([], predictions=[(8, 5)]), VOCAB)
+
+    def test_block_equals_one_plan_at_a_time(self):
+        ds = packed_dataset(n_docs=20)
+        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=2)
+        plans = list(generate_plans(ds, cfg))
+        rows = np.stack([ds.sequences[p.source_sequence].ids for p in plans])
+        block = materialize_block(rows, plans, VOCAB)
+        offset = 0
+        for i, plan in enumerate(plans):
+            ex = materialize(ds.sequences[plan.source_sequence], plan, VOCAB)
+            n = int(block.target_counts[i])
+            assert block.corrupted_ids[i].tolist() == ex.corrupted_ids
+            assert list(zip(block.target_positions[offset:offset + n].tolist(),
+                            block.target_originals[offset:offset + n].tolist())) == ex.targets
+            assert (block.duplicate_index[i], block.source_sequence[i]) == \
+                (ex.duplicate_index, ex.source_sequence)
+            offset += n
+        assert offset == len(block.target_positions)
+
+    def test_block_rejects_before_writing(self):
+        win = full_window(L=8)
+        rows = np.stack([win.ids, win.ids])
+        before = rows.copy()
+        bad = mask_plan([], predictions=[(0, int(win.ids[0]) + 1)])
+        with pytest.raises(IntegrityError):
+            materialize_block(rows, [mask_plan([1, 2]), bad], VOCAB)
+        assert np.array_equal(rows, before)
+
+    def test_stream_range(self):
+        ds = packed_dataset(n_docs=20)
+        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, seed=4)
+        whole = [(p.source_sequence, p.duplicate_index, p.positions.tolist())
+                 for p in generate_plans(ds, cfg, epoch=1)]
+        n = len(ds.sequences)
+        parts = [(p.source_sequence, p.duplicate_index, p.positions.tolist())
+                 for start in range(0, n, 3)
+                 for p in generate_plans(ds, cfg, epoch=1, start=start, stop=start + 3)]
+        assert parts == whole
+        assert len(whole) == 2 * n
