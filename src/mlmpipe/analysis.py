@@ -1,7 +1,7 @@
 """Masking statistics, perplexity, and pseudo-log-likelihood scoring.
 
 Floating-point aggregation uses a fixed left-to-right reduction order so
-results are bit-stable across runs and thread counts.
+results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ class ExternScorer:
     """Line-delimited JSON scorer over a subprocess's stdio.
 
     Request:  {"qid": n, "seq": [...corrupted ids...], "queries": [[pos, orig], ...]}
-    Response: {"qid": n, "logp": [...]} with one value per query, in order.
+    Response: {"qid": n, "logp": [...]} with one JSON number per query, in order.
     """
+
+    CLOSE_TIMEOUT_S = 10
 
     def __init__(self, command: str):
         self._proc = subprocess.Popen(
@@ -106,18 +108,32 @@ class ExternScorer:
             resp = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"external scorer sent invalid JSON: {line!r}") from exc
+        if not isinstance(resp, dict):
+            raise DataError(f"external scorer sent a non-object response: {line!r}")
         if resp.get("qid") != self._qid:
             raise IntegrityError(f"external scorer answered qid {resp.get('qid')}, "
                                  f"expected {self._qid}")
         logp = resp.get("logp")
-        if not isinstance(logp, list) or len(logp) != len(queries):
+        if not isinstance(logp, list):
+            raise DataError(f"external scorer sent 'logp' that is not a list: {line!r}")
+        if len(logp) != len(queries):
             raise DataError("external scorer response length mismatch")
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if not set(map(type, logp)) <= {int, float}:
+            raise DataError(f"external scorer sent a 'logp' entry that is not a number: "
+                            f"{line!r}")
         return [float(v) for v in logp]
 
     def close(self) -> None:
+        """Close the child's input and reap it; kill it if it is still
+        running after CLOSE_TIMEOUT_S seconds."""
         if self._proc.stdin:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=self.CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self):
         return self
@@ -198,18 +214,20 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
     Every occurrence (including overlapping ones) is counted once per
     plan; duplicated sequences therefore contribute once per duplicate.
     """
-    occ_cache: dict[int, list[tuple[int, int]]] = {}
+    # only the current window's occurrences are kept: a window's
+    # duplicates are adjacent in the plan stream
+    occ_source, occ = None, []
     by_length: dict[int, LengthCoverage] = {}
     for plan in plans:
         if not 0 <= plan.source_sequence < len(ds.sequences):
             raise IntegrityError(
                 f"plan references sequence {plan.source_sequence} but dataset "
                 f"has {len(ds.sequences)} windows")
-        if plan.source_sequence not in occ_cache:
-            occ_cache[plan.source_sequence] = _vocab_occurrences(
-                ds.sequences[plan.source_sequence], pmi_vocab)
+        if plan.source_sequence != occ_source:
+            occ_source = plan.source_sequence
+            occ = _vocab_occurrences(ds.sequences[occ_source], pmi_vocab)
         corrupted = set(plan.corrupted_positions.tolist())
-        for start, n in occ_cache[plan.source_sequence]:
+        for start, n in occ:
             cell = by_length.setdefault(n, LengthCoverage(0, 0))
             cell.occurrence_count += 1
             if corrupted.issuperset(range(start, start + n)):

@@ -10,20 +10,18 @@ configuration so it can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
 from . import analysis, corpus, jsonl, masking, pmi
 from .errors import ConfigError, DataError, PipelineError, RangeError
 
-# stream positions masked, materialized and encoded together; bounds the
-# arrays of a block, so memory does not grow with the corpus
-BLOCK_WINDOWS = 64
+# examples materialized and encoded together; bounds the arrays of a
+# block, so memory does not grow with the corpus
+BLOCK_EXAMPLES = 64
 
 _STRATEGY_ALIASES = {"uniform": "uniform", "wholeword": "whole_word",
                      "whole_word": "whole_word", "span": "span", "pmi": "pmi"}
@@ -51,10 +49,15 @@ def _add_masking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy-sampling", default="exact", choices=["exact", "bernoulli"])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line and no usage text, like every other error
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mlmpipe")
+    parser = _Parser(prog="mlmpipe")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--config", default=None,
                         help="JSON file whose keys mirror flags; flags win")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -158,10 +161,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str],
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    # threads never changes output bytes and the artifact knows its own
-    # path, so neither belongs in the provenance header
-    return {k: v for k, v in vars(args).items()
-            if k not in ("config", "threads", "output")}
+    # the artifact knows its own path, so it is not in the provenance header
+    return {k: v for k, v in vars(args).items() if k not in ("config", "output")}
 
 
 def _vocab_from_args(args) -> corpus.Vocab:
@@ -211,46 +212,32 @@ def _cmd_pmi_build(args) -> int:
     return 0
 
 
-def _mask_block(ds: corpus.PackedDataset, config: masking.MaskingConfig,
-                pmi_vocab: pmi.PmiVocabulary | None, epoch: int, start: int) -> bytes:
-    """The output lines of stream positions [start, start + BLOCK_WINDOWS)."""
-    plans = list(masking.generate_plans(ds, config, pmi_vocab, epoch,
-                                        start, start + BLOCK_WINDOWS))
-    if not plans:
-        return b""
-    rows = np.stack([ds.sequences[p.source_sequence].ids for p in plans])
-    return jsonl.example_lines(masking.materialize_block(rows, plans, ds.vocab))
-
-
 def _cmd_mask(args) -> int:
     config = _masking_config(args)
     pmi_vocab = _load_pmi_vocab(args, config)
     ds = corpus.load_packed(args.input)
-    starts = range(0, len(ds.sequences), BLOCK_WINDOWS)
-    with open(args.output, "wb") as out, \
-            ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    with open(args.output, "wb") as out:
         out.write(json.dumps({"_config": _resolved_config(args)},
                              separators=(",", ":")).encode() + b"\n")
-        # blocks are written in stream order whatever the thread count
-        mapper = pool.map if args.threads > 1 else map
         for epoch in range(args.epochs):
-            block = functools.partial(_mask_block, ds, config, pmi_vocab, epoch)
-            for lines in mapper(block, starts):
-                out.write(lines)
+            plans = masking.generate_plans(ds, config, pmi_vocab, epoch)
+            while block := list(itertools.islice(plans, BLOCK_EXAMPLES)):
+                rows = np.stack([ds.sequences[p.source_sequence].ids for p in block])
+                out.write(jsonl.example_lines(masking.materialize_block(rows, block, ds.vocab)))
     return 0
 
 
 def _cmd_stats(args) -> int:
     config = _masking_config(args)
     pmi_vocab = _load_pmi_vocab(args, config)
+    if args.kind == "coverage" and pmi_vocab is None:
+        raise ConfigError("stats coverage requires --pmi-vocab")
     ds = corpus.load_packed(args.input)
     plans = masking.generate_plans(ds, config, pmi_vocab)
     header = "# " + json.dumps(_resolved_config(args), separators=(",", ":"))
     with open(args.output, "w", encoding="utf-8") as out:
         out.write(header + "\n")
         if args.kind == "coverage":
-            if pmi_vocab is None:
-                raise ConfigError("stats coverage requires --pmi-vocab")
             report = analysis.pmi_coverage(plans, pmi_vocab, ds,
                                            masking_rate=config.m,
                                            strategy=config.strategy)

@@ -14,11 +14,10 @@ bitset of word_starts.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -73,15 +72,11 @@ class Window:
 
     ids: np.ndarray
     word_starts: np.ndarray
-    _maskable: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def maskable_positions(self, vocab: Vocab) -> np.ndarray:
-        """Positions eligible for corruption (neither pad nor sep)."""
-        if self._maskable is None:
-            self._maskable = np.flatnonzero(
-                (self.ids != vocab.pad_id) & (self.ids != vocab.sep_id)
-            )
-        return self._maskable
+        """Positions eligible for corruption (neither pad nor sep), computed
+        on each call so that no window holds more than its ids and flags."""
+        return ((self.ids != vocab.pad_id) & (self.ids != vocab.sep_id)).nonzero()[0]
 
 
 @dataclass
@@ -109,6 +104,28 @@ def _validate_doc(ids: list[int], word_starts: list[bool], size: int, where: str
         raise RangeError(f"{where}: token id {tid} outside vocabulary of size {size}")
 
 
+def _check_ids(ids, where: str) -> None:
+    """ParseError naming `where` unless ids is a list of JSON integers."""
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(ids) is not list or not set(map(type, ids)) <= {int}:
+        raise ParseError(f"{where}: 'ids' must be a list of integers")
+
+
+def _word_start_bytes(word_starts, where: str) -> bytes:
+    """The flags as one byte each; ParseError naming `where` unless every
+    flag is a JSON boolean or 0/1."""
+    flags = None
+    if type(word_starts) is list:
+        try:
+            flags = bytes(word_starts)   # takes only ints and booleans in 0..255
+        except (TypeError, ValueError):
+            pass
+    # deleting the 0 and 1 bytes leaves any other value
+    if flags is None or flags.translate(None, b"\0\1"):
+        raise ParseError(f"{where}: 'word_starts' must be a list of booleans or 0/1")
+    return flags
+
+
 def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]:
     docs: list[TokenSequence] = []
     for lineno, line in enumerate(lines, start=1):
@@ -120,14 +137,9 @@ def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]
             raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(rec, dict) or "ids" not in rec or "word_starts" not in rec:
             raise ParseError(f"line {lineno}: expected object with 'ids' and 'word_starts'")
-        ids, word_starts = rec["ids"], rec["word_starts"]
-        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-        if type(ids) is not list or not set(map(type, ids)) <= {int}:
-            raise ParseError(f"line {lineno}: 'ids' must be a list of integers")
-        if (type(word_starts) is not list or not set(map(type, word_starts)) <= {bool, int}
-                or not set(word_starts) <= {0, 1}):
-            raise ParseError(f"line {lineno}: 'word_starts' must be a list of booleans or 0/1")
-        word_starts = list(map(bool, word_starts))
+        ids = rec["ids"]
+        _check_ids(ids, f"line {lineno}")
+        word_starts = list(map(bool, _word_start_bytes(rec["word_starts"], f"line {lineno}")))
         _validate_doc(ids, word_starts, _vocab_size(vocab), f"line {lineno}")
         docs.append(TokenSequence(ids=ids, word_starts=word_starts, doc_index=len(docs)))
     return docs
@@ -250,27 +262,17 @@ def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> Pac
     return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
 
 
-def epoch_stream(ds: PackedDataset, seed: int, epoch: int, start: int = 0,
-                 stop: int | None = None) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield (sequence index, per-sequence substream) for stream positions
-    [start, stop) of a seeded order.
+def epoch_stream(ds: PackedDataset, seed: int,
+                 epoch: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield (sequence index, per-sequence substream) in a seeded order.
 
     The permutation depends only on (seed, epoch); each sequence's
-    substream depends only on (seed, epoch, index), so consuming the
-    stream in parallel produces the same masks as serial consumption.
+    substream depends only on (seed, epoch, index), so planning the
+    windows in any order or partition produces the same masks as
+    consuming the stream serially.
     """
-    for idx in _epoch_order(seed, epoch, len(ds.sequences))[start:stop].tolist():
+    for idx in substream(seed, epoch).permutation(len(ds.sequences)).tolist():
         yield idx, substream(seed, epoch, idx)
-
-
-@functools.lru_cache(maxsize=1)
-def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    """The seeded permutation of n sequences for one epoch; read-only, and
-    cached (the latest only) because a block-wise consumer asks for it once
-    per block."""
-    order = substream(seed, epoch).permutation(n)
-    order.setflags(write=False)
-    return order
 
 
 def save_packed(ds: PackedDataset, target, header: dict | None = None) -> None:
@@ -312,13 +314,15 @@ def load_packed(source) -> PackedDataset:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            where = f"packed dataset line {lineno}"
             try:
                 rec = json.loads(line)
+                _check_ids(rec["ids"], where)
                 ids = np.asarray(rec["ids"], dtype=np.int64)
-                word_starts = np.asarray(rec["word_starts"], dtype=bool)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
-                raise ParseError(f"packed dataset line {lineno}: {exc}") from exc
+                word_starts = np.frombuffer(_word_start_bytes(rec["word_starts"], where),
+                                            dtype=bool).copy()
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+                raise ParseError(f"{where}: {exc}") from exc
             if len(ids) != seq_len or len(word_starts) != seq_len:
                 raise ParseError(f"packed dataset line {lineno}: window is not length {seq_len}")
             # one reduction per window: viewed as uint64, a negative id exceeds any size

@@ -384,7 +384,7 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
     if len(random_at):
         repl[random_at] = _random_replacements(len(random_at), vocab, rng)
     pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
-    maskable = window.maskable_positions(vocab)
+    maskable = window.maskable_positions(vocab) if extra_same > 0 else _NO_IDS
     e = exact_count(extra_same, len(maskable))
     if e:
         free = np.zeros(len(window.ids), dtype=bool)
@@ -496,11 +496,11 @@ def plan_window(window: Window, vocab: Vocab, config: MaskingConfig,
 
 
 def generate_plans(ds: PackedDataset, config: MaskingConfig,
-                   pmi_vocab: PmiVocabulary | None = None, epoch: int = 0,
-                   start: int = 0, stop: int | None = None) -> Iterator[MaskPlan]:
-    """MaskPlans for stream positions [start, stop) of one epoch, in seeded
-    stream order; a window's duplicates are adjacent."""
-    for idx, rng in epoch_stream(ds, config.seed, epoch, start, stop):
+                   pmi_vocab: PmiVocabulary | None = None,
+                   epoch: int = 0) -> Iterator[MaskPlan]:
+    """MaskPlans for one epoch in seeded stream order; a window's
+    duplicates are adjacent."""
+    for idx, rng in epoch_stream(ds, config.seed, epoch):
         yield from plan_window(ds.sequences[idx], ds.vocab, config, rng,
                                pmi_vocab, source_sequence=idx)
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmpipe import analysis
 from mlmpipe.analysis import (CoverageReport, ExternScorer, OracleScorer,
                               UniformScorer, UnigramScorer, make_scorer,
                               masked_perplexity, minimal_pair_accuracy,
@@ -201,6 +203,36 @@ class TestCoverage:
         expected = 51 * 50 / (128 * 127)
         assert report.by_length[2].probability == pytest.approx(expected, rel=0.05)
 
+    def test_keeps_one_window_of_occurrences(self, monkeypatch):
+        # a window's occurrences are dropped once the stream moves past it
+        class Occurrences(list):
+            pass
+
+        alive = []
+        real = analysis._vocab_occurrences
+
+        def tracked(window, pmi_vocab):
+            occ = Occurrences(real(window, pmi_vocab))
+            alive.append(weakref.ref(occ))
+            return occ
+
+        monkeypatch.setattr(analysis, "_vocab_occurrences", tracked)
+        ds = packed_dataset(n_docs=20)
+        pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds.sequences},
+                           n_max=2, size_cap=100)
+        held = []
+
+        def plans():
+            for plan in generate_plans(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
+                held.append(sum(ref() is not None for ref in alive))
+                yield plan
+
+        report = pmi_coverage(plans(), pv, ds)
+        # one lookup per window: its two duplicates are adjacent
+        assert len(alive) == len(ds.sequences) and len(held) == 2 * len(ds.sequences)
+        assert max(held) == 1
+        assert report.by_length[2].occurrence_count >= 2 * len(ds.sequences)
+
     def test_misaligned_stream(self):
         ds = packed_dataset(n_docs=2)
         pv = PmiVocabulary(entries={(7, 8): 1.0}, n_max=2, size_cap=10)
@@ -274,6 +306,30 @@ class TestExternScorer:
         with ExternScorer(f"{sys.executable} {script}") as scorer:
             out = scorer.log_prob([5, 6, 7], [(0, 5), (2, 7)])
         assert out == pytest.approx([-math.log(100)] * 2)
+
+    @pytest.mark.parametrize("response, needle", [
+        ("[1, 2]", "non-object"),
+        ('{"qid": 1, "logp": "x"}', "not a list"),
+        ('{"qid": 1, "logp": ["x", -1.0]}', "not a number"),
+        ('{"qid": 1, "logp": ["-1.5", -1.0]}', "not a number"),
+        ('{"qid": 1, "logp": [true, -1.0]}', "not a number"),
+        ('{"qid": 1, "logp": [null, -1.0]}', "not a number"),
+    ], ids=["list", "string-logp", "string", "numeric-string", "bool", "null"])
+    def test_malformed_response_is_data_error(self, tmp_path, response, needle):
+        script = tmp_path / "scorer.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n"
+                          f"    print({response!r}, flush=True)\n")
+        with ExternScorer(f"{sys.executable} {script}") as scorer:
+            with pytest.raises(DataError, match=needle):
+                scorer.log_prob([5, 6, 7], [(0, 5), (2, 7)])
+
+    def test_close_kills_a_child_that_keeps_running(self, tmp_path, monkeypatch):
+        script = tmp_path / "stubborn.py"
+        script.write_text("import time\ntime.sleep(60)\n")
+        monkeypatch.setattr(ExternScorer, "CLOSE_TIMEOUT_S", 0.2)
+        scorer = ExternScorer(f"{sys.executable} {script}")
+        scorer.close()
+        assert scorer._proc.returncode is not None and scorer._proc.returncode < 0
 
     def test_make_scorer_dispatch(self, tmp_path):
         assert isinstance(make_scorer("uniform", vocab_size=10), UniformScorer)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from mlmpipe.cli import BLOCK_WINDOWS, run
+from mlmpipe import cli
+from mlmpipe.cli import BLOCK_EXAMPLES, run
 from mlmpipe.corpus import load_packed, serialize_tokens
 from mlmpipe.masking import MaskingConfig, generate_examples
 
@@ -83,26 +84,47 @@ class TestMask:
         ["--strategy", "pmi", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
          "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1", "--extra-same", "0.05"],
     ], ids=["uniform", "span", "whole_word", "pmi-dup-80-10-10-extra"])
-    def test_threads_byte_identical(self, tmp_path, flags):
-        # several output blocks, so that threads really split the stream
+    def test_block_size_byte_identical(self, tmp_path, monkeypatch, flags):
+        # several output blocks at the default size, and blocks that split a
+        # window's duplicates at the others
         corpus = tmp_path / "corpus.jsonl"
         serialize_tokens(random_docs(300, 80, seed=1), corpus)
         packed = tmp_path / "packed.jsonl"
         assert run(["pack", "--input", str(corpus), "--output", str(packed)] + VOCAB_FLAGS) == 0
-        assert len(packed.read_text().splitlines()) - 1 > 2 * BLOCK_WINDOWS
+        assert len(packed.read_text().splitlines()) - 1 > 2 * BLOCK_EXAMPLES
         tsv = tmp_path / "pmi.tsv"
         assert run(["pmi-build", "--input", str(corpus), "--output", str(tsv),
                     "--vocab-size", str(VOCAB.size), "--n-max", "3",
                     "--min-count", "2", "--size-cap", "200"]) == 0
         outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.jsonl"
-            rc = run(["--seed", "3", "--threads", threads, "mask", "--epochs", "2",
+        for size in (BLOCK_EXAMPLES, 1, 7):
+            monkeypatch.setattr(cli, "BLOCK_EXAMPLES", size)
+            out = tmp_path / f"b{size}.jsonl"
+            rc = run(["--seed", "3", "mask", "--epochs", "2",
                       "--input", str(packed), "--output", str(out),
                       "--pmi-vocab", str(tsv)] + flags)
             assert rc == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv, config, needle", [
+        # argparse takes the 2 for the subcommand
+        (["--threads", "2"], None, "invalid choice: '2'"),
+        (["--threads=2"], None, "unrecognized arguments: --threads=2"),
+        ([], {"threads": 4}, "'threads' matches no flag"),
+    ], ids=["flag", "flag-equals", "config-file"])
+    def test_threads_is_usage_error(self, tmp_path, packed_path, capsys, argv, config,
+                                    needle):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o.jsonl"
+        rc = run(argv + ["mask", "--input", str(packed_path), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and needle in err
+        assert not out.exists()
 
     def test_lines_match_library_examples(self, tmp_path):
         # the block writer against one json.dumps line per materialized plan
@@ -116,7 +138,7 @@ class TestMask:
                     "--epochs", "2", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
                     "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"]) == 0
         ds = load_packed(packed)
-        assert len(ds.sequences) > 2 * BLOCK_WINDOWS
+        assert len(ds.sequences) > 2 * BLOCK_EXAMPLES
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=9)
         expected = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
                                 "dup": e.duplicate_index, "src": e.source_sequence},
@@ -238,10 +260,12 @@ class TestPmiBuildAndStats:
                                          "span_len", "count"}
         assert all(r["strategy"] == "span" for r in rows)
 
-    def test_coverage_requires_pmi_vocab(self, tmp_path, packed_path):
-        rc = run(["stats", "coverage", "--input", str(packed_path),
-                  "--output", str(tmp_path / "o.csv")])
+    def test_coverage_requires_pmi_vocab(self, tmp_path, packed_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = run(["stats", "coverage", "--input", str(packed_path), "--output", str(out)])
         assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
 
 MALFORMED_TSV = {"non_numeric_score": "5 6\tabc", "no_tab": "5 6 0.5",
@@ -290,6 +314,33 @@ class TestOutOfVocabularyIds:
         assert_one_line_error(capsys, rc, "line 2")
 
 
+class TestMalformedPackedWindow:
+    @pytest.mark.parametrize("subcommand", [["mask"], ["stats", "spans"]])
+    def test_non_integer_values_exit_2(self, tmp_path, capsys, subcommand):
+        packed = tmp_path / "packed.jsonl"
+        header = {"seq_len": 4, "vocab": {"size": VOCAB.size, "mask_id": VOCAB.mask_id,
+                                          "pad_id": VOCAB.pad_id, "sep_id": VOCAB.sep_id}}
+        packed.write_text(json.dumps(header) + "\n"
+                          + '{"ids":[5,6,4,3],"word_starts":[1,0,0,1]}\n'
+                          + '{"ids":[5.5,"7",4,3],"word_starts":[1,"x",0,1]}\n')
+        out = tmp_path / "o"
+        rc = run(subcommand + ["--input", str(packed), "--output", str(out)])
+        assert_one_line_error(capsys, rc, "line 3")
+        assert not out.exists()
+
+
+def extern_script(tmp_path, response):
+    """An external scorer that answers every request with `response`, a Python
+    expression over the request `req` and its query count `n`."""
+    script = tmp_path / "scorer.py"
+    script.write_text("import json, sys\n"
+                      "for line in sys.stdin:\n"
+                      "    req = json.loads(line)\n"
+                      "    n = len(req['queries'])\n"
+                      f"    print(json.dumps({response}), flush=True)\n")
+    return f"extern:{sys.executable} {script}"
+
+
 class TestScoring:
     def test_ppl_uniform_equals_vocab_size(self, packed_path, capsys):
         rc = run(["ppl", "--input", str(packed_path), "--scorer", "uniform",
@@ -312,6 +363,15 @@ class TestScoring:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["perplexity"] == pytest.approx(50, rel=1e-9)
+
+    @pytest.mark.parametrize("response", [
+        "[1, 2]", "{'qid': req['qid'], 'logp': ['x'] * n}",
+        "{'qid': req['qid'], 'logp': [None] * n}", "{'qid': req['qid'], 'logp': 'x'}"],
+        ids=["list", "string-entries", "null-entries", "string-logp"])
+    def test_ppl_extern_malformed_response(self, tmp_path, packed_path, capsys, response):
+        rc = run(["ppl", "--input", str(packed_path),
+                  "--scorer", extern_script(tmp_path, response), "--mask-rate", "0.15"])
+        assert_one_line_error(capsys, rc, "external scorer")
 
     def test_pll_accuracy(self, tmp_path, packed_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

@@ -11,7 +11,7 @@ from mlmpipe.corpus import (TokenSequence, Vocab, epoch_stream, load_packed,
                             serialize_tokens, write_binary)
 from mlmpipe.errors import ConfigError, ParseError, RangeError
 
-from conftest import VOCAB, random_docs
+from conftest import VOCAB, make_window, random_docs
 
 
 class TestVocab:
@@ -110,6 +110,16 @@ class TestLoadTokens:
             load_tokens(path, VOCAB)
 
 
+class TestWindow:
+    def test_maskable_positions_follow_ids(self):
+        # computed on each call: a window holds no array beyond its ids and flags
+        win = make_window([5, VOCAB.pad_id, 6, VOCAB.sep_id, 7])
+        assert win.maskable_positions(VOCAB).tolist() == [0, 2, 4]
+        win.ids[2] = VOCAB.pad_id
+        assert win.maskable_positions(VOCAB).tolist() == [0, 4]
+        assert set(vars(win)) == {"ids", "word_starts"}
+
+
 class TestPackSequences:
     def test_two_docs_hand_count(self):
         # 100 + 1 (sep) + 60 = 161 tokens -> windows of 128 and 33 + 95 pads
@@ -200,4 +210,18 @@ class TestPackedIO:
         path.write_text('{"seq_len": %s, "vocab": {"size": 100, "mask_id": 2, "pad_id": 0, '
                         '"sep_id": 1}}\n' % seq_len)
         with pytest.raises(ParseError, match="packed dataset"):
+            load_packed(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("ids", 5.5), ("ids", "7"), ("ids", True), ("ids", None),
+        ("word_starts", "x"), ("word_starts", 2), ("word_starts", 0.5), ("word_starts", None)])
+    def test_non_integer_window_value_is_parse_error(self, tmp_path, field, value):
+        path = tmp_path / "packed.jsonl"
+        save_packed(pack_sequences(random_docs(5, 40), 32, VOCAB), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[field][1] = value
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"packed dataset line 3: '{field}'"):
             load_packed(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.cli import BLOCK_WINDOWS
+from mlmpipe.cli import BLOCK_EXAMPLES
 from mlmpipe.jsonl import example_lines
 from mlmpipe.masking import MaskedBlock
 
@@ -14,8 +14,8 @@ ids = st.integers(min_value=0, max_value=10 ** 9)
 
 @st.composite
 def blocks(draw):
-    """A block of 1 to BLOCK_WINDOWS rows of one length, each with 0-6 targets."""
-    n_rows = draw(st.integers(min_value=1, max_value=BLOCK_WINDOWS))
+    """A block of 1 to BLOCK_EXAMPLES rows of one length, each with 0-6 targets."""
+    n_rows = draw(st.integers(min_value=1, max_value=BLOCK_EXAMPLES))
     L = draw(st.integers(min_value=1, max_value=8))
     seq = draw(st.lists(st.lists(ids, min_size=L, max_size=L),
                         min_size=n_rows, max_size=n_rows))

@@ -566,14 +566,28 @@ class TestArrayPlans:
             materialize_block(rows, [mask_plan([1, 2]), bad], VOCAB)
         assert np.array_equal(rows, before)
 
-    def test_stream_range(self):
+    @pytest.mark.parametrize("strategy", ["uniform", "span", "whole_word", "pmi"])
+    def test_own_substreams_in_reverse(self, strategy):
+        # a window's plans depend only on its (seed, epoch, index) substream,
+        # so planning the windows in any order reproduces the stream's plans
         ds = packed_dataset(n_docs=20)
-        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, seed=4)
-        whole = [(p.source_sequence, p.duplicate_index, p.positions.tolist())
-                 for p in generate_plans(ds, cfg, epoch=1)]
-        n = len(ds.sequences)
-        parts = [(p.source_sequence, p.duplicate_index, p.positions.tolist())
-                 for start in range(0, n, 3)
-                 for p in generate_plans(ds, cfg, epoch=1, start=start, stop=start + 3)]
-        assert parts == whole
-        assert len(whole) == 2 * n
+        pv = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
+                                    for w in ds.sequences for i, n in ((3, 2), (20, 3))},
+                           n_max=3, size_cap=100)
+        cfg = MaskingConfig(strategy=strategy, m_corr=0.2, m_pred=0.4,
+                            policy=(0.8, 0.1, 0.1), extra_same=0.05, seed=4)
+
+        def fields(p):
+            return (p.source_sequence, p.duplicate_index, p.positions.tolist(),
+                    p.kinds.tolist(), p.replacements.tolist(), p.pred_positions.tolist(),
+                    p.pred_originals.tolist())
+
+        whole = [fields(p) for p in generate_plans(ds, cfg, pv, epoch=1)]
+        order = [src for src, dup, *_ in whole if dup == 0]
+        assert sorted(order) == list(range(len(ds.sequences)))
+        planned = {idx: plan_window(ds.sequences[idx], VOCAB, cfg, substream(4, 1, idx), pv,
+                                    source_sequence=idx)
+                   for idx in reversed(order)}
+        assert [fields(p) for idx in order for p in planned[idx]] == whole
+        assert len(whole) == 2 * len(ds.sequences)
+        assert {RANDOM, SAME} <= {k for f in whole for k in f[3]}
