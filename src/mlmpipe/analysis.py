@@ -277,7 +277,7 @@ def masked_perplexity(ds: PackedDataset, config: MaskingConfig, scorer: Scorer,
 def pll_score(sentence: TokenSequence | Sequence[int], scorer: Scorer,
               vocab: Vocab) -> float:
     """Pseudo log-likelihood: mask each position individually and sum."""
-    ids = list(sentence.ids) if isinstance(sentence, TokenSequence) else list(sentence)
+    ids = sentence.ids.tolist() if isinstance(sentence, TokenSequence) else list(sentence)
     total = 0.0
     for i, orig in enumerate(ids):
         corrupted = list(ids)

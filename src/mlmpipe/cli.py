@@ -50,6 +50,11 @@ def _add_masking_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no abbreviated flags: the config file tells explicit flags by their
+        # full spelling; subparsers are made from this class too
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # one stderr line and no usage text, like every other error
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -239,12 +244,12 @@ def _cmd_stats(args) -> int:
         out.write(header + "\n")
         if args.kind == "coverage":
             report = analysis.pmi_coverage(plans, pmi_vocab, ds,
-                                           masking_rate=config.m,
+                                           masking_rate=config.corruption_rate,
                                            strategy=config.strategy)
             emit_coverage_csv(report, out)
         else:
             hist = analysis.span_histogram(plans)
-            emit_spans_csv(hist, config.strategy, config.m, out)
+            emit_spans_csv(hist, config.strategy, config.corruption_rate, out)
     return 0
 
 
@@ -357,10 +362,27 @@ _DISPATCH = {
 }
 
 
+def _check_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Usage error naming the first unknown option before the subcommand.
+
+    argparse would skip it and take its value for the subcommand name.
+    """
+    tokens = iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-") or tok == "--":
+            return
+        action = parser._option_string_actions.get(tok.split("=", 1)[0])
+        if action is None:
+            parser.error(f"unrecognized arguments: {tok}")
+        if action.nargs is None and "=" not in tok:
+            next(tokens, None)  # the option's value
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        _check_global_options(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1

@@ -7,6 +7,10 @@ Canonical JSONL format, one document per line:
 
     {"ids": [5, 6, 7], "word_starts": [true, true, false]}
 
+Packed datasets use the same record, one window per line, after a header
+line; both readers check records with one parser. Readers and writers take
+file paths.
+
 Binary format: magic ``MLMC``, version u16, vocab size u32, then per
 document a u32 length, u32 little-endian ids, and a packed LSB-first
 bitset of word_starts.
@@ -14,11 +18,10 @@ bitset of word_starts.
 
 from __future__ import annotations
 
-import io
 import json
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -56,22 +59,14 @@ class Vocab:
 
 @dataclass
 class TokenSequence:
-    """One document: token ids with a word-start flag per position."""
-
-    ids: list[int]
-    word_starts: list[bool]
-    doc_index: int = 0
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-@dataclass
-class Window:
-    """A fixed-length packed window of the corpus."""
+    """A document or a packed window: int64 token ids and a bool word-start
+    flag per position."""
 
     ids: np.ndarray
     word_starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def maskable_positions(self, vocab: Vocab) -> np.ndarray:
         """Positions eligible for corruption (neither pad nor sep), computed
@@ -79,9 +74,13 @@ class Window:
         return ((self.ids != vocab.pad_id) & (self.ids != vocab.sep_id)).nonzero()[0]
 
 
+# a packed window is a TokenSequence of the dataset's seq_len
+Window = TokenSequence
+
+
 @dataclass
 class PackedDataset:
-    sequences: list[Window]
+    sequences: list[TokenSequence]
     seq_len: int
     vocab: Vocab
 
@@ -93,22 +92,9 @@ def _vocab_size(vocab: Vocab | int) -> int:
     return vocab if isinstance(vocab, int) else vocab.size
 
 
-def _validate_doc(ids: list[int], word_starts: list[bool], size: int, where: str) -> None:
-    if len(ids) != len(word_starts):
-        raise ParseError(f"{where}: ids and word_starts lengths differ "
-                         f"({len(ids)} vs {len(word_starts)})")
-    if ids and not word_starts[0]:
-        raise ParseError(f"{where}: first position must start a word")
-    if ids and (min(ids) < 0 or max(ids) >= size):
-        tid = next(t for t in ids if not 0 <= t < size)
-        raise RangeError(f"{where}: token id {tid} outside vocabulary of size {size}")
-
-
-def _check_ids(ids, where: str) -> None:
-    """ParseError naming `where` unless ids is a list of JSON integers."""
-    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-    if type(ids) is not list or not set(map(type, ids)) <= {int}:
-        raise ParseError(f"{where}: 'ids' must be a list of integers")
+def _range_error(ids: Iterable[int], size: int, where: str) -> RangeError:
+    tid = next(t for t in ids if not 0 <= t < size)
+    return RangeError(f"{where}: token id {tid} outside vocabulary of size {size}")
 
 
 def _word_start_bytes(word_starts, where: str) -> bytes:
@@ -126,22 +112,46 @@ def _word_start_bytes(word_starts, where: str) -> bytes:
     return flags
 
 
+def _parse_record(line: str, size: int, where: str) -> TokenSequence:
+    """One ``{"ids": [...], "word_starts": [...]}`` line, checked; every error
+    names `where`. Documents and packed windows share it."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+    if type(rec) is not dict or "ids" not in rec or "word_starts" not in rec:
+        raise ParseError(f"{where}: expected object with 'ids' and 'word_starts'")
+    ids = rec["ids"]
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(ids) is not list or not set(map(type, ids)) <= {int}:
+        raise ParseError(f"{where}: 'ids' must be a list of integers")
+    flags = _word_start_bytes(rec["word_starts"], where)
+    if len(ids) != len(flags):
+        raise ParseError(f"{where}: ids and word_starts lengths differ "
+                         f"({len(ids)} vs {len(flags)})")
+    try:
+        arr = np.array(ids, dtype=np.int64)
+    except OverflowError:   # beyond int64, so outside any vocabulary
+        raise _range_error(ids, size, where) from None
+    # one reduction: viewed as uint64, a negative id exceeds any size
+    if arr.view(np.uint64).max(initial=0) >= size:
+        raise _range_error(ids, size, where)
+    return TokenSequence(ids=arr, word_starts=np.frombuffer(flags, dtype=bool).copy())
+
+
+def _check_starts_word(doc: TokenSequence, where: str) -> TokenSequence:
+    if len(doc) and not doc.word_starts[0]:
+        raise ParseError(f"{where}: first position must start a word")
+    return doc
+
+
 def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]:
+    size = _vocab_size(vocab)
     docs: list[TokenSequence] = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(rec, dict) or "ids" not in rec or "word_starts" not in rec:
-            raise ParseError(f"line {lineno}: expected object with 'ids' and 'word_starts'")
-        ids = rec["ids"]
-        _check_ids(ids, f"line {lineno}")
-        word_starts = list(map(bool, _word_start_bytes(rec["word_starts"], f"line {lineno}")))
-        _validate_doc(ids, word_starts, _vocab_size(vocab), f"line {lineno}")
-        docs.append(TokenSequence(ids=ids, word_starts=word_starts, doc_index=len(docs)))
+        if line.strip():
+            where = f"line {lineno}"
+            docs.append(_check_starts_word(_parse_record(line, size, where), where))
     return docs
 
 
@@ -160,71 +170,59 @@ def _load_binary(fh: BinaryIO, vocab: Vocab | int) -> list[TokenSequence]:
         raw_len = fh.read(4)
         if not raw_len:
             break
+        where = f"document {len(docs)}"
         if len(raw_len) < 4:
-            raise ParseError(f"document {len(docs)}: truncated length field")
+            raise ParseError(f"{where}: truncated length field")
         (n,) = struct.unpack("<I", raw_len)
         raw_ids = fh.read(4 * n)
         n_bytes = (n + 7) // 8
         raw_bits = fh.read(n_bytes)
         if len(raw_ids) < 4 * n or len(raw_bits) < n_bytes:
-            raise ParseError(f"document {len(docs)}: truncated body")
-        ids = np.frombuffer(raw_ids, dtype="<u4").astype(int).tolist()
-        bits = np.unpackbits(np.frombuffer(raw_bits, dtype=np.uint8), bitorder="little")
-        word_starts = bits[:n].astype(bool).tolist()
-        _validate_doc(ids, word_starts, _vocab_size(vocab), f"document {len(docs)}")
-        docs.append(TokenSequence(ids=ids, word_starts=word_starts, doc_index=len(docs)))
+            raise ParseError(f"{where}: truncated body")
+        ids = np.frombuffer(raw_ids, dtype="<u4").astype(np.int64)
+        if ids.max(initial=0) >= size:
+            raise _range_error(ids.tolist(), size, where)
+        bits = np.unpackbits(np.frombuffer(raw_bits, dtype=np.uint8), count=n,
+                             bitorder="little")
+        docs.append(_check_starts_word(
+            TokenSequence(ids=ids, word_starts=bits.astype(bool)), where))
     return docs
 
 
-def load_tokens(source, vocab: Vocab | int) -> list[TokenSequence]:
-    """Load a corpus from a path, text/binary file object, or line iterable.
+def load_tokens(source: str | os.PathLike | Iterable[str],
+                vocab: Vocab | int) -> list[TokenSequence]:
+    """Load a corpus from a path, or from an iterable of JSONL lines.
 
-    The binary format is detected by its magic bytes; everything else is
-    treated as canonical JSONL.
+    A file is read as the binary format when it starts with its magic
+    bytes, and as canonical JSONL otherwise.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            head = fh.read(4)
+    if not isinstance(source, (str, os.PathLike)):
+        return _load_jsonl(source, vocab)
+    with open(source, "rb") as fh:
+        if fh.read(4) == BINARY_MAGIC:
             fh.seek(0)
-            if head == BINARY_MAGIC:
-                return _load_binary(fh, vocab)
-            return _load_jsonl(io.TextIOWrapper(fh, encoding="utf-8"), vocab)
-    if isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
-        head = source.peek(4)[:4] if hasattr(source, "peek") else b""
-        if head == BINARY_MAGIC:
-            return _load_binary(source, vocab)
-        return _load_jsonl(io.TextIOWrapper(source, encoding="utf-8"), vocab)
-    return _load_jsonl(source, vocab)
+            return _load_binary(fh, vocab)
+    with open(source, "r", encoding="utf-8") as fh:
+        return _load_jsonl(fh, vocab)
 
 
-def serialize_tokens(docs: Iterable[TokenSequence], target) -> None:
+def serialize_tokens(docs: Iterable[TokenSequence], path: str | os.PathLike) -> None:
     """Write documents as canonical JSONL (inverse of load_tokens)."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            rec = {"ids": list(doc.ids), "word_starts": [bool(b) for b in doc.word_starts]}
+            rec = {"ids": doc.ids.tolist(), "word_starts": doc.word_starts.tolist()}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def write_binary(docs: Iterable[TokenSequence], vocab: Vocab | int, target) -> None:
+def write_binary(docs: Iterable[TokenSequence], vocab: Vocab | int,
+                 path: str | os.PathLike) -> None:
     """Write documents in the binary corpus format."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "wb") if own else target
-    try:
+    with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC + struct.pack("<HI", BINARY_VERSION, _vocab_size(vocab)))
         for doc in docs:
-            n = len(doc.ids)
-            fh.write(struct.pack("<I", n))
-            fh.write(np.asarray(doc.ids, dtype="<u4").tobytes())
-            bits = np.packbits(np.asarray(doc.word_starts, dtype=np.uint8), bitorder="little")
-            fh.write(bits.tobytes())
-    finally:
-        if own:
-            fh.close()
+            fh.write(struct.pack("<I", len(doc)))
+            fh.write(doc.ids.astype("<u4").tobytes())
+            fh.write(np.packbits(doc.word_starts, bitorder="little").tobytes())
 
 
 def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> PackedDataset:
@@ -235,30 +233,17 @@ def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> Pac
     """
     if seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {seq_len}")
-    id_parts: list[np.ndarray] = []
-    ws_parts: list[np.ndarray] = []
-    sep_ids = np.array([vocab.sep_id], dtype=np.int64)
-    sep_ws = np.array([True])
-    for i, doc in enumerate(docs):
-        if i > 0:
-            id_parts.append(sep_ids)
-            ws_parts.append(sep_ws)
-        id_parts.append(np.asarray(doc.ids, dtype=np.int64))
-        ws_parts.append(np.asarray(doc.word_starts, dtype=bool))
-    if not id_parts:
+    if not docs:
         return PackedDataset(sequences=[], seq_len=seq_len, vocab=vocab)
-    ids = np.concatenate(id_parts)
-    word_starts = np.concatenate(ws_parts)
-    n_windows = -(-len(ids) // seq_len)
-    pad = n_windows * seq_len - len(ids)
-    if pad:
-        ids = np.concatenate([ids, np.full(pad, vocab.pad_id, dtype=np.int64)])
-        word_starts = np.concatenate([word_starts, np.ones(pad, dtype=bool)])
-    windows = [
-        Window(ids=ids[i * seq_len:(i + 1) * seq_len],
-               word_starts=word_starts[i * seq_len:(i + 1) * seq_len])
-        for i in range(n_windows)
-    ]
+    # a sep before every document but the first
+    seps = np.cumsum([len(doc) for doc in docs[:-1]], dtype=np.int64)
+    ids = np.insert(np.concatenate([doc.ids for doc in docs]), seps, vocab.sep_id)
+    word_starts = np.insert(np.concatenate([doc.word_starts for doc in docs]), seps, True)
+    pad = -len(ids) % seq_len
+    ids = np.pad(ids, (0, pad), constant_values=vocab.pad_id).reshape(-1, seq_len)
+    word_starts = np.pad(word_starts, (0, pad), constant_values=True).reshape(-1, seq_len)
+    windows = [TokenSequence(ids=row_ids, word_starts=row_ws)
+               for row_ids, row_ws in zip(ids, word_starts)]
     return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
 
 
@@ -275,11 +260,9 @@ def epoch_stream(ds: PackedDataset, seed: int,
         yield idx, substream(seed, epoch, idx)
 
 
-def save_packed(ds: PackedDataset, target, header: dict | None = None) -> None:
+def save_packed(ds: PackedDataset, path: str | os.PathLike, header: dict | None = None) -> None:
     """Write a packed dataset as JSONL with a provenance header line."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "_config": header or {},
             "seq_len": ds.seq_len,
@@ -291,16 +274,11 @@ def save_packed(ds: PackedDataset, target, header: dict | None = None) -> None:
             rec = {"ids": win.ids.tolist(),
                    "word_starts": win.word_starts.astype(int).tolist()}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def load_packed(source) -> PackedDataset:
+def load_packed(path: str | os.PathLike) -> PackedDataset:
     """Read a packed dataset written by save_packed."""
-    own = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         try:
             meta = json.loads(header_line)
@@ -310,28 +288,13 @@ def load_packed(source) -> PackedDataset:
             raise ParseError(f"packed dataset: bad header ({exc})") from exc
         if seq_len < 2:
             raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
-        windows: list[Window] = []
+        windows: list[TokenSequence] = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             where = f"packed dataset line {lineno}"
-            try:
-                rec = json.loads(line)
-                _check_ids(rec["ids"], where)
-                ids = np.asarray(rec["ids"], dtype=np.int64)
-                word_starts = np.frombuffer(_word_start_bytes(rec["word_starts"], where),
-                                            dtype=bool).copy()
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            if len(ids) != seq_len or len(word_starts) != seq_len:
-                raise ParseError(f"packed dataset line {lineno}: window is not length {seq_len}")
-            # one reduction per window: viewed as uint64, a negative id exceeds any size
-            if ids.view(np.uint64).max(initial=0) >= vocab.size:
-                tid = next(t for t in ids.tolist() if not 0 <= t < vocab.size)
-                raise RangeError(f"packed dataset line {lineno}: token id {tid} "
-                                 f"outside vocabulary of size {vocab.size}")
-            windows.append(Window(ids=ids, word_starts=word_starts))
-        return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
-    finally:
-        if own:
-            fh.close()
+            win = _parse_record(line, vocab.size, where)
+            if len(win) != seq_len:
+                raise ParseError(f"{where}: window is not length {seq_len}")
+            windows.append(win)
+    return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)

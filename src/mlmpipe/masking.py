@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import PackedDataset, Vocab, Window, epoch_stream
+from .corpus import PackedDataset, TokenSequence, Vocab, epoch_stream
 from .errors import ConfigError, DataError, InfeasibleError, IntegrityError
 from .pmi import PmiVocabulary, segment_units
 
@@ -265,7 +265,7 @@ def sample_units(units: list[tuple[int, int]], allowed: np.ndarray, budget: int,
 Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 
-def make_sampler(window: Window, vocab: Vocab, config: MaskingConfig,
+def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
                  pmi_vocab: PmiVocabulary | None = None) -> Sampler:
     """Bind a strategy to a window, returning f(allowed, budget, rng)."""
     if config.strategy == "uniform":
@@ -282,7 +282,7 @@ def make_sampler(window: Window, vocab: Vocab, config: MaskingConfig,
 # planning
 
 
-def plan_decoupled(window: Window, vocab: Vocab, sampler: Sampler,
+def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
                    m_corr: float, m_pred: float, rng: np.random.Generator,
                    source_sequence: int = 0) -> list[MaskPlan]:
     """Plans for one window under decoupled corruption/prediction rates.
@@ -357,7 +357,7 @@ def _random_replacements(count: int, vocab: Vocab, rng: np.random.Generator) -> 
 
 
 def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same: float,
-                 vocab: Vocab, rng: np.random.Generator, window: Window,
+                 vocab: Vocab, rng: np.random.Generator, window: TokenSequence,
                  sampling: str = "exact") -> MaskPlan:
     """Partition a plan's mask actions into mask/random/same replacements.
 
@@ -467,7 +467,7 @@ def materialize_block(rows: np.ndarray, plans: Sequence[MaskPlan],
                        source_sequence=np.array([p.source_sequence for p in plans]))
 
 
-def materialize(window: Window, plan: MaskPlan, vocab: Vocab) -> MaskedExample:
+def materialize(window: TokenSequence, plan: MaskPlan, vocab: Vocab) -> MaskedExample:
     """Apply a plan to its window, producing the corrupted example."""
     block = materialize_block(window.ids[np.newaxis].copy(), [plan], vocab)
     return MaskedExample(corrupted_ids=block.corrupted_ids[0].tolist(),
@@ -481,7 +481,7 @@ def materialize(window: Window, plan: MaskPlan, vocab: Vocab) -> MaskedExample:
 # streaming drivers
 
 
-def plan_window(window: Window, vocab: Vocab, config: MaskingConfig,
+def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
                 rng: np.random.Generator, pmi_vocab: PmiVocabulary | None = None,
                 source_sequence: int = 0) -> list[MaskPlan]:
     """All plans for one window: strategy sampling, decoupling, policy."""

@@ -10,15 +10,14 @@ independent halves.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import PackedDataset, TokenSequence, Vocab, Window
+from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, UndefinedScoreError
 
 Gram = tuple[int, ...]
@@ -96,25 +95,18 @@ class PmiVocabulary:
             if n <= end - pos and (n == 2 or tuple(ids[pos:pos + n]) in entries):
                 yield n
 
-    def save_tsv(self, target, header: str | None = None) -> None:
+    def save_tsv(self, path: str | os.PathLike, header: str | None = None) -> None:
         """Write rank-ordered TSV: ``id1 id2 ... idN<TAB>score``."""
-        own = isinstance(target, (str, Path))
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
+        with open(path, "w", encoding="utf-8") as fh:
             if header is not None:
                 fh.write(f"# {header}\n")
             for gram, score in self.entries.items():
                 fh.write(" ".join(str(t) for t in gram) + f"\t{score:.9g}\n")
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
-    def load_tsv(cls, source) -> "PmiVocabulary":
-        own = isinstance(source, (str, Path))
-        fh = open(source, "r", encoding="utf-8") if own else source
-        try:
-            entries: dict[Gram, float] = {}
+    def load_tsv(cls, path: str | os.PathLike) -> "PmiVocabulary":
+        entries: dict[Gram, float] = {}
+        with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip() or line.startswith("#"):
                     continue
@@ -130,11 +122,8 @@ class PmiVocabulary:
                 if not gram:
                     raise DataError(f"PMI TSV line {lineno}: empty n-gram")
                 entries[gram] = score
-            n_max = max((len(g) for g in entries), default=2)
-            return cls(entries=entries, n_max=n_max, size_cap=max(len(entries), 1))
-        finally:
-            if own:
-                fh.close()
+        n_max = max((len(g) for g in entries), default=2)
+        return cls(entries=entries, n_max=n_max, size_cap=max(len(entries), 1))
 
 
 # n-gram keys are rank_{n-1} * width + token rank, held in int64
@@ -150,20 +139,13 @@ def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray,
     A run is a document, or in packed data a stretch of a window between
     sep/pad positions, which themselves have room 0.
     """
-    if isinstance(data, PackedDataset):
-        windows = [win.ids for win in data.sequences]
-        ids = np.concatenate(windows).astype(np.int64, copy=False) if windows \
-            else np.empty(0, dtype=np.int64)
-        lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
-        special = (ids == data.vocab.pad_id) | (ids == data.vocab.sep_id)
-    else:
-        docs = [doc.ids for doc in data]
-        lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-        ids = np.fromiter(chain.from_iterable(docs), dtype=np.int64, count=int(lengths.sum()))
-        special = None
+    seqs = data.sequences if isinstance(data, PackedDataset) else list(data)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
     idx = np.arange(len(ids))
     run_end = np.repeat(np.cumsum(lengths), lengths)
-    if special is not None:
+    if isinstance(data, PackedDataset):
+        special = (ids == data.vocab.pad_id) | (ids == data.vocab.sep_id)
         # the nearest sep/pad at or after each position ends its run too
         next_special = np.minimum.accumulate(np.where(special, idx, len(ids))[::-1])[::-1]
         run_end = np.minimum(run_end, next_special)
@@ -296,7 +278,7 @@ def build_vocab(counts: NgramCounts, size_cap: int, min_count: int) -> PmiVocabu
     return PmiVocabulary(entries=entries, n_max=counts.n_max, size_cap=size_cap)
 
 
-def segment_units(window: Window, vocab: Vocab, mode: str,
+def segment_units(window: TokenSequence, vocab: Vocab, mode: str,
                   pmi_vocab: PmiVocabulary | None = None) -> list[tuple[int, int]]:
     """Partition a window's maskable positions into atomic units.
 

@@ -32,10 +32,10 @@ def random_docs(n_docs, doc_len, vocab=VOCAB, seed=0):
     docs = []
     for d in range(n_docs):
         n = int(rng.integers(doc_len // 2, doc_len * 2))
-        ids = rng.integers(3, vocab.size, size=n).tolist()
+        ids = rng.integers(3, vocab.size, size=n)
         ws = rng.random(n) < 0.7
         ws[0] = True
-        docs.append(TokenSequence(ids=ids, word_starts=ws.tolist(), doc_index=d))
+        docs.append(TokenSequence(ids=ids, word_starts=ws))
     return docs
 
 

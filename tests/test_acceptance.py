@@ -139,7 +139,6 @@ def desk_corpus(tmp_path_factory):
     trigrams = [(84 + 3 * i, 85 + 3 * i, 86 + 3 * i) for i in range(3)]
     docs = []
     total_tokens = 0
-    d = 0
     while total_tokens < 1_100_000:
         n_words = int(rng.integers(120, 220))
         toks = []
@@ -153,9 +152,8 @@ def desk_corpus(tmp_path_factory):
                 toks.append(int(rng.choice(base, p=weights)))
         ws = (rng.random(len(toks)) < 0.8).tolist()
         ws[0] = True
-        docs.append(TokenSequence(ids=toks, word_starts=ws, doc_index=d))
+        docs.append(TokenSequence(ids=np.array(toks, dtype=np.int64), word_starts=np.array(ws)))
         total_tokens += len(toks)
-        d += 1
     path = tmp_path_factory.mktemp("desk") / "corpus.jsonl"
     serialize_tokens(docs, path)
     return docs, path, bigrams, trigrams
@@ -270,13 +268,13 @@ def test_criterion_8_pll_contracts():
 
 def test_criterion_9_pmi_correctness():
     a, b = 10, 11
-    doc = TokenSequence([a, b, a, b], [True] * 4, 0)
+    doc = TokenSequence(np.array([a, b, a, b]), np.ones(4, dtype=bool))
     counts = count_ngrams([doc], n_max=2)
     toy_ok = abs(pmi_score((a, b), counts) - math.log(8 / 3)) < 1e-12
 
     rng = np.random.default_rng(9)
-    docs = [TokenSequence(rng.integers(3, 30, size=50).tolist(), [True] * 50, i)
-            for i in range(40)]
+    docs = [TokenSequence(rng.integers(3, 30, size=50), np.ones(50, dtype=bool))
+            for _ in range(40)]
     whole = count_ngrams(docs, n_max=3)
     sharded = count_ngrams_sharded([docs[:13], docs[13:29], docs[29:]], n_max=3)
     shard_ok = sharded.counts == whole.counts and sharded.slots == whole.slots

@@ -77,7 +77,7 @@ class TestMaskedPerplexity:
 
 class TestPllScore:
     def test_oracle_is_zero(self):
-        sent = TokenSequence([5, 6, 7], [True] * 3)
+        sent = TokenSequence(np.array([5, 6, 7]), np.ones(3, dtype=bool))
         assert pll_score(sent, OracleScorer(), VOCAB) == 0.0
 
     def test_unigram_is_sum_of_unigram_logs(self):

@@ -108,8 +108,8 @@ class TestMask:
         assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("argv, config, needle", [
-        # argparse takes the 2 for the subcommand
-        (["--threads", "2"], None, "invalid choice: '2'"),
+        # named even though argparse alone would take the 2 for the subcommand
+        (["--threads", "2"], None, "unrecognized arguments: --threads"),
         (["--threads=2"], None, "unrecognized arguments: --threads=2"),
         ([], {"threads": 4}, "'threads' matches no flag"),
     ], ids=["flag", "flag-equals", "config-file"])
@@ -219,6 +219,19 @@ class TestMask:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["_config"]["mask_rate"] == 0.15
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, packed_path, capsys):
+        # explicit flags are known to the config file by their full spelling,
+        # so an abbreviation would silently lose to the file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mask_rate": 0.8}))
+        out = tmp_path / "o.jsonl"
+        rc = run(["--config", str(cfg_path), "mask", "--input", str(packed_path),
+                  "--output", str(out), "--mask-r", "0.15"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "unrecognized arguments: --mask-r" in err
+        assert not out.exists()
+
 
 class TestPmiBuildAndStats:
     def test_pmi_build_tsv(self, tmp_path, corpus_path):
@@ -259,6 +272,22 @@ class TestPmiBuildAndStats:
         assert rows and set(rows[0]) == {"strategy", "masking_rate",
                                          "span_len", "count"}
         assert all(r["strategy"] == "span" for r in rows)
+
+    @pytest.mark.parametrize("kind", ["coverage", "spans"])
+    def test_rows_labelled_with_corruption_rate(self, tmp_path, corpus_path, packed_path,
+                                                kind):
+        # under decoupled rates the unused --mask-rate default must not label rows
+        pmi_tsv = tmp_path / "pmi.tsv"
+        assert run(["pmi-build", "--input", str(corpus_path), "--output", str(pmi_tsv),
+                    "--vocab-size", str(VOCAB.size), "--n-max", "2",
+                    "--min-count", "2", "--size-cap", "50"]) == 0
+        out = tmp_path / f"{kind}.csv"
+        rc = run(["stats", kind, "--input", str(packed_path), "--output", str(out),
+                  "--strategy", "span", "--corruption-rate", "0.4",
+                  "--prediction-rate", "0.4", "--pmi-vocab", str(pmi_tsv)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert rows and all(r["masking_rate"] == "0.4" for r in rows)
 
     def test_coverage_requires_pmi_vocab(self, tmp_path, packed_path, capsys):
         out = tmp_path / "o.csv"

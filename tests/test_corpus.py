@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -6,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.corpus import (TokenSequence, Vocab, epoch_stream, load_packed,
+from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream, load_packed,
                             load_tokens, pack_sequences, save_packed,
                             serialize_tokens, write_binary)
 from mlmpipe.errors import ConfigError, ParseError, RangeError
 
 from conftest import VOCAB, make_window, random_docs
+
+
+def doc(ids, word_starts=None):
+    return TokenSequence(ids=np.array(ids, dtype=np.int64),
+                         word_starts=np.ones(len(ids), dtype=bool) if word_starts is None
+                         else np.array(word_starts, dtype=bool))
 
 
 class TestVocab:
@@ -32,8 +37,8 @@ class TestLoadTokens:
         line = '{"ids":[5,6,7],"word_starts":[true,true,false]}'
         docs = load_tokens([line], VOCAB)
         assert len(docs) == 1
-        assert docs[0].ids == [5, 6, 7]
-        assert docs[0].word_starts == [True, True, False]
+        assert docs[0].ids.tolist() == [5, 6, 7]
+        assert docs[0].word_starts.tolist() == [True, True, False]
 
     def test_id_at_vocab_size_is_range_error(self):
         line = json.dumps({"ids": [VOCAB.size], "word_starts": [True]})
@@ -57,7 +62,7 @@ class TestLoadTokens:
 
     def test_zero_one_word_starts_accepted(self):
         docs = load_tokens(['{"ids":[5,6,7],"word_starts":[1,0,true]}'], VOCAB)
-        assert docs[0].word_starts == [True, False, True]
+        assert docs[0].word_starts.tolist() == [True, False, True]
 
     def test_negative_id_is_range_error(self):
         line = json.dumps({"ids": [5, -4], "word_starts": [True, True]})
@@ -78,21 +83,21 @@ class TestLoadTokens:
         with pytest.raises(ParseError):
             load_tokens([line], VOCAB)
 
-    def test_jsonl_roundtrip_identity(self):
+    def test_jsonl_roundtrip_identity(self, tmp_path):
         docs = random_docs(10, 30)
-        buf = io.StringIO()
-        serialize_tokens(docs, buf)
-        reloaded = load_tokens(buf.getvalue().splitlines(), VOCAB)
-        assert [(d.ids, d.word_starts) for d in reloaded] == \
-               [(d.ids, d.word_starts) for d in docs]
+        path = tmp_path / "corpus.jsonl"
+        serialize_tokens(docs, path)
+        reloaded = load_tokens(path.read_text().splitlines(), VOCAB)
+        assert [(d.ids.tolist(), d.word_starts.tolist()) for d in reloaded] == \
+               [(d.ids.tolist(), d.word_starts.tolist()) for d in docs]
 
     def test_binary_roundtrip_matches_jsonl(self, tmp_path):
         docs = random_docs(10, 30)
         path = tmp_path / "corpus.bin"
         write_binary(docs, VOCAB, path)
         reloaded = load_tokens(path, VOCAB)
-        assert [(d.ids, d.word_starts) for d in reloaded] == \
-               [(d.ids, d.word_starts) for d in docs]
+        assert [(d.ids.tolist(), d.word_starts.tolist()) for d in reloaded] == \
+               [(d.ids.tolist(), d.word_starts.tolist()) for d in docs]
 
     def test_garbage_file_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -123,8 +128,7 @@ class TestWindow:
 class TestPackSequences:
     def test_two_docs_hand_count(self):
         # 100 + 1 (sep) + 60 = 161 tokens -> windows of 128 and 33 + 95 pads
-        docs = [TokenSequence([5] * 100, [True] * 100, 0),
-                TokenSequence([6] * 60, [True] * 60, 1)]
+        docs = [doc([5] * 100), doc([6] * 60)]
         ds = pack_sequences(docs, 128, VOCAB)
         assert len(ds.sequences) == 2
         assert all(len(w.ids) == 128 for w in ds.sequences)
@@ -136,7 +140,7 @@ class TestPackSequences:
         assert len(pack_sequences([], 128, VOCAB).sequences) == 0
 
     def test_exact_fit_no_padding(self):
-        docs = [TokenSequence([5] * 128, [True] * 128, 0)]
+        docs = [doc([5] * 128)]
         ds = pack_sequences(docs, 128, VOCAB)
         assert len(ds.sequences) == 1
         assert int((ds.sequences[0].ids == VOCAB.pad_id).sum()) == 0
@@ -146,8 +150,7 @@ class TestPackSequences:
             pack_sequences([], 1, VOCAB)
 
     def test_sep_and_pad_are_word_starts(self):
-        docs = [TokenSequence([5] * 3, [True, False, False], 0),
-                TokenSequence([6] * 2, [True, False], 1)]
+        docs = [doc([5] * 3, [True, False, False]), doc([6] * 2, [True, False])]
         ds = pack_sequences(docs, 8, VOCAB)
         win = ds.sequences[0]
         assert bool(win.word_starts[3])  # sep position
@@ -157,8 +160,7 @@ class TestPackSequences:
            st.integers(min_value=2, max_value=32))
     @settings(max_examples=50, deadline=None)
     def test_token_conservation(self, lengths, seq_len):
-        docs = [TokenSequence([7] * n, [True] * max(n, 1) if n else [], i)
-                for i, n in enumerate(lengths)]
+        docs = [doc([7] * n) for n in lengths]
         ds = pack_sequences(docs, seq_len, VOCAB)
         kept = sum(int(((w.ids != VOCAB.pad_id) & (w.ids != VOCAB.sep_id)).sum())
                    for w in ds.sequences)
@@ -225,3 +227,64 @@ class TestPackedIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"packed dataset line 3: '{field}'"):
             load_packed(path)
+
+
+GOOD_RECORD = {"ids": [5, 6, 7, 8], "word_starts": [True, True, False, True]}
+
+
+def _record(field, value, index=None):
+    rec = {key: list(values) for key, values in GOOD_RECORD.items()}
+    if index is None:
+        rec[field] = value
+    else:
+        rec[field][index] = value
+    return json.dumps(rec)
+
+
+MALFORMED_RECORDS = {
+    **{f"{field}-{value!r}": (_record(field, value, 1), ParseError)
+       for field, value in [("ids", 5.7), ("ids", "6"), ("ids", True), ("ids", None),
+                            ("word_starts", "false"), ("word_starts", 2),
+                            ("word_starts", 1.0), ("word_starts", None)]},
+    "ids-not-a-list": (_record("ids", "5678"), ParseError),
+    "word_starts-not-a-list": (_record("word_starts", True), ParseError),
+    "missing-ids": (json.dumps({"word_starts": GOOD_RECORD["word_starts"]}), ParseError),
+    "missing-word_starts": (json.dumps({"ids": GOOD_RECORD["ids"]}), ParseError),
+    "not-an-object": ("[5, 6, 7, 8]", ParseError),
+    "invalid-json": ("{oops", ParseError),
+    "length-mismatch": (_record("word_starts", [True, True, False]), ParseError),
+    "id-2**63": (_record("ids", 2 ** 63, 1), RangeError),
+    "id-below-int64": (_record("ids", -2 ** 63 - 1, 1), RangeError),
+    "id-negative": (_record("ids", -4, 1), RangeError),
+    "id-vocab-size": (_record("ids", VOCAB.size, 1), RangeError),
+}
+
+
+class TestReadersAgree:
+    @pytest.mark.parametrize("line,error", MALFORMED_RECORDS.values(),
+                             ids=MALFORMED_RECORDS.keys())
+    def test_same_error_for_document_and_window(self, tmp_path, line, error):
+        with pytest.raises(error, match="^line 2: ") as as_doc:
+            load_tokens([json.dumps(GOOD_RECORD), line], VOCAB)
+        path = tmp_path / "packed.jsonl"
+        good = doc(GOOD_RECORD["ids"], GOOD_RECORD["word_starts"])
+        save_packed(PackedDataset(sequences=[good], seq_len=4, vocab=VOCAB), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(error, match="^packed dataset line 3: ") as as_window:
+            load_packed(path)
+        assert type(as_doc.value) is type(as_window.value) is error
+        assert str(as_doc.value).split(": ", 1)[1] == str(as_window.value).split(": ", 1)[1]
+
+    def test_loaded_sequences_are_typed_arrays(self, tmp_path):
+        docs = random_docs(5, 40)
+        jsonl, binary, packed = (tmp_path / name for name in ("c.jsonl", "c.bin", "p.jsonl"))
+        serialize_tokens(docs, jsonl)
+        write_binary(docs, VOCAB, binary)
+        save_packed(pack_sequences(docs, 32, VOCAB), packed)
+        for seqs in (load_tokens(jsonl, VOCAB), load_tokens(binary, VOCAB),
+                     load_packed(packed).sequences):
+            assert seqs
+            for seq in seqs:
+                assert isinstance(seq.ids, np.ndarray) and seq.ids.dtype == np.int64
+                assert isinstance(seq.word_starts, np.ndarray) and seq.word_starts.dtype == bool

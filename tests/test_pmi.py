@@ -20,7 +20,7 @@ A, B, C = 10, 11, 12
 
 
 def doc(ids):
-    return TokenSequence(ids=list(ids), word_starts=[True] * len(ids), doc_index=0)
+    return TokenSequence(ids=np.array(ids, dtype=np.int64), word_starts=np.ones(len(ids), dtype=bool))
 
 
 def oracle_segments(data):
