@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import MaskingConfig, MaskPlan, generate_plans, materialize
+from .masking import MaskingConfig, MaskPlan, generate_blocks
 from .pmi import PmiVocabulary
 
 Query = tuple[int, int]  # (position, original id)
@@ -56,12 +56,10 @@ class UnigramScorer:
 
     @classmethod
     def from_dataset(cls, ds: PackedDataset) -> "UnigramScorer":
-        counts: Counter = Counter()
-        pad, sep = ds.vocab.pad_id, ds.vocab.sep_id
-        for win in ds.sequences:
-            keep = win.ids[(win.ids != pad) & (win.ids != sep)]
-            counts.update(int(t) for t in keep)
-        return cls(dict(counts))
+        counts = np.bincount(ds.ids.ravel(), minlength=ds.vocab.size)
+        counts[[ds.vocab.pad_id, ds.vocab.sep_id]] = 0
+        seen = np.flatnonzero(counts)
+        return cls(dict(zip(seen.tolist(), counts[seen].tolist())))
 
     def log_prob(self, corrupted_ids, queries):
         out = []
@@ -125,15 +123,13 @@ class ExternScorer:
         return [float(v) for v in logp]
 
     def close(self) -> None:
-        """Close the child's input and reap it; kill it if it is still
-        running after CLOSE_TIMEOUT_S seconds."""
-        if self._proc.stdin:
-            self._proc.stdin.close()
+        """Close the child's input, drain and close its output, and reap it;
+        kill it if it is still running after CLOSE_TIMEOUT_S seconds."""
         try:
-            self._proc.wait(timeout=self.CLOSE_TIMEOUT_S)
+            self._proc.communicate(timeout=self.CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self._proc.kill()
-            self._proc.wait()
+            self._proc.communicate()
 
     def __enter__(self):
         return self
@@ -219,13 +215,13 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
     occ_source, occ = None, []
     by_length: dict[int, LengthCoverage] = {}
     for plan in plans:
-        if not 0 <= plan.source_sequence < len(ds.sequences):
+        if not 0 <= plan.source_sequence < len(ds):
             raise IntegrityError(
                 f"plan references sequence {plan.source_sequence} but dataset "
-                f"has {len(ds.sequences)} windows")
+                f"has {len(ds)} windows")
         if plan.source_sequence != occ_source:
             occ_source = plan.source_sequence
-            occ = _vocab_occurrences(ds.sequences[occ_source], pmi_vocab)
+            occ = _vocab_occurrences(ds[occ_source], pmi_vocab)
         corrupted = set(plan.corrupted_positions.tolist())
         for start, n in occ:
             cell = by_length.setdefault(n, LengthCoverage(0, 0))
@@ -259,16 +255,17 @@ def masked_perplexity(ds: PackedDataset, config: MaskingConfig, scorer: Scorer,
     """exp(-mean log p) over every prediction in one epoch."""
     total = 0.0
     count = 0
-    for plan in generate_plans(ds, config, pmi_vocab, epoch):
-        example = materialize(ds.sequences[plan.source_sequence], plan, ds.vocab)
-        if not example.targets:
-            continue
-        values = scorer.log_prob(example.corrupted_ids, example.targets)
-        for v in values:
-            if v > 0.0:
-                raise DataError(f"scorer returned log-probability {v} > 0")
-            total += v
-            count += 1
+    for block in generate_blocks(ds, config, pmi_vocab, epoch):
+        targets = list(zip(block.target_positions.tolist(), block.target_originals.tolist()))
+        ends = np.cumsum(block.target_counts).tolist()
+        for row, start, end in zip(block.corrupted_ids.tolist(), [0] + ends, ends):
+            if start == end:
+                continue
+            for v in scorer.log_prob(row, targets[start:end]):
+                if v > 0.0:
+                    raise DataError(f"scorer returned log-probability {v} > 0")
+                total += v
+                count += 1
     if count == 0:
         raise DataError("no predictions generated; cannot compute perplexity")
     return math.exp(-total / count)

@@ -10,18 +10,11 @@ configuration so it can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, corpus, jsonl, masking, pmi
-from .errors import ConfigError, DataError, PipelineError, RangeError
-
-# examples materialized and encoded together; bounds the arrays of a
-# block, so memory does not grow with the corpus
-BLOCK_EXAMPLES = 64
+from .errors import ConfigError, DataError, ParseError, PipelineError, RangeError
 
 _STRATEGY_ALIASES = {"uniform": "uniform", "wholeword": "whole_word",
                      "whole_word": "whole_word", "span": "span", "pmi": "pmi"}
@@ -140,9 +133,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str],
     if not args.config:
         return
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        overrides = json.loads("".join(line for _, line in corpus.text_lines(args.config)))
+    except (OSError, json.JSONDecodeError, ParseError) as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -225,10 +217,8 @@ def _cmd_mask(args) -> int:
         out.write(json.dumps({"_config": _resolved_config(args)},
                              separators=(",", ":")).encode() + b"\n")
         for epoch in range(args.epochs):
-            plans = masking.generate_plans(ds, config, pmi_vocab, epoch)
-            while block := list(itertools.islice(plans, BLOCK_EXAMPLES)):
-                rows = np.stack([ds.sequences[p.source_sequence].ids for p in block])
-                out.write(jsonl.example_lines(masking.materialize_block(rows, block, ds.vocab)))
+            for block in masking.generate_blocks(ds, config, pmi_vocab, epoch):
+                out.write(jsonl.example_lines(block))
     return 0
 
 
@@ -291,28 +281,27 @@ def _cmd_ppl(args) -> int:
 def _cmd_pll(args) -> int:
     vocab = _vocab_from_args(args)
     pairs = []
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"pairs line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"pairs line {lineno}: expected a JSON object")
-            if "good" not in rec or "bad" not in rec:
-                raise ConfigError(f"pairs line {lineno}: needs 'good' and 'bad'")
-            good, bad = rec["good"], rec["bad"]
-            # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-            if type(good) is not list or type(bad) is not list \
-                    or not set(map(type, good + bad)) <= {int}:
-                raise DataError(f"pairs line {lineno}: token ids must be integers")
-            outside = [t for t in good + bad if not 0 <= t < vocab.size]
-            if outside:
-                raise RangeError(f"pairs line {lineno}: token id {outside[0]} outside "
-                                 f"vocabulary of size {vocab.size}")
-            pairs.append((good, bad))
+    for lineno, line in corpus.text_lines(args.pairs):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"pairs line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"pairs line {lineno}: expected a JSON object")
+        if "good" not in rec or "bad" not in rec:
+            raise ConfigError(f"pairs line {lineno}: needs 'good' and 'bad'")
+        good, bad = rec["good"], rec["bad"]
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if type(good) is not list or type(bad) is not list \
+                or not set(map(type, good + bad)) <= {int}:
+            raise DataError(f"pairs line {lineno}: token ids must be integers")
+        outside = [t for t in good + bad if not 0 <= t < vocab.size]
+        if outside:
+            raise RangeError(f"pairs line {lineno}: token id {outside[0]} outside "
+                             f"vocabulary of size {vocab.size}")
+        pairs.append((good, bad))
     # the pairs are read first, so a bad pairs file never leaves an
     # external scorer running
     ds = corpus.load_packed(args.corpus) if args.corpus else None

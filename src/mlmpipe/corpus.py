@@ -31,6 +31,7 @@ from .rng import substream
 
 BINARY_MAGIC = b"MLMC"
 BINARY_VERSION = 1
+_NO_IDS, _NO_FLAGS = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,29 @@ Window = TokenSequence
 
 @dataclass
 class PackedDataset:
-    sequences: list[TokenSequence]
-    seq_len: int
+    """Fixed-length windows as two read-only (windows x seq_len) matrices.
+    ``ds[i]`` is window i as a TokenSequence of row views; iterating yields
+    every window in order."""
+
+    ids: np.ndarray
+    word_starts: np.ndarray
     vocab: Vocab
 
+    def __post_init__(self) -> None:
+        # read-only views, so the caller's arrays stay writable
+        self.ids = np.asarray(self.ids, dtype=np.int64).view()
+        self.word_starts = np.asarray(self.word_starts, dtype=bool).view()
+        self.ids.flags.writeable = self.word_starts.flags.writeable = False
+
+    @property
+    def seq_len(self) -> int:
+        return self.ids.shape[1]
+
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> TokenSequence:
+        return TokenSequence(ids=self.ids[i], word_starts=self.word_starts[i])
 
 
 def _vocab_size(vocab: Vocab | int) -> int:
@@ -139,16 +157,28 @@ def _parse_record(line: str, size: int, where: str) -> TokenSequence:
     return TokenSequence(ids=arr, word_starts=np.frombuffer(flags, dtype=bool).copy())
 
 
+def text_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a UTF-8 file; ParseError naming
+    the file and line at the first line that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{os.fspath(path)} line {lineno}: invalid UTF-8 "
+                                 f"({exc.reason})") from None
+
+
 def _check_starts_word(doc: TokenSequence, where: str) -> TokenSequence:
     if len(doc) and not doc.word_starts[0]:
         raise ParseError(f"{where}: first position must start a word")
     return doc
 
 
-def _load_jsonl(lines: Iterable[str], vocab: Vocab | int) -> list[TokenSequence]:
+def _load_jsonl(lines: Iterable[tuple[int, str]], vocab: Vocab | int) -> list[TokenSequence]:
     size = _vocab_size(vocab)
     docs: list[TokenSequence] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         if line.strip():
             where = f"line {lineno}"
             docs.append(_check_starts_word(_parse_record(line, size, where), where))
@@ -197,13 +227,12 @@ def load_tokens(source: str | os.PathLike | Iterable[str],
     bytes, and as canonical JSONL otherwise.
     """
     if not isinstance(source, (str, os.PathLike)):
-        return _load_jsonl(source, vocab)
+        return _load_jsonl(enumerate(source, start=1), vocab)
     with open(source, "rb") as fh:
         if fh.read(4) == BINARY_MAGIC:
             fh.seek(0)
             return _load_binary(fh, vocab)
-    with open(source, "r", encoding="utf-8") as fh:
-        return _load_jsonl(fh, vocab)
+    return _load_jsonl(text_lines(source), vocab)
 
 
 def serialize_tokens(docs: Iterable[TokenSequence], path: str | os.PathLike) -> None:
@@ -233,18 +262,16 @@ def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> Pac
     """
     if seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {seq_len}")
-    if not docs:
-        return PackedDataset(sequences=[], seq_len=seq_len, vocab=vocab)
-    # a sep before every document but the first
+    # a sep before every document but the first; the empty arrays give no
+    # documents no windows
     seps = np.cumsum([len(doc) for doc in docs[:-1]], dtype=np.int64)
-    ids = np.insert(np.concatenate([doc.ids for doc in docs]), seps, vocab.sep_id)
-    word_starts = np.insert(np.concatenate([doc.word_starts for doc in docs]), seps, True)
+    ids = np.insert(np.concatenate([_NO_IDS] + [doc.ids for doc in docs]), seps, vocab.sep_id)
+    word_starts = np.insert(np.concatenate([_NO_FLAGS] + [doc.word_starts for doc in docs]),
+                            seps, True)
     pad = -len(ids) % seq_len
     ids = np.pad(ids, (0, pad), constant_values=vocab.pad_id).reshape(-1, seq_len)
     word_starts = np.pad(word_starts, (0, pad), constant_values=True).reshape(-1, seq_len)
-    windows = [TokenSequence(ids=row_ids, word_starts=row_ws)
-               for row_ids, row_ws in zip(ids, word_starts)]
-    return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
+    return PackedDataset(ids=ids, word_starts=word_starts, vocab=vocab)
 
 
 def epoch_stream(ds: PackedDataset, seed: int,
@@ -256,7 +283,7 @@ def epoch_stream(ds: PackedDataset, seed: int,
     windows in any order or partition produces the same masks as
     consuming the stream serially.
     """
-    for idx in substream(seed, epoch).permutation(len(ds.sequences)).tolist():
+    for idx in substream(seed, epoch).permutation(len(ds)).tolist():
         yield idx, substream(seed, epoch, idx)
 
 
@@ -270,31 +297,45 @@ def save_packed(ds: PackedDataset, path: str | os.PathLike, header: dict | None 
                       "pad_id": ds.vocab.pad_id, "sep_id": ds.vocab.sep_id},
         }
         fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        for win in ds.sequences:
-            rec = {"ids": win.ids.tolist(),
-                   "word_starts": win.word_starts.astype(int).tolist()}
+        for ids, word_starts in zip(ds.ids, ds.word_starts):   # a row at a time
+            rec = {"ids": ids.tolist(), "word_starts": word_starts.astype(int).tolist()}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def load_packed(path: str | os.PathLike) -> PackedDataset:
-    """Read a packed dataset written by save_packed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            meta = json.loads(header_line)
-            vocab = Vocab(**meta["vocab"])
-            seq_len = int(meta["seq_len"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"packed dataset: bad header ({exc})") from exc
-        if seq_len < 2:
-            raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
-        windows: list[TokenSequence] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            where = f"packed dataset line {lineno}"
-            win = _parse_record(line, vocab.size, where)
-            if len(win) != seq_len:
-                raise ParseError(f"{where}: window is not length {seq_len}")
-            windows.append(win)
-    return PackedDataset(sequences=windows, seq_len=seq_len, vocab=vocab)
+    """Read a packed dataset written by save_packed.
+
+    The windows are parsed into matrices allocated once, with a row for each
+    line of the file; rows of the header and of blank lines go unused.
+    """
+    lines = text_lines(path)
+    try:
+        meta = json.loads(next(lines, (1, ""))[1])
+        seq_len, fields = meta["seq_len"], meta["vocab"]
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if type(seq_len) is not int or type(fields) is not dict \
+                or not set(map(type, fields.values())) <= {int}:
+            raise TypeError("seq_len and vocab values must be integers")
+        vocab = Vocab(**fields)
+    except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+        raise ParseError(f"packed dataset: bad header ({exc})") from exc
+    if seq_len < 2:
+        raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
+    with open(path, "rb") as fh:
+        rows = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        # a window's line holds more than 4 bytes per position, so a header's
+        # seq_len cannot make the matrices outgrow the file
+        rows = min(rows, fh.tell() // (4 * seq_len))
+    ids = np.empty((rows, seq_len), dtype=np.int64)
+    word_starts = np.empty((rows, seq_len), dtype=bool)
+    n = 0
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        where = f"packed dataset line {lineno}"
+        win = _parse_record(line, vocab.size, where)
+        if len(win) != seq_len:
+            raise ParseError(f"{where}: window is not length {seq_len}")
+        ids[n], word_starts[n] = win.ids, win.word_starts
+        n += 1
+    return PackedDataset(ids=ids[:n], word_starts=word_starts[:n], vocab=vocab)

@@ -10,6 +10,7 @@ the replacement policy is available behind ``policy_sampling``).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -23,6 +24,10 @@ from .pmi import PmiVocabulary, segment_units
 _EPS = 1e-9
 
 STRATEGIES = ("uniform", "whole_word", "span", "pmi")
+
+# plans materialized together by generate_blocks; bounds the arrays of a
+# block, so memory does not grow with the corpus
+BLOCK_EXAMPLES = 64
 
 
 class ActionKind(enum.Enum):
@@ -501,13 +506,24 @@ def generate_plans(ds: PackedDataset, config: MaskingConfig,
     """MaskPlans for one epoch in seeded stream order; a window's
     duplicates are adjacent."""
     for idx, rng in epoch_stream(ds, config.seed, epoch):
-        yield from plan_window(ds.sequences[idx], ds.vocab, config, rng,
+        yield from plan_window(ds[idx], ds.vocab, config, rng,
                                pmi_vocab, source_sequence=idx)
+
+
+def generate_blocks(ds: PackedDataset, config: MaskingConfig,
+                    pmi_vocab: PmiVocabulary | None = None,
+                    epoch: int = 0) -> Iterator[MaskedBlock]:
+    """One epoch's examples in stream order, materialized BLOCK_EXAMPLES plans
+    at a time; the CLI's `mask` and `ppl` both read them."""
+    plans = generate_plans(ds, config, pmi_vocab, epoch)
+    while block := list(itertools.islice(plans, BLOCK_EXAMPLES)):
+        yield materialize_block(ds.ids[[p.source_sequence for p in block]], block, ds.vocab)
 
 
 def generate_examples(ds: PackedDataset, config: MaskingConfig,
                       pmi_vocab: PmiVocabulary | None = None,
                       epoch: int = 0) -> Iterator[MaskedExample]:
-    """Materialized corrupted examples for one epoch in stream order."""
+    """Materialized corrupted examples for one epoch in stream order, one plan
+    at a time: the reference for generate_blocks."""
     for plan in generate_plans(ds, config, pmi_vocab, epoch):
-        yield materialize(ds.sequences[plan.source_sequence], plan, ds.vocab)
+        yield materialize(ds[plan.source_sequence], plan, ds.vocab)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import PackedDataset, TokenSequence, Vocab
+from .corpus import PackedDataset, TokenSequence, Vocab, text_lines
 from .errors import ConfigError, DataError, UndefinedScoreError
 
 Gram = tuple[int, ...]
@@ -106,22 +106,21 @@ class PmiVocabulary:
     @classmethod
     def load_tsv(cls, path: str | os.PathLike) -> "PmiVocabulary":
         entries: dict[Gram, float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 2:
-                    raise DataError(f"PMI TSV line {lineno}: expected 'ids<TAB>score', "
-                                    f"got {len(fields) - 1} tabs")
-                try:
-                    gram = tuple(int(t) for t in fields[0].split())
-                    score = float(fields[1])
-                except ValueError as exc:
-                    raise DataError(f"PMI TSV line {lineno}: {exc}") from exc
-                if not gram:
-                    raise DataError(f"PMI TSV line {lineno}: empty n-gram")
-                entries[gram] = score
+        for lineno, line in text_lines(path):
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise DataError(f"PMI TSV line {lineno}: expected 'ids<TAB>score', "
+                                f"got {len(fields) - 1} tabs")
+            try:
+                gram = tuple(int(t) for t in fields[0].split())
+                score = float(fields[1])
+            except ValueError as exc:
+                raise DataError(f"PMI TSV line {lineno}: {exc}") from exc
+            if not gram:
+                raise DataError(f"PMI TSV line {lineno}: empty n-gram")
+            entries[gram] = score
         n_max = max((len(g) for g in entries), default=2)
         return cls(entries=entries, n_max=n_max, size_cap=max(len(entries), 1))
 
@@ -139,16 +138,19 @@ def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray,
     A run is a document, or in packed data a stretch of a window between
     sep/pad positions, which themselves have room 0.
     """
-    seqs = data.sequences if isinstance(data, PackedDataset) else list(data)
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
-    idx = np.arange(len(ids))
-    run_end = np.repeat(np.cumsum(lengths), lengths)
     if isinstance(data, PackedDataset):
+        ids = data.ids.ravel()
+        idx = np.arange(len(ids))
         special = (ids == data.vocab.pad_id) | (ids == data.vocab.sep_id)
-        # the nearest sep/pad at or after each position ends its run too
+        # a run ends at its window's end or at the nearest sep/pad at or after it
         next_special = np.minimum.accumulate(np.where(special, idx, len(ids))[::-1])[::-1]
-        run_end = np.minimum(run_end, next_special)
+        run_end = np.minimum(idx - idx % data.seq_len + data.seq_len, next_special)
+    else:
+        seqs = list(data)
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
+        idx = np.arange(len(ids))
+        run_end = np.repeat(np.cumsum(lengths), lengths)
     return ids, run_end - idx
 
 

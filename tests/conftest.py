@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlmpipe.corpus import TokenSequence, Vocab, Window, pack_sequences
+from mlmpipe.corpus import PackedDataset, TokenSequence, Vocab, Window, pack_sequences
 from mlmpipe.masking import MaskPlan
 
 # specials: pad=0, sep=1, mask=2; ordinary tokens start at 3
@@ -37,6 +37,12 @@ def random_docs(n_docs, doc_len, vocab=VOCAB, seed=0):
         ws[0] = True
         docs.append(TokenSequence(ids=ids, word_starts=ws))
     return docs
+
+
+def packed(windows, vocab=VOCAB):
+    """A packed dataset of the given windows, which share one length."""
+    return PackedDataset(ids=np.stack([w.ids for w in windows]),
+                         word_starts=np.stack([w.word_starts for w in windows]), vocab=vocab)
 
 
 def packed_dataset(n_docs=50, doc_len=100, seq_len=128, vocab=VOCAB, seed=0):

@@ -18,7 +18,7 @@ from mlmpipe.analysis import (OracleScorer, UnigramScorer, UniformScorer,
                               normalized_performance, pll_score, pmi_coverage,
                               relative_metric, span_histogram)
 from mlmpipe.cli import run
-from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, Window, epoch_stream,
+from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream,
                             load_packed, pack_sequences, serialize_tokens)
 from mlmpipe.errors import InfeasibleError
 from mlmpipe.masking import (MaskingConfig, exact_count, effective_rates,
@@ -41,10 +41,7 @@ def report(num, desc, ok, detail=""):
 def full_windows(n, L=128, seed=0):
     rng = np.random.default_rng(seed)
     ids = rng.integers(3, VOCAB.size, size=(n, L))
-    return PackedDataset(
-        sequences=[Window(ids=ids[i], word_starts=np.ones(L, dtype=bool))
-                   for i in range(n)],
-        seq_len=L, vocab=VOCAB)
+    return PackedDataset(ids=ids, word_starts=np.ones((n, L), dtype=bool), vocab=VOCAB)
 
 
 def test_criterion_1_count_exactness():
@@ -57,7 +54,7 @@ def test_criterion_1_count_exactness():
         expected = exact_count(m, L)
         for idx in range(n_windows):
             rng = substream(cfg.seed, 0, idx)
-            plan = plan_window(ds.sequences[idx], VOCAB, cfg, rng)[0]
+            plan = plan_window(ds[idx], VOCAB, cfg, rng)[0]
             if len(plan.positions) != expected:
                 ok = False
                 break
@@ -84,7 +81,7 @@ def test_criterion_3_decoupling():
     ok = True
     for idx in range(1000):
         rng = substream(21, 0, idx)
-        plans = plan_decoupled(ds.sequences[idx], VOCAB, sample_uniform,
+        plans = plan_decoupled(ds[idx], VOCAB, sample_uniform,
                                0.20, 0.40, rng, source_sequence=idx)
         sets = [set(p.positions.tolist()) for p in plans]
         if len(plans) != 2 or any(len(s) != 25 for s in sets) or (sets[0] & sets[1]):
@@ -92,7 +89,7 @@ def test_criterion_3_decoupling():
             break
     raised = False
     try:
-        plan_decoupled(ds.sequences[0], VOCAB, sample_uniform, 0.40, 0.90,
+        plan_decoupled(ds[0], VOCAB, sample_uniform, 0.40, 0.90,
                        substream(21, 0, 0))
     except InfeasibleError:
         raised = True
@@ -170,7 +167,7 @@ def test_criterion_5_figure7_qualitative(desk_corpus):
     assert planted <= set(pmi_vocab.entries), "mined vocab missed planted collocations"
 
     ds = pack_sequences(docs, 128, VOCAB)
-    subset = PackedDataset(sequences=ds.sequences[:4000], seq_len=128, vocab=VOCAB)
+    subset = PackedDataset(ids=ds.ids[:4000], word_starts=ds.word_starts[:4000], vocab=VOCAB)
     cov = {}
     for strategy, m in (("uniform", 0.15), ("uniform", 0.40), ("pmi", 0.15)):
         cfg = MaskingConfig(strategy=strategy, m=m, seed=13)
@@ -207,7 +204,7 @@ def test_criterion_7_perplexity_contracts():
     scorer = UnigramScorer.from_dataset(ds)
     ppl_unigram = masked_perplexity(ds, cfg, scorer)
     # independent brute force: recount unigrams, re-walk the plan stream
-    counts = Counter(int(t) for w in ds.sequences for t in w.ids
+    counts = Counter(int(t) for w in ds for t in w.ids
                      if int(t) not in VOCAB.special_ids)
     total = sum(counts.values())
     logs = [math.log(counts[orig] / total)
@@ -313,13 +310,13 @@ def test_criterion_10_cli_determinism(desk_corpus, tmp_path):
     order = [idx for idx, _ in epoch_stream(ds, 23, 0)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         planned = list(pool.map(lambda idx: plan_window(
-            ds.sequences[idx], ds.vocab, cfg, substream(23, 0, idx), source_sequence=idx),
+            ds[idx], ds.vocab, cfg, substream(23, 0, idx), source_sequence=idx),
             order))
     lines = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
                          "dup": e.duplicate_index, "src": e.source_sequence},
                         separators=(",", ":"))
              for plans in planned for plan in plans
-             for e in [materialize(ds.sequences[plan.source_sequence], plan, ds.vocab)]]
+             for e in [materialize(ds[plan.source_sequence], plan, ds.vocab)]]
     body = masked["m1.jsonl"].decode().splitlines()[1:]
     mask_ok = masked["m1.jsonl"] == masked["m2.jsonl"] and body == lines and len(lines) > 0
     report(10, "CLI pipeline byte-identical across repeat runs and equal to "

@@ -16,7 +16,8 @@ from mlmpipe.analysis import (CoverageReport, ExternScorer, OracleScorer,
                               relative_metric, span_histogram)
 from mlmpipe.corpus import TokenSequence
 from mlmpipe.errors import ConfigError, DataError, IntegrityError
-from mlmpipe.masking import MaskingConfig, generate_plans
+from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskingConfig, generate_examples,
+                             generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
 from conftest import VOCAB, mask_plan, packed_dataset
@@ -54,7 +55,7 @@ class TestMaskedPerplexity:
         ppl = masked_perplexity(ds, cfg, scorer)
 
         counts = Counter()
-        for win in ds.sequences:
+        for win in ds:
             keep = win.ids[(win.ids != VOCAB.pad_id) & (win.ids != VOCAB.sep_id)]
             counts.update(int(t) for t in keep)
         total = sum(counts.values())
@@ -73,6 +74,49 @@ class TestMaskedPerplexity:
         ds = packed_dataset(n_docs=3)
         with pytest.raises(DataError):
             masked_perplexity(ds, MaskingConfig(m=0.15), Broken())
+
+
+def reference_perplexity(ds, cfg, scorer, pmi_vocab=None):
+    """masked_perplexity as one materialize and one scorer call per plan."""
+    total, count = 0.0, 0
+    for example in generate_examples(ds, cfg, pmi_vocab):
+        if example.targets:
+            for v in scorer.log_prob(example.corrupted_ids, example.targets):
+                total += v
+                count += 1
+    return math.exp(-total / count)
+
+
+BLOCK_DS = packed_dataset(n_docs=80, seed=6)
+BLOCK_PMI = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
+                                   for w in BLOCK_DS for i, n in ((3, 2), (20, 3))},
+                          n_max=3, size_cap=1000)
+
+
+@given(strategy=st.sampled_from(STRATEGIES),
+       rates=st.sampled_from([{"m": 0.15}, {"m_corr": 0.2, "m_pred": 0.4},
+                              {"m_corr": 0.4, "m_pred": 0.2}, {"m_corr": 0.1, "m_pred": 0.3}]),
+       policy=st.sampled_from([(1.0, 0.0, 0.0), (0.8, 0.1, 0.1), (0.5, 0.5, 0.0)]),
+       policy_sampling=st.sampled_from(["exact", "bernoulli"]),
+       extra_same=st.sampled_from([0.0, 0.05]),
+       scorer=st.sampled_from(["uniform", "unigram", "oracle"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_block_driver_perplexity_equals_per_plan_reference(strategy, rates, policy,
+                                                           policy_sampling, extra_same,
+                                                           scorer, seed):
+    # bit-equal, with the same scorer calls in the same order
+    assert len(BLOCK_DS) > BLOCK_EXAMPLES
+    cfg = MaskingConfig(strategy=strategy, policy=policy, policy_sampling=policy_sampling,
+                        extra_same=extra_same, seed=seed, **rates)
+    inner = {"uniform": UniformScorer(VOCAB.size), "oracle": OracleScorer(),
+             "unigram": UnigramScorer.from_dataset(BLOCK_DS)}[scorer]
+    got, want = SpyScorer(inner), SpyScorer(inner)
+    assert masked_perplexity(BLOCK_DS, cfg, got, BLOCK_PMI) == \
+        reference_perplexity(BLOCK_DS, cfg, want, BLOCK_PMI)
+    assert got.calls == want.calls
+    assert all(type(t) is int for ids, queries in got.calls for t in ids)
+    assert all(type(t) is int for ids, queries in got.calls for q in queries for t in q)
 
 
 class TestPllScore:
@@ -188,10 +232,9 @@ class TestCoverage:
     def test_adjacent_pair_hypergeometric(self):
         # all 127 adjacent bigrams of a fully-maskable window are vocab entries
         rng = np.random.default_rng(0)
-        from conftest import full_window
-        from mlmpipe.corpus import PackedDataset
+        from conftest import full_window, packed
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(4000)]
-        ds = PackedDataset(sequences=wins, seq_len=128, vocab=VOCAB)
+        ds = packed(wins)
         entries = {}
         for w in wins:
             for i in range(127):
@@ -218,7 +261,7 @@ class TestCoverage:
 
         monkeypatch.setattr(analysis, "_vocab_occurrences", tracked)
         ds = packed_dataset(n_docs=20)
-        pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds.sequences},
+        pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds},
                            n_max=2, size_cap=100)
         held = []
 
@@ -229,9 +272,9 @@ class TestCoverage:
 
         report = pmi_coverage(plans(), pv, ds)
         # one lookup per window: its two duplicates are adjacent
-        assert len(alive) == len(ds.sequences) and len(held) == 2 * len(ds.sequences)
+        assert len(alive) == len(ds) and len(held) == 2 * len(ds)
         assert max(held) == 1
-        assert report.by_length[2].occurrence_count >= 2 * len(ds.sequences)
+        assert report.by_length[2].occurrence_count >= 2 * len(ds)
 
     def test_misaligned_stream(self):
         ds = packed_dataset(n_docs=2)
@@ -253,10 +296,9 @@ class TestSpanHistogram:
 
     def test_uniform_interior_run_mean(self):
         # interior runs under uniform m=0.15 have mean ~ 1/(1-m)
-        from conftest import full_window
-        from mlmpipe.corpus import PackedDataset
+        from conftest import full_window, packed
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(10_000)]
-        ds = PackedDataset(sequences=wins, seq_len=128, vocab=VOCAB)
+        ds = packed(wins)
         cfg = MaskingConfig(m=0.15, seed=8)
         total = 0
         n_runs = 0
@@ -280,10 +322,9 @@ class TestSpanHistogram:
         assert mean == pytest.approx(1 / (1 - 0.15), rel=0.05)
 
     def test_span_strategy_band(self):
-        from conftest import full_window
-        from mlmpipe.corpus import PackedDataset
+        from conftest import full_window, packed
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(2000)]
-        ds = PackedDataset(sequences=wins, seq_len=128, vocab=VOCAB)
+        ds = packed(wins)
         cfg = MaskingConfig(strategy="span", m=0.40, mean_span=3.0, seed=8)
         hist = span_histogram(generate_plans(ds, cfg))
         assert 2.5 <= hist.mean_length <= 3.5
@@ -330,6 +371,29 @@ class TestExternScorer:
         scorer = ExternScorer(f"{sys.executable} {script}")
         scorer.close()
         assert scorer._proc.returncode is not None and scorer._proc.returncode < 0
+
+    def test_block_driver_sends_the_per_plan_requests(self, tmp_path):
+        # an echo scorer logs every request line; both loops send the same bytes
+        script = tmp_path / "echo.py"
+        script.write_text("import json, sys\n"
+                          "log = open(sys.argv[1], 'a')\n"
+                          "for line in sys.stdin:\n"
+                          "    log.write(line)\n"
+                          "    log.flush()\n"
+                          "    req = json.loads(line)\n"
+                          "    logp = [-1.0 - p % 5 for p, o in req['queries']]\n"
+                          "    print(json.dumps({'qid': req['qid'], 'logp': logp}), flush=True)\n")
+        cfg = MaskingConfig(strategy="span", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1),
+                            extra_same=0.05, seed=5)
+        results, logs = [], []
+        for name, perplexity in (("blocks", masked_perplexity),
+                                 ("reference", reference_perplexity)):
+            log = tmp_path / f"{name}.jsonl"
+            with ExternScorer(f"{sys.executable} {script} {log}") as scorer:
+                results.append(perplexity(BLOCK_DS, cfg, scorer))
+            logs.append(log.read_bytes())
+        assert results[0] == results[1]
+        assert logs[0] == logs[1] and logs[0].count(b"\n") > BLOCK_EXAMPLES
 
     def test_make_scorer_dispatch(self, tmp_path):
         assert isinstance(make_scorer("uniform", vocab_size=10), UniformScorer)

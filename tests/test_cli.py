@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from mlmpipe import cli
-from mlmpipe.cli import BLOCK_EXAMPLES, run
+from mlmpipe import masking
+from mlmpipe.cli import run
 from mlmpipe.corpus import load_packed, serialize_tokens
 from mlmpipe.masking import MaskingConfig, generate_examples
 
@@ -91,14 +91,14 @@ class TestMask:
         serialize_tokens(random_docs(300, 80, seed=1), corpus)
         packed = tmp_path / "packed.jsonl"
         assert run(["pack", "--input", str(corpus), "--output", str(packed)] + VOCAB_FLAGS) == 0
-        assert len(packed.read_text().splitlines()) - 1 > 2 * BLOCK_EXAMPLES
+        assert len(packed.read_text().splitlines()) - 1 > 2 * masking.BLOCK_EXAMPLES
         tsv = tmp_path / "pmi.tsv"
         assert run(["pmi-build", "--input", str(corpus), "--output", str(tsv),
                     "--vocab-size", str(VOCAB.size), "--n-max", "3",
                     "--min-count", "2", "--size-cap", "200"]) == 0
         outs = []
-        for size in (BLOCK_EXAMPLES, 1, 7):
-            monkeypatch.setattr(cli, "BLOCK_EXAMPLES", size)
+        for size in (masking.BLOCK_EXAMPLES, 1, 7):
+            monkeypatch.setattr(masking, "BLOCK_EXAMPLES", size)
             out = tmp_path / f"b{size}.jsonl"
             rc = run(["--seed", "3", "mask", "--epochs", "2",
                       "--input", str(packed), "--output", str(out),
@@ -138,7 +138,7 @@ class TestMask:
                     "--epochs", "2", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
                     "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"]) == 0
         ds = load_packed(packed)
-        assert len(ds.sequences) > 2 * BLOCK_EXAMPLES
+        assert len(ds) > 2 * masking.BLOCK_EXAMPLES
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=9)
         expected = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
                                 "dup": e.duplicate_index, "src": e.source_sequence},
@@ -320,6 +320,49 @@ class TestMalformedPmiTsv:
         assert_one_line_error(capsys, rc, "line 2")
 
 
+BAD_UTF8 = b"\xff\xfe"
+
+
+def with_bad_line(path, lineno):
+    """Replace line `lineno` of `path` with bytes that are not UTF-8."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = BAD_UTF8 + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+class TestInvalidUtf8:
+    # every reader of a text file ends in one line naming the file and line:
+    # exit 2 for data files, exit 1 for the config file
+    @pytest.mark.parametrize("reader", ["corpus", "packed", "pmi-tsv", "pairs", "config"])
+    def test_one_line_naming_file_and_line(self, tmp_path, corpus_path, packed_path, capsys,
+                                           reader):
+        out = str(tmp_path / "o")
+        tsv = tmp_path / "pmi.tsv"
+        tsv.write_text("# header\n7 8\t1.0\n9 10\t0.5\n")
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n" * 2)
+        config = tmp_path / "cfg.json"
+        config.write_text('{\n"mask_rate": 0.3\n}\n')
+        bad, lineno, argv, code = {
+            "corpus": (corpus_path, 2, ["pack", "--input", str(corpus_path), "--output", out]
+                       + VOCAB_FLAGS, 2),
+            "packed": (packed_path, 3, ["mask", "--input", str(packed_path), "--output", out],
+                       2),
+            "pmi-tsv": (tsv, 2, ["mask", "--strategy", "pmi", "--pmi-vocab", str(tsv),
+                                 "--input", str(packed_path), "--output", out], 2),
+            "pairs": (pairs, 2, ["pll", "--pairs", str(pairs), "--scorer", "uniform"]
+                      + VOCAB_FLAGS, 2),
+            "config": (config, 2, ["--config", str(config), "mask", "--input",
+                                   str(packed_path), "--output", out], 1),
+        }[reader]
+        with_bad_line(bad, lineno)
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert f"{bad} line {lineno}: invalid UTF-8" in err
+
+
 class TestOutOfVocabularyIds:
     @pytest.mark.parametrize("bad_id", [99999, -4, "x", 2 ** 70])
     @pytest.mark.parametrize("subcommand", [["mask"], ["stats", "spans"]])
@@ -355,6 +398,17 @@ class TestMalformedPackedWindow:
         out = tmp_path / "o"
         rc = run(subcommand + ["--input", str(packed), "--output", str(out)])
         assert_one_line_error(capsys, rc, "line 3")
+        assert not out.exists()
+
+    def test_header_values_must_be_integers_exit_2(self, tmp_path, capsys):
+        packed = tmp_path / "packed.jsonl"
+        header = {"seq_len": "4", "vocab": {"size": 100.0, "mask_id": 2.0,
+                                            "pad_id": VOCAB.pad_id, "sep_id": VOCAB.sep_id}}
+        packed.write_text(json.dumps(header) + "\n"
+                          + '{"ids":[5,6,4,3],"word_starts":[1,0,0,1]}\n')
+        out = tmp_path / "o"
+        rc = run(["mask", "--input", str(packed), "--output", str(out)])
+        assert_one_line_error(capsys, rc, "packed dataset: bad header")
         assert not out.exists()
 
 

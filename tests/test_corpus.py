@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream, load_packed,
+from mlmpipe.corpus import (TokenSequence, Vocab, epoch_stream, load_packed,
                             load_tokens, pack_sequences, save_packed,
                             serialize_tokens, write_binary)
 from mlmpipe.errors import ConfigError, ParseError, RangeError
 
-from conftest import VOCAB, make_window, random_docs
+from conftest import VOCAB, make_window, packed, random_docs
 
 
 def doc(ids, word_starts=None):
@@ -130,20 +130,20 @@ class TestPackSequences:
         # 100 + 1 (sep) + 60 = 161 tokens -> windows of 128 and 33 + 95 pads
         docs = [doc([5] * 100), doc([6] * 60)]
         ds = pack_sequences(docs, 128, VOCAB)
-        assert len(ds.sequences) == 2
-        assert all(len(w.ids) == 128 for w in ds.sequences)
-        second = ds.sequences[1].ids
+        assert len(ds) == 2
+        assert all(len(w.ids) == 128 for w in ds)
+        second = ds[1].ids
         assert int((second == VOCAB.pad_id).sum()) == 95
-        assert int((ds.sequences[0].ids == VOCAB.sep_id).sum()) == 1
+        assert int((ds[0].ids == VOCAB.sep_id).sum()) == 1
 
     def test_empty_docs(self):
-        assert len(pack_sequences([], 128, VOCAB).sequences) == 0
+        assert len(pack_sequences([], 128, VOCAB)) == 0
 
     def test_exact_fit_no_padding(self):
         docs = [doc([5] * 128)]
         ds = pack_sequences(docs, 128, VOCAB)
-        assert len(ds.sequences) == 1
-        assert int((ds.sequences[0].ids == VOCAB.pad_id).sum()) == 0
+        assert len(ds) == 1
+        assert int((ds[0].ids == VOCAB.pad_id).sum()) == 0
 
     def test_short_seq_len_rejected(self):
         with pytest.raises(ConfigError):
@@ -152,7 +152,7 @@ class TestPackSequences:
     def test_sep_and_pad_are_word_starts(self):
         docs = [doc([5] * 3, [True, False, False]), doc([6] * 2, [True, False])]
         ds = pack_sequences(docs, 8, VOCAB)
-        win = ds.sequences[0]
+        win = ds[0]
         assert bool(win.word_starts[3])  # sep position
         assert all(bool(b) for b in win.word_starts[6:])  # pad positions
 
@@ -163,7 +163,7 @@ class TestPackSequences:
         docs = [doc([7] * n) for n in lengths]
         ds = pack_sequences(docs, seq_len, VOCAB)
         kept = sum(int(((w.ids != VOCAB.pad_id) & (w.ids != VOCAB.sep_id)).sum())
-                   for w in ds.sequences)
+                   for w in ds)
         assert kept == sum(lengths)
 
 
@@ -190,7 +190,7 @@ class TestEpochStream:
     def test_bijection(self, seed, epoch):
         ds = pack_sequences(random_docs(13, 40), 64, VOCAB)
         order = [i for i, _ in epoch_stream(ds, seed, epoch)]
-        assert sorted(order) == list(range(len(ds.sequences)))
+        assert sorted(order) == list(range(len(ds)))
 
 
 class TestPackedIO:
@@ -201,10 +201,8 @@ class TestPackedIO:
         back = load_packed(path)
         assert back.seq_len == 32
         assert back.vocab == VOCAB
-        assert len(back.sequences) == len(ds.sequences)
-        for a, b in zip(ds.sequences, back.sequences):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.word_starts, b.word_starts)
+        assert np.array_equal(back.ids, ds.ids)
+        assert np.array_equal(back.word_starts, ds.word_starts)
 
     @pytest.mark.parametrize("seq_len", ['"abc"', "1", "0"])
     def test_bad_header_seq_len(self, tmp_path, seq_len):
@@ -213,6 +211,48 @@ class TestPackedIO:
                         '"sep_id": 1}}\n' % seq_len)
         with pytest.raises(ParseError, match="packed dataset"):
             load_packed(path)
+
+    @pytest.mark.parametrize("seq_len,vocab", [
+        ('"4"', {}), ("4.0", {}), ("true", {}), ("4", {"size": 100.0}), ("4", {"mask_id": 2.0}),
+        ("4", {"pad_id": False}), ("4", {"sep_id": "1"}), ("4", {"size": None}),
+    ], ids=["seq_len-string", "seq_len-float", "seq_len-bool", "size-float", "mask_id-float",
+            "pad_id-bool", "sep_id-string", "size-null"])
+    def test_header_values_must_be_json_integers(self, tmp_path, seq_len, vocab):
+        # values that int() or Vocab would coerce are refused
+        fields = {"size": 100, "mask_id": 2, "pad_id": 0, "sep_id": 1, **vocab}
+        path = tmp_path / "packed.jsonl"
+        path.write_text('{"seq_len": %s, "vocab": %s}\n' % (seq_len, json.dumps(fields))
+                        + '{"ids": [5, 6, 7, 8], "word_starts": [1, 1, 1, 1]}\n')
+        with pytest.raises(ParseError, match="^packed dataset: bad header"):
+            load_packed(path)
+
+    def test_huge_seq_len_is_parse_error(self, tmp_path):
+        # the header's seq_len must not size an allocation beyond the file
+        path = tmp_path / "packed.jsonl"
+        path.write_text('{"seq_len": 1000000000000, "vocab": {"size": 100, "mask_id": 2, '
+                        '"pad_id": 0, "sep_id": 1}}\n'
+                        '{"ids": [5, 6, 7, 8], "word_starts": [1, 1, 1, 1]}\n')
+        with pytest.raises(ParseError, match="^packed dataset line 2: window is not length"):
+            load_packed(path)
+
+    def test_roundtrip_blank_lines_and_zero_windows(self, tmp_path):
+        ds = pack_sequences(random_docs(5, 40), 32, VOCAB)
+        path = tmp_path / "packed.jsonl"
+        save_packed(ds, path)
+        header, *rows = path.read_text().splitlines()
+        # blank lines between windows, and no newline after the last one
+        path.write_text(header + "\n\n" + "\n \n".join(rows))
+        back = load_packed(path)
+        assert back.vocab == VOCAB and back.seq_len == 32
+        assert back.ids.dtype == np.int64 and back.word_starts.dtype == bool
+        assert np.array_equal(back.ids, ds.ids) and np.array_equal(back.word_starts, ds.word_starts)
+        assert not back.ids.flags.writeable and not back.word_starts.flags.writeable
+        assert np.shares_memory(back[1].ids, back.ids)
+        empty = pack_sequences([], 16, VOCAB)
+        save_packed(empty, path)
+        back = load_packed(path)
+        assert back.ids.shape == back.word_starts.shape == (0, 16) and back.seq_len == 16
+        assert len(back) == 0 and list(back) == []
 
     @pytest.mark.parametrize("field,value", [
         ("ids", 5.5), ("ids", "7"), ("ids", True), ("ids", None),
@@ -268,7 +308,7 @@ class TestReadersAgree:
             load_tokens([json.dumps(GOOD_RECORD), line], VOCAB)
         path = tmp_path / "packed.jsonl"
         good = doc(GOOD_RECORD["ids"], GOOD_RECORD["word_starts"])
-        save_packed(PackedDataset(sequences=[good], seq_len=4, vocab=VOCAB), path)
+        save_packed(packed([good]), path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(error, match="^packed dataset line 3: ") as as_window:
@@ -283,7 +323,7 @@ class TestReadersAgree:
         write_binary(docs, VOCAB, binary)
         save_packed(pack_sequences(docs, 32, VOCAB), packed)
         for seqs in (load_tokens(jsonl, VOCAB), load_tokens(binary, VOCAB),
-                     load_packed(packed).sequences):
+                     list(load_packed(packed))):
             assert seqs
             for seq in seqs:
                 assert isinstance(seq.ids, np.ndarray) and seq.ids.dtype == np.int64

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.cli import BLOCK_EXAMPLES
+from mlmpipe.masking import BLOCK_EXAMPLES
 from mlmpipe.jsonl import example_lines
 from mlmpipe.masking import MaskedBlock
 

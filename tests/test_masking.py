@@ -360,9 +360,9 @@ class TestStreamDeterminism:
         serial = {p.source_sequence: p.positions.tolist()
                   for p in generate_plans(ds, cfg)}
         scattered = {}
-        for idx in reversed(range(len(ds.sequences))):
+        for idx in reversed(range(len(ds))):
             rng = substream(cfg.seed, 0, idx)
-            plan = plan_window(ds.sequences[idx], ds.vocab, cfg, rng,
+            plan = plan_window(ds[idx], ds.vocab, cfg, rng,
                                source_sequence=idx)[0]
             scattered[idx] = plan.positions.tolist()
         assert serial == scattered
@@ -377,7 +377,7 @@ class TestStreamDeterminism:
                            n_max=3, size_cap=10)
         cfg = MaskingConfig(strategy=strategy, m=m, seed=seed)
         for plan in generate_plans(ds, cfg, pv):
-            win = ds.sequences[plan.source_sequence]
+            win = ds[plan.source_sequence]
             maskable = set(win.maskable_positions(VOCAB).tolist())
             expected = exact_count(m, len(maskable))
             positions = plan.positions.tolist()
@@ -390,7 +390,7 @@ class TestStreamDeterminism:
         cfg = MaskingConfig(strategy="pmi", m=0.3, seed=11)
         from mlmpipe.pmi import segment_units
         for plan in generate_plans(ds, cfg, pv):
-            win = ds.sequences[plan.source_sequence]
+            win = ds[plan.source_sequence]
             units = segment_units(win, VOCAB, "pmi", pv)
             masked = set(plan.positions.tolist())
             full_size = sum(u[1] - u[0] for u in units
@@ -481,7 +481,7 @@ def test_array_plans_match_reference(kw):
     ds = packed_dataset(n_docs=12, seed=5)
     pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4}, n_max=3, size_cap=10)
     config = MaskingConfig(seed=3, **kw)
-    for idx, win in enumerate(ds.sequences):
+    for idx, win in enumerate(ds):
         got = plan_window(win, VOCAB, config, substream(3, 0, idx), pv, source_sequence=idx)
         want = reference_plans(win, config, substream(3, 0, idx), pv)
         assert len(got) == len(want)
@@ -543,11 +543,11 @@ class TestArrayPlans:
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=2)
         plans = list(generate_plans(ds, cfg))
-        rows = np.stack([ds.sequences[p.source_sequence].ids for p in plans])
+        rows = ds.ids[[p.source_sequence for p in plans]]
         block = materialize_block(rows, plans, VOCAB)
         offset = 0
         for i, plan in enumerate(plans):
-            ex = materialize(ds.sequences[plan.source_sequence], plan, VOCAB)
+            ex = materialize(ds[plan.source_sequence], plan, VOCAB)
             n = int(block.target_counts[i])
             assert block.corrupted_ids[i].tolist() == ex.corrupted_ids
             assert list(zip(block.target_positions[offset:offset + n].tolist(),
@@ -572,7 +572,7 @@ class TestArrayPlans:
         # so planning the windows in any order reproduces the stream's plans
         ds = packed_dataset(n_docs=20)
         pv = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
-                                    for w in ds.sequences for i, n in ((3, 2), (20, 3))},
+                                    for w in ds for i, n in ((3, 2), (20, 3))},
                            n_max=3, size_cap=100)
         cfg = MaskingConfig(strategy=strategy, m_corr=0.2, m_pred=0.4,
                             policy=(0.8, 0.1, 0.1), extra_same=0.05, seed=4)
@@ -584,10 +584,10 @@ class TestArrayPlans:
 
         whole = [fields(p) for p in generate_plans(ds, cfg, pv, epoch=1)]
         order = [src for src, dup, *_ in whole if dup == 0]
-        assert sorted(order) == list(range(len(ds.sequences)))
-        planned = {idx: plan_window(ds.sequences[idx], VOCAB, cfg, substream(4, 1, idx), pv,
+        assert sorted(order) == list(range(len(ds)))
+        planned = {idx: plan_window(ds[idx], VOCAB, cfg, substream(4, 1, idx), pv,
                                     source_sequence=idx)
                    for idx in reversed(order)}
         assert [fields(p) for idx in order for p in planned[idx]] == whole
-        assert len(whole) == 2 * len(ds.sequences)
+        assert len(whole) == 2 * len(ds)
         assert {RANDOM, SAME} <= {k for f in whole for k in f[3]}

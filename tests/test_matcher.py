@@ -121,7 +121,7 @@ def test_pmi_mask_cli_matches_oracle_segmentation(tmp_path, monkeypatch):
                 "--min-count", "2", "--size-cap", "200"]) == 0
     pv = PmiVocabulary.load_tsv(tsv)
     ds = load_packed(packed)
-    assert any(e - s >= 2 for w in ds.sequences
+    assert any(e - s >= 2 for w in ds
                for s, e in oracle_segment_units(w, ds.vocab, "pmi", pv)
                if tuple(w.ids[s:e].tolist()) in pv.entries)
 

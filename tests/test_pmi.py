@@ -27,7 +27,7 @@ def oracle_segments(data):
     """Maximal runs of ordinary tokens; sep/pad break runs in packed data."""
     if isinstance(data, PackedDataset):
         pad, sep = data.vocab.pad_id, data.vocab.sep_id
-        for win in data.sequences:
+        for win in data:
             ids = win.ids
             breaks = (ids == pad) | (ids == sep)
             start = None
@@ -139,7 +139,8 @@ class TestCountNgrams:
            st.integers(min_value=2, max_value=5), st.sampled_from([1, 2, 3]))
     @settings(max_examples=150, deadline=None)
     def test_packed_matches_oracle(self, windows, n_max, min_count):
-        ds = PackedDataset(sequences=[make_window(w) for w in windows], seq_len=6, vocab=VOCAB)
+        ds = PackedDataset(ids=np.array(windows, dtype=np.int64).reshape(-1, 6),
+                           word_starts=np.ones((len(windows), 6), dtype=bool), vocab=VOCAB)
         assert_counts_match_oracle(ds, n_max, min_count)
 
     @pytest.mark.parametrize("min_count", [1, 2, 3])
