@@ -120,7 +120,14 @@ class ExternScorer:
         if not set(map(type, logp)) <= {int, float}:
             raise DataError(f"external scorer sent a 'logp' entry that is not a number: "
                             f"{line!r}")
-        return [float(v) for v in logp]
+        try:
+            values = [float(v) for v in logp]
+        except OverflowError:   # an integer beyond any float
+            values = [math.inf]
+        # json.loads reads NaN, Infinity and -Infinity as floats
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"external scorer sent a 'logp' entry that is not finite: {line!r}")
+        return values
 
     def close(self) -> None:
         """Close the child's input, drain and close its output, and reap it;

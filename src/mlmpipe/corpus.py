@@ -8,8 +8,10 @@ Canonical JSONL format, one document per line:
     {"ids": [5, 6, 7], "word_starts": [true, true, false]}
 
 Packed datasets use the same record, one window per line, after a header
-line; both readers check records with one parser. Readers and writers take
-file paths.
+line. Both readers decode each block of lines that has the exact layout
+``save_packed`` and ``serialize_tokens`` write in bulk
+(``jsonl.decode_records``), and check any other block line by line with one
+parser, which names the line at fault. Readers and writers take file paths.
 
 Binary format: magic ``MLMC``, version u16, vocab size u32, then per
 document a u32 length, u32 little-endian ids, and a packed LSB-first
@@ -18,6 +20,7 @@ bitset of word_starts.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -26,11 +29,14 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
+from . import jsonl
 from .errors import ConfigError, ParseError, RangeError
 from .rng import substream
 
 BINARY_MAGIC = b"MLMC"
 BINARY_VERSION = 1
+CHUNK_BYTES = 1 << 16   # bytes of whole lines a reader decodes at once
+WRITE_ROWS = 512        # windows save_packed encodes at once
 _NO_IDS, _NO_FLAGS = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
 
 
@@ -157,16 +163,49 @@ def _parse_record(line: str, size: int, where: str) -> TokenSequence:
     return TokenSequence(ids=arr, word_starts=np.frombuffer(flags, dtype=bool).copy())
 
 
+def _decoded_lines(raws: Iterable[bytes], first: int,
+                   path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each raw line, numbered from `first`; ParseError
+    naming `path` and the line at the first line that is not UTF-8."""
+    for lineno, raw in enumerate(raws, start=first):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{os.fspath(path)} line {lineno}: invalid UTF-8 "
+                             f"({exc.reason})") from None
+
+
 def text_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """(line number, text) for each line of a UTF-8 file; ParseError naming
     the file and line at the first line that is not UTF-8."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield lineno, raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{os.fspath(path)} line {lineno}: invalid UTF-8 "
-                                 f"({exc.reason})") from None
+        yield from _decoded_lines(fh, 1, path)
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of `fh` in blocks of about CHUNK_BYTES that end in a newline,
+    but the last block may not."""
+    pending: list[bytes] = []
+    while piece := fh.read(CHUNK_BYTES):
+        cut = piece.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, piece[:cut]])
+            pending = []
+        pending.append(piece[cut:])
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _blocks(fh: BinaryIO, lineno: int, literals: tuple[bytes, bytes], size: int,
+            length: int | None = None) -> Iterator[tuple[int, bytes, tuple | None]]:
+    """(number of its first line, block, jsonl.decode_records of the block or
+    None) for each block of `fh`; `lineno` is the number of the next line."""
+    for block in _line_blocks(fh):
+        # the last line of the file may lack its newline
+        decoded = jsonl.decode_records(block if block.endswith(b"\n") else block + b"\n",
+                                       literals, size, length)
+        yield lineno, block, decoded
+        lineno += block.count(b"\n") if decoded is None else len(decoded[2])
 
 
 def _check_starts_word(doc: TokenSequence, where: str) -> TokenSequence:
@@ -219,6 +258,23 @@ def _load_binary(fh: BinaryIO, vocab: Vocab | int) -> list[TokenSequence]:
     return docs
 
 
+def _read_documents(fh: BinaryIO, path: str | os.PathLike, size: int) -> list[TokenSequence]:
+    """The documents of a JSONL file: each block of canonical lines in one
+    bulk pass, and any other block line by line."""
+    docs: list[TokenSequence] = []
+    for lineno, block, decoded in _blocks(fh, 1, jsonl.BOOL_FLAGS, size):
+        if decoded is not None:
+            ids, word_starts, lengths = decoded
+            ends = np.cumsum(lengths)
+            if word_starts[ends - lengths].all():   # every document starts a word
+                bounds = ends.tolist()
+                docs += (TokenSequence(ids[a:b], word_starts[a:b])
+                         for a, b in zip([0] + bounds, bounds))
+                continue
+        docs += _load_jsonl(_decoded_lines(io.BytesIO(block), lineno, path), size)
+    return docs
+
+
 def load_tokens(source: str | os.PathLike | Iterable[str],
                 vocab: Vocab | int) -> list[TokenSequence]:
     """Load a corpus from a path, or from an iterable of JSONL lines.
@@ -229,10 +285,11 @@ def load_tokens(source: str | os.PathLike | Iterable[str],
     if not isinstance(source, (str, os.PathLike)):
         return _load_jsonl(enumerate(source, start=1), vocab)
     with open(source, "rb") as fh:
-        if fh.read(4) == BINARY_MAGIC:
-            fh.seek(0)
+        magic = fh.read(4)
+        fh.seek(0)
+        if magic == BINARY_MAGIC:
             return _load_binary(fh, vocab)
-    return _load_jsonl(text_lines(source), vocab)
+        return _read_documents(fh, source, _vocab_size(vocab))
 
 
 def serialize_tokens(docs: Iterable[TokenSequence], path: str | os.PathLike) -> None:
@@ -288,54 +345,66 @@ def epoch_stream(ds: PackedDataset, seed: int,
 
 
 def save_packed(ds: PackedDataset, path: str | os.PathLike, header: dict | None = None) -> None:
-    """Write a packed dataset as JSONL with a provenance header line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a packed dataset as JSONL with a provenance header line, then
+    one line per window, WRITE_ROWS windows at a time."""
+    with open(path, "wb") as fh:
         meta = {
             "_config": header or {},
             "seq_len": ds.seq_len,
             "vocab": {"size": ds.vocab.size, "mask_id": ds.vocab.mask_id,
                       "pad_id": ds.vocab.pad_id, "sep_id": ds.vocab.sep_id},
         }
-        fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        for ids, word_starts in zip(ds.ids, ds.word_starts):   # a row at a time
-            rec = {"ids": ids.tolist(), "word_starts": word_starts.astype(int).tolist()}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        fh.write(json.dumps(meta, separators=(",", ":")).encode() + b"\n")
+        for i in range(0, len(ds), WRITE_ROWS):
+            fh.write(jsonl.window_lines(ds.ids[i:i + WRITE_ROWS],
+                                        ds.word_starts[i:i + WRITE_ROWS]))
 
 
 def load_packed(path: str | os.PathLike) -> PackedDataset:
     """Read a packed dataset written by save_packed.
 
     The windows are parsed into matrices allocated once, with a row for each
-    line of the file; rows of the header and of blank lines go unused.
+    line of the file; rows of the header and of blank lines go unused. Each
+    block of canonical lines is decoded in one bulk pass, and any other
+    block line by line.
     """
-    lines = text_lines(path)
-    try:
-        meta = json.loads(next(lines, (1, ""))[1])
-        seq_len, fields = meta["seq_len"], meta["vocab"]
-        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-        if type(seq_len) is not int or type(fields) is not dict \
-                or not set(map(type, fields.values())) <= {int}:
-            raise TypeError("seq_len and vocab values must be integers")
-        vocab = Vocab(**fields)
-    except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
-        raise ParseError(f"packed dataset: bad header ({exc})") from exc
-    if seq_len < 2:
-        raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
     with open(path, "rb") as fh:
-        rows = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        try:
+            _, header = next(_decoded_lines([fh.readline()], 1, path))
+            meta = json.loads(header)
+            seq_len, fields = meta["seq_len"], meta["vocab"]
+            # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+            if type(seq_len) is not int or type(fields) is not dict \
+                    or not set(map(type, fields.values())) <= {int}:
+                raise TypeError("seq_len and vocab values must be integers")
+            vocab = Vocab(**fields)
+        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+            raise ParseError(f"packed dataset: bad header ({exc})") from exc
+        if seq_len < 2:
+            raise ParseError(f"packed dataset: seq_len must be >= 2, got {seq_len}")
+        body = fh.tell()
+        rows = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
         # a window's line holds more than 4 bytes per position, so a header's
         # seq_len cannot make the matrices outgrow the file
         rows = min(rows, fh.tell() // (4 * seq_len))
-    ids = np.empty((rows, seq_len), dtype=np.int64)
-    word_starts = np.empty((rows, seq_len), dtype=bool)
-    n = 0
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        where = f"packed dataset line {lineno}"
-        win = _parse_record(line, vocab.size, where)
-        if len(win) != seq_len:
-            raise ParseError(f"{where}: window is not length {seq_len}")
-        ids[n], word_starts[n] = win.ids, win.word_starts
-        n += 1
+        fh.seek(body)
+        ids = np.empty((rows, seq_len), dtype=np.int64)
+        word_starts = np.empty((rows, seq_len), dtype=bool)
+        n = 0
+        for first, block, decoded in _blocks(fh, 2, jsonl.INT_FLAGS, vocab.size, seq_len):
+            if decoded is not None:
+                count = len(decoded[2])
+                ids[n:n + count] = decoded[0].reshape(count, seq_len)
+                word_starts[n:n + count] = decoded[1].reshape(count, seq_len)
+                n += count
+                continue
+            for lineno, line in _decoded_lines(io.BytesIO(block), first, path):
+                if not line.strip():
+                    continue
+                where = f"packed dataset line {lineno}"
+                win = _parse_record(line, vocab.size, where)
+                if len(win) != seq_len:
+                    raise ParseError(f"{where}: window is not length {seq_len}")
+                ids[n], word_starts[n] = win.ids, win.word_starts
+                n += 1
     return PackedDataset(ids=ids[:n], word_starts=word_starts[:n], vocab=vocab)

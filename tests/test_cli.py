@@ -456,6 +456,24 @@ class TestScoring:
                   "--scorer", extern_script(tmp_path, response), "--mask-rate", "0.15"])
         assert_one_line_error(capsys, rc, "external scorer")
 
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back
+    NON_FINITE = {"nan": "float('nan')", "inf": "float('inf')", "-inf": "-float('inf')",
+                  "int-beyond-float": "10 ** 400"}
+
+    @pytest.mark.parametrize("logp", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_ppl_extern_non_finite_logp(self, tmp_path, packed_path, capsys, logp):
+        scorer = extern_script(tmp_path, f"{{'qid': req['qid'], 'logp': [{logp}] * n}}")
+        rc = run(["ppl", "--input", str(packed_path), "--mask-rate", "0.15", "--scorer", scorer])
+        assert_one_line_error(capsys, rc, "external scorer sent a 'logp' entry that is not finite")
+
+    @pytest.mark.parametrize("logp", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_pll_extern_non_finite_logp(self, tmp_path, capsys, logp):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n")
+        scorer = extern_script(tmp_path, f"{{'qid': req['qid'], 'logp': [{logp}] * n}}")
+        rc = run(["pll", "--pairs", str(pairs), "--scorer", scorer] + VOCAB_FLAGS)
+        assert_one_line_error(capsys, rc, "external scorer sent a 'logp' entry that is not finite")
+
     def test_pll_accuracy(self, tmp_path, packed_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 6]}) + "\n")
