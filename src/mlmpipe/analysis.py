@@ -12,15 +12,14 @@ import shlex
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from statistics import pstdev
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import MaskingConfig, MaskPlan, generate_blocks
+from .masking import BLOCK_EXAMPLES, MaskingConfig, MaskPlan, generate_blocks
 from .pmi import PmiVocabulary
 
 Query = tuple[int, int]  # (position, original id)
@@ -195,18 +194,37 @@ class SpanLengthHistogram:
     mean_length: float
 
 
-def _vocab_occurrences(window, pmi_vocab: PmiVocabulary) -> list[tuple[int, int]]:
-    """All (start, length) occurrences of vocabulary n-grams in a window.
+def _vocab_occurrences(ids: np.ndarray, pmi_vocab: PmiVocabulary) -> np.ndarray:
+    """All (row, start, length) occurrences of vocabulary n-grams in a
+    (rows x L) block of windows, as an (occurrences x 3) array.
 
     Overlapping occurrences all count, and matches may cross sep/pad.
     """
-    ids = window.ids.tolist()
-    candidates = pmi_vocab.candidates(ids)
-    occ: list[tuple[int, int]] = []
-    for start in compress(range(len(candidates)), candidates):
-        matched = list(pmi_vocab.match_lengths(ids, start, len(ids), candidates[start]))
-        occ.extend((start, n) for n in reversed(matched))
-    return occ
+    return pmi_vocab.occurrences(ids)
+
+
+def _window_blocks(plans: Iterable[MaskPlan]) -> Iterator[list[MaskPlan]]:
+    """Consecutive plans, about BLOCK_EXAMPLES at a time; a block ends only
+    where the source sequence changes, so adjacent duplicates stay together."""
+    block: list[MaskPlan] = []
+    for plan in plans:
+        if len(block) >= BLOCK_EXAMPLES and plan.source_sequence != block[-1].source_sequence:
+            yield block
+            block = []
+        block.append(plan)
+    if block:
+        yield block
+
+
+def _corrupted_rows(corrupted: list[np.ndarray], width: int) -> np.ndarray:
+    """A (plans x width) 0/1 matrix of the plans' corrupted positions."""
+    counts = np.fromiter(map(len, corrupted), dtype=np.int64, count=len(corrupted))
+    positions = np.concatenate(corrupted)
+    if positions.size and not 0 <= positions.min() <= positions.max() < width:
+        raise IntegrityError(f"plan position outside window of length {width}")
+    rows = np.zeros((len(corrupted), width), dtype=np.int8)
+    rows[np.repeat(np.arange(len(corrupted)), counts), positions] = 1
+    return rows
 
 
 def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
@@ -216,37 +234,61 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
 
     Every occurrence (including overlapping ones) is counted once per
     plan; duplicated sequences therefore contribute once per duplicate.
+    Plans are read in window-aligned blocks, and each run of plans of one
+    window looks its window up once. An occurrence (start, n) is fully
+    corrupted when the prefix sums ``cs`` of the plan's corrupted row give
+    ``cs[start + n] - cs[start] == n``.
     """
-    # only the current window's occurrences are kept: a window's
-    # duplicates are adjacent in the plan stream
-    occ_source, occ = None, []
-    by_length: dict[int, LengthCoverage] = {}
-    for plan in plans:
-        if not 0 <= plan.source_sequence < len(ds):
+    L = ds.seq_len
+    occurring = np.zeros(L + 1, dtype=np.int64)   # by n-gram length
+    covered = np.zeros(L + 1, dtype=np.int64)
+    for block in _window_blocks(plans):
+        source = np.array([p.source_sequence for p in block], dtype=np.int64)
+        outside = (source < 0) | (source >= len(ds))
+        if outside.any():
             raise IntegrityError(
-                f"plan references sequence {plan.source_sequence} but dataset "
+                f"plan references sequence {source[outside.argmax()]} but dataset "
                 f"has {len(ds)} windows")
-        if plan.source_sequence != occ_source:
-            occ_source = plan.source_sequence
-            occ = _vocab_occurrences(ds[occ_source], pmi_vocab)
-        corrupted = set(plan.corrupted_positions.tolist())
-        for start, n in occ:
-            cell = by_length.setdefault(n, LengthCoverage(0, 0))
-            cell.occurrence_count += 1
-            if corrupted.issuperset(range(start, start + n)):
-                cell.fully_masked_count += 1
+        # run r holds the consecutive plans of one window
+        first = np.append(True, source[1:] != source[:-1])
+        run = np.cumsum(first) - 1
+        occ = _vocab_occurrences(ds.ids[source[first]], pmi_vocab)
+        cs = np.zeros((len(block), L + 1), dtype=np.int64)
+        np.cumsum(_corrupted_rows([p.corrupted_positions for p in block], L),
+                  axis=1, out=cs[:, 1:])
+        # pair each plan with every occurrence of its window; occurrences
+        # are sorted by run, and run r's start at first_occ[r]
+        per_run = np.bincount(occ[:, 0], minlength=run[-1] + 1)
+        first_occ = np.cumsum(per_run) - per_run
+        take = per_run[run]
+        plan = np.repeat(np.arange(len(block)), take)
+        at = np.arange(len(plan)) + np.repeat(first_occ[run] - (np.cumsum(take) - take), take)
+        start, n = occ[at, 1], occ[at, 2]
+        full = cs[plan, start + n] - cs[plan, start] == n
+        occurring += np.bincount(n, minlength=L + 1)
+        covered += np.bincount(n[full], minlength=L + 1)
+    lengths = np.flatnonzero(occurring)
+    by_length = {n: LengthCoverage(c, o) for n, c, o in zip(
+        lengths.tolist(), covered[lengths].tolist(), occurring[lengths].tolist())}
     return CoverageReport(by_length=by_length, masking_rate=masking_rate,
                           strategy=strategy)
 
 
 def span_histogram(plans: Iterable[MaskPlan]) -> SpanLengthHistogram:
-    """Tally contiguous runs of corrupted positions by length."""
+    """Tally contiguous runs of corrupted positions by length.
+
+    Plans are read in blocks. In a block's corrupted rows, each ending in
+    an uncorrupted column, ``np.diff`` is +1 where a run starts and -1 just
+    past its end.
+    """
     counts: Counter = Counter()
-    for plan in plans:
-        positions = plan.corrupted_positions
-        if len(positions):
-            breaks = np.flatnonzero(np.diff(positions) != 1) + 1
-            counts.update(np.diff(breaks, prepend=0, append=len(positions)).tolist())
+    for block in _window_blocks(plans):
+        corrupted = [p.corrupted_positions for p in block]
+        width = 2 + max(int(c.max(initial=-1)) for c in corrupted)
+        edges = np.diff(_corrupted_rows(corrupted, width), axis=1, prepend=0)
+        tally = np.bincount(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
+        lengths = np.flatnonzero(tally)
+        counts.update(dict(zip(lengths.tolist(), tally[lengths].tolist())))
     total = sum(counts.values())
     mean = (sum(length * c for length, c in counts.items()) / total) if total else 0.0
     return SpanLengthHistogram(counts=counts, mean_length=mean)

@@ -388,8 +388,11 @@ def load_packed(path: str | os.PathLike) -> PackedDataset:
         # seq_len cannot make the matrices outgrow the file
         rows = min(rows, fh.tell() // (4 * seq_len))
         fh.seek(body)
-        ids = np.empty((rows, seq_len), dtype=np.int64)
-        word_starts = np.empty((rows, seq_len), dtype=bool)
+        try:
+            ids = np.empty((rows, seq_len), dtype=np.int64)
+            word_starts = np.empty((rows, seq_len), dtype=bool)
+        except ValueError:   # numpy refuses the dimension even with no rows
+            raise ParseError(f"packed dataset: seq_len {seq_len} is too large") from None
         n = 0
         for first, block, decoded in _blocks(fh, 2, jsonl.INT_FLAGS, vocab.size, seq_len):
             if decoded is not None:

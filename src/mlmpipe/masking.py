@@ -19,11 +19,13 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab, epoch_stream
 from .errors import ConfigError, DataError, InfeasibleError, IntegrityError
-from .pmi import PmiVocabulary, segment_units
+from .pmi import PmiVocabulary, segment_block, segment_units
 
 _EPS = 1e-9
 
 STRATEGIES = ("uniform", "whole_word", "span", "pmi")
+# strategies that mask whole units; each is also its segmentation mode
+UNIT_STRATEGIES = ("whole_word", "pmi")
 
 # plans materialized together by generate_blocks; bounds the arrays of a
 # block, so memory does not grow with the corpus
@@ -191,11 +193,15 @@ def sample_uniform(allowed: np.ndarray, budget: int, rng: np.random.Generator) -
 
 def _composition(total: int, parts: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random composition of `total` into `parts` parts >= 1."""
-    if parts == 1:
-        return np.array([total], dtype=np.int64)
-    cuts = np.sort(rng.choice(total - 1, size=parts - 1, replace=False)) + 1
-    bounds = np.concatenate([[0], cuts, [total]])
-    return np.diff(bounds)
+    sizes = np.empty(parts, dtype=np.int64)
+    sizes[-1] = total
+    if parts > 1:
+        # the sorted cut points, then each part as the difference of its bounds
+        cuts = rng.choice(total - 1, size=parts - 1, replace=False)
+        cuts.sort()
+        sizes[:-1] = cuts + 1
+        sizes[1:] -= sizes[:-1]
+    return sizes
 
 
 def sample_span(allowed: np.ndarray, budget: int, mean_span: float,
@@ -225,15 +231,9 @@ def sample_span(allowed: np.ndarray, budget: int, mean_span: float,
         gaps = _composition(remainder + 2, 2, rng)
         gaps[0] -= 1
         gaps[-1] -= 1
-    picked = np.empty(budget, dtype=np.int64)
-    idx = int(gaps[0])
-    out = 0
-    for i, length in enumerate(lengths):
-        length = int(length)
-        picked[out:out + length] = allowed[idx:idx + length]
-        out += length
-        idx += length + int(gaps[i + 1])
-    return picked
+    # span i starts after the gaps before it and the spans before it, so
+    # the k-th pick is allowed[k + the gaps before its span]
+    return allowed[np.repeat(np.cumsum(gaps[:-1]), lengths) + np.arange(budget)]
 
 
 def sample_units(units: list[tuple[int, int]], allowed: np.ndarray, budget: int,
@@ -271,15 +271,20 @@ Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 
 def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
-                 pmi_vocab: PmiVocabulary | None = None) -> Sampler:
-    """Bind a strategy to a window, returning f(allowed, budget, rng)."""
+                 pmi_vocab: PmiVocabulary | None = None,
+                 units: list[tuple[int, int]] | None = None) -> Sampler:
+    """Bind a strategy to a window, returning f(allowed, budget, rng).
+
+    Unit strategies take the window's ``segment_units`` result as ``units``,
+    or segment the window themselves.
+    """
     if config.strategy == "uniform":
         return sample_uniform
     if config.strategy == "span":
         return lambda allowed, budget, rng: sample_span(
             allowed, budget, config.mean_span, rng)
-    mode = "whole_word" if config.strategy == "whole_word" else "pmi"
-    units = segment_units(window, vocab, mode, pmi_vocab)
+    if units is None:
+        units = segment_units(window, vocab, config.strategy, pmi_vocab)
     return lambda allowed, budget, rng: sample_units(units, allowed, budget, rng)
 
 
@@ -488,9 +493,11 @@ def materialize(window: TokenSequence, plan: MaskPlan, vocab: Vocab) -> MaskedEx
 
 def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
                 rng: np.random.Generator, pmi_vocab: PmiVocabulary | None = None,
-                source_sequence: int = 0) -> list[MaskPlan]:
-    """All plans for one window: strategy sampling, decoupling, policy."""
-    sampler = make_sampler(window, vocab, config, pmi_vocab)
+                source_sequence: int = 0,
+                units: list[tuple[int, int]] | None = None) -> list[MaskPlan]:
+    """All plans for one window: strategy sampling, decoupling, policy.
+    ``units`` is as for ``make_sampler``."""
+    sampler = make_sampler(window, vocab, config, pmi_vocab, units)
     plans = plan_decoupled(window, vocab, sampler, config.corruption_rate,
                            config.prediction_rate, rng, source_sequence)
     if config.policy != (1.0, 0.0, 0.0) or config.extra_same > 0.0 \
@@ -504,10 +511,22 @@ def generate_plans(ds: PackedDataset, config: MaskingConfig,
                    pmi_vocab: PmiVocabulary | None = None,
                    epoch: int = 0) -> Iterator[MaskPlan]:
     """MaskPlans for one epoch in seeded stream order; a window's
-    duplicates are adjacent."""
-    for idx, rng in epoch_stream(ds, config.seed, epoch):
-        yield from plan_window(ds[idx], ds.vocab, config, rng,
-                               pmi_vocab, source_sequence=idx)
+    duplicates are adjacent.
+
+    Windows are taken from the stream BLOCK_EXAMPLES at a time, and unit
+    strategies segment each block's windows in one ``segment_block`` call.
+    """
+    stream = epoch_stream(ds, config.seed, epoch)
+    while block := list(itertools.islice(stream, BLOCK_EXAMPLES)):
+        if config.strategy in UNIT_STRATEGIES:
+            rows = [idx for idx, _ in block]
+            units = segment_block(ds.ids[rows], ds.word_starts[rows], ds.vocab,
+                                  config.strategy, pmi_vocab)
+        else:
+            units = [None] * len(block)
+        for (idx, rng), window_units in zip(block, units):
+            yield from plan_window(ds[idx], ds.vocab, config, rng, pmi_vocab,
+                                   source_sequence=idx, units=window_units)
 
 
 def generate_blocks(ds: PackedDataset, config: MaskingConfig,

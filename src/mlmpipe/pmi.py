@@ -9,11 +9,12 @@ independent halves.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -58,42 +59,90 @@ class PmiVocabulary:
     entries: dict[Gram, float]
     n_max: int
     size_cap: int
-    _bigram_index: dict[tuple[int, int], tuple[int, ...]] | None = field(
+    _index: tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None = field(
         default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
-    def bigram_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Leading bigram -> lengths of the entries starting with it, longest first."""
-        if self._bigram_index is None:
-            lengths: dict[tuple[int, int], set[int]] = {}
-            for gram in self.entries:
-                if len(gram) >= 2:
-                    lengths.setdefault(gram[:2], set()).add(len(gram))
-            self._bigram_index = {key: tuple(sorted(ns, reverse=True))
-                                  for key, ns in lengths.items()}
-        return self._bigram_index
+    def index(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The matcher's array index, built on first use: the sorted distinct
+        token ids of the entries of length >= 2, and for each length n >= 2
+        the sorted keys of every entry prefix of length n with a flag saying
+        whether that prefix is itself an entry.
 
-    def candidates(self, ids: list[int]) -> list[tuple[int, ...] | None]:
-        """For each start in ``ids`` but the last, the lengths of the entries
-        that share the leading bigram there (longest first), or None."""
-        return list(map(self.bigram_index.get, zip(ids, ids[1:])))
-
-    def match_lengths(self, ids: list[int], pos: int, end: int,
-                      lengths: tuple[int, ...]) -> Iterator[int]:
-        """Yield each candidate length n, longest first, such that pos + n <= end
-        and ids[pos:pos+n] is an entry.
-
-        ``lengths`` is ``candidates(ids)[pos]``. Longer candidates are confirmed
-        by exact membership in ``entries``; a length-2 candidate needs no check,
-        as its index key is the entry itself.
+        A prefix's key is ``rank * width + code``: the dense rank of its
+        (n-1)-prefix among the keys of level n-1 (for n = 2, the code of its
+        first token), times the number of distinct tokens, plus the code (the
+        position in the token array) of its last token. Entries holding an id
+        beyond int64 are left out, as no window holds such an id.
         """
-        entries = self.entries
-        for n in lengths:
-            if n <= end - pos and (n == 2 or tuple(ids[pos:pos + n]) in entries):
-                yield n
+        if self._index is None:
+            grams = [g for g in self.entries if len(g) >= 2]
+            try:
+                flat = np.fromiter(itertools.chain.from_iterable(grams), dtype=np.int64)
+            except OverflowError:
+                grams = [g for g in grams if all(t in _INT64 for t in g)]
+                flat = np.fromiter(itertools.chain.from_iterable(grams), dtype=np.int64)
+            lengths = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+            starts = np.cumsum(lengths) - lengths
+            code, _, members = _group(flat)
+            tokens, width = flat[members], len(members)
+            # rank of each live entry's prefix at the current level
+            live, rank, groups = np.arange(len(grams)), code[starts], width
+            levels = []
+            for n in range(2, int(lengths.max(initial=1)) + 1):
+                if groups * width >= _KEY_LIMIT:
+                    raise DataError(f"{groups} distinct {n - 1}-token PMI prefixes over "
+                                    f"{width} tokens overflow the int64 n-gram keys")
+                longer = lengths[live] >= n
+                live, rank = live[longer], rank[longer]
+                keys = rank * width + code[starts[live] + n - 1]
+                rank, _, members = _group(keys)
+                is_entry = np.zeros(len(members), dtype=bool)
+                is_entry[rank[lengths[live] == n]] = True
+                levels.append((keys[members], is_entry))
+                groups = len(members)
+            self._index = (tokens, levels)
+        return self._index
+
+    def occurrences(self, ids: np.ndarray, room: np.ndarray | None = None) -> np.ndarray:
+        """Every occurrence of an entry of length >= 2 in a (rows x L) id
+        matrix, as an int64 (occurrences x 3) array of (row, start, length)
+        sorted by row, start and length.
+
+        ``room`` (rows x L) caps the length of a match at each position; it
+        must not exceed the room to the row's end, which is the default.
+        Level n keeps the positions whose (n-1)-token prefix is indexed and
+        looks up their n-token prefixes with one ``searchsorted``.
+        """
+        tokens, levels = self.index
+        L = ids.shape[1]
+        flat = ids.ravel()
+        room = (np.broadcast_to(np.arange(L, 0, -1), ids.shape) if room is None
+                else room).ravel()
+        code, known = _lookup(tokens, flat)
+        pos = np.flatnonzero(known & (room >= 2))
+        rank = code[pos]
+        found_pos, found_len = [_NO_POS], [_NO_POS]
+        for n, (keys, is_entry) in enumerate(levels, start=2):
+            fits = room[pos] >= n
+            pos, rank = pos[fits], rank[fits]
+            last = pos + n - 1
+            fits = known[last]
+            pos, rank, last = pos[fits], rank[fits], last[fits]
+            at, hit = _lookup(keys, rank * len(tokens) + code[last])
+            pos, rank = pos[hit], at[hit]
+            entry = is_entry[rank]
+            found_pos.append(pos[entry])
+            found_len.append(np.full(np.count_nonzero(entry), n, dtype=np.int64))
+            if not len(pos):
+                break
+        pos, length = np.concatenate(found_pos), np.concatenate(found_len)
+        order = np.lexsort((length, pos))
+        row, start = divmod(pos[order], L)
+        return np.stack([row, start, length[order]], axis=1)
 
     def save_tsv(self, path: str | os.PathLike, header: str | None = None) -> None:
         """Write rank-ordered TSV: ``id1 id2 ... idN<TAB>score``."""
@@ -127,6 +176,8 @@ class PmiVocabulary:
 
 # n-gram keys are rank_{n-1} * width + token rank, held in int64
 _KEY_LIMIT = 2 ** 63
+_INT64 = range(-2 ** 63, 2 ** 63)
+_NO_POS = np.empty(0, dtype=np.int64)
 # n-grams turned into tuples at a time by count_ngrams
 _CHUNK = 1 << 14
 
@@ -166,6 +217,18 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ranks[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     return ranks, np.diff(starts, append=len(keys)), order[starts]
+
+
+def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each needle's index in the sorted array ``keys`` (clipped to its last
+    element) and whether the needle is there. The needles are searched in
+    sorted order, for which ``searchsorted`` runs several times faster."""
+    at = np.zeros(len(needles), dtype=np.int64)
+    if len(keys):
+        order = np.argsort(needles)
+        at[order] = np.searchsorted(keys, needles[order])
+        np.minimum(at, len(keys) - 1, out=at)
+    return at, (keys[at] == needles) if len(keys) else np.zeros(len(needles), dtype=bool)
 
 
 def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
@@ -289,53 +352,68 @@ def segment_units(window: TokenSequence, vocab: Vocab, mode: str,
     greedy leftmost-longest match against the PMI vocabulary, falling back
     to whole-word units. Pad/sep positions never appear in a unit.
     """
+    return segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
+                         vocab, mode, pmi_vocab)[0]
+
+
+def _next_at_or_after(stop: np.ndarray) -> np.ndarray:
+    """For each index, the smallest index at or after it where ``stop`` holds;
+    ``stop[-1]`` must hold."""
+    idx = np.arange(len(stop))
+    return np.minimum.accumulate(np.where(stop, idx, len(stop) - 1)[::-1])[::-1]
+
+
+def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: str,
+                  pmi_vocab: PmiVocabulary | None = None) -> list[list[tuple[int, int]]]:
+    """``segment_units`` for each row of (rows x L) id and word-start
+    matrices: one list of units per row.
+
+    Each maskable position p gets the end of the unit that would start at
+    it: p plus the longest entry that fits in p's run (pmi), or else the
+    next word start or run end. The unit starts are the positions reached
+    from the run starts by following those ends; they are marked in
+    ceil(log2 L) rounds of pointer doubling.
+    """
     if mode not in ("single_token", "whole_word", "pmi"):
         raise ConfigError(f"unknown segmentation mode {mode!r}")
     if mode == "pmi" and pmi_vocab is None:
         raise ConfigError("pmi segmentation requires a PMI vocabulary")
-    ids = window.ids.tolist()
-    word_starts = window.word_starts.tolist()
-    # one slot per position (the last never starts a bigram); all None
-    # outside pmi mode
-    if mode == "pmi":
-        candidates = pmi_vocab.candidates(ids) + [None]
-    else:
-        candidates = [None] * len(ids)
-    special = ((window.ids == vocab.pad_id) | (window.ids == vocab.sep_id)).tolist()
-    units: list[tuple[int, int]] = []
-    L = len(ids)
-    seg_start = None
-    for i in range(L + 1):
-        if i < L and not special[i]:
-            if seg_start is None:
-                seg_start = i
-            continue
-        if seg_start is None:
-            continue
-        units.extend(_segment_run(ids, word_starts, seg_start, i, mode,
-                                  pmi_vocab, candidates))
-        seg_start = None
-    return units
-
-
-def _segment_run(ids: list[int], word_starts: list[bool], start: int, end: int,
-                 mode: str, pmi_vocab: PmiVocabulary | None,
-                 candidates: list[tuple[int, ...] | None]) -> list[tuple[int, int]]:
+    rows, L = ids.shape
+    size = rows * L
+    if size == 0:
+        return [[] for _ in range(rows)]
+    idx = np.arange(size + 1)
+    # one sentinel position past the end, which is special and starts a row
+    special = np.ones(size + 1, dtype=bool)
+    special[:size] = (ids == vocab.pad_id).ravel() | (ids == vocab.sep_id).ravel()
+    run_stop = special | (idx % L == 0)
+    run_start = ~special & (run_stop | np.append(True, special[:-1]))
     if mode == "single_token":
-        return [(i, i + 1) for i in range(start, end)]
-    units: list[tuple[int, int]] = []
-    pos = start
-    while pos < end:
-        if candidates[pos] is not None:
-            n = next(pmi_vocab.match_lengths(ids, pos, end, candidates[pos]), 0)
-            if n:
-                units.append((pos, pos + n))
-                pos += n
-                continue
-        # whole-word unit: run until the next word start (or run end)
-        nxt = pos + 1
-        while nxt < end and not word_starts[nxt]:
-            nxt += 1
-        units.append((pos, nxt))
-        pos = nxt
-    return units
+        starts = np.flatnonzero(~special[:size])
+        ends = starts + 1
+    else:
+        # a unit runs to the next word start or run end strictly after it
+        ends = np.ones(size + 1, dtype=bool)
+        ends[:size] = word_starts.ravel()
+        ends = _next_at_or_after(ends | run_stop)[1:]
+        if mode == "pmi":
+            room = _next_at_or_after(run_stop)[1:] - idx[:size]
+            room[special[:size]] = 0
+            occ = pmi_vocab.occurrences(ids, room.reshape(rows, L))
+            pos = occ[:, 0] * L + occ[:, 1]
+            # occurrences are sorted by position and length: the last is the longest
+            longest = np.ones(len(pos), dtype=bool)
+            longest[:-1] = pos[1:] != pos[:-1]
+            ends[pos[longest]] = pos[longest] + occ[longest, 2]
+        step = np.append(ends, size)
+        step[special] = size
+        reached = run_start
+        for _ in range((L - 1).bit_length()):
+            reached[step[reached]] = True
+            step = step[step]
+        starts = np.flatnonzero(reached[:size] & ~special[:size])
+        ends = ends[starts]
+    row = starts // L
+    units = list(zip((starts - row * L).tolist(), (ends - row * L).tolist()))
+    bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
+    return [units[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -246,34 +246,37 @@ class TestCoverage:
         expected = 51 * 50 / (128 * 127)
         assert report.by_length[2].probability == pytest.approx(expected, rel=0.05)
 
-    def test_keeps_one_window_of_occurrences(self, monkeypatch):
-        # a window's occurrences are dropped once the stream moves past it
-        class Occurrences(list):
-            pass
-
-        alive = []
+    def test_keeps_one_block_of_occurrences(self, monkeypatch):
+        # a block's occurrences are dropped once the stream moves past it,
+        # and every window is looked up once, in stream order
+        alive, looked_up = [], []
         real = analysis._vocab_occurrences
 
-        def tracked(window, pmi_vocab):
-            occ = Occurrences(real(window, pmi_vocab))
+        def tracked(ids, pmi_vocab):
+            looked_up.append(ids.copy())
+            occ = real(ids, pmi_vocab)
             alive.append(weakref.ref(occ))
             return occ
 
         monkeypatch.setattr(analysis, "_vocab_occurrences", tracked)
+        monkeypatch.setattr(analysis, "BLOCK_EXAMPLES", 5)
         ds = packed_dataset(n_docs=20)
         pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds},
                            n_max=2, size_cap=100)
-        held = []
+        held, order = [], []
 
         def plans():
             for plan in generate_plans(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
                 held.append(sum(ref() is not None for ref in alive))
+                if plan.duplicate_index == 0:
+                    order.append(plan.source_sequence)
                 yield plan
 
         report = pmi_coverage(plans(), pv, ds)
-        # one lookup per window: its two duplicates are adjacent
-        assert len(alive) == len(ds) and len(held) == 2 * len(ds)
+        # blocks of 5 plans hold 3 windows: their two duplicates are adjacent
+        assert len(held) == 2 * len(ds) and len(alive) == math.ceil(len(ds) / 3) > 1
         assert max(held) == 1
+        assert np.array_equal(np.concatenate(looked_up), ds.ids[order])
         assert report.by_length[2].occurrence_count >= 2 * len(ds)
 
     def test_misaligned_stream(self):
@@ -403,9 +406,10 @@ class TestExternScorer:
             make_scorer("nope")
 
 
-@given(st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=30), max_size=6))
+@given(st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=30), max_size=6),
+       st.sampled_from([1, 7, 64]))
 @settings(max_examples=100, deadline=None)
-def test_span_histogram_counts_runs(position_sets):
+def test_span_histogram_counts_runs(position_sets, block):
     expected = Counter()
     for positions in position_sets:
         run = 0
@@ -415,5 +419,8 @@ def test_span_histogram_counts_runs(position_sets):
             elif run:
                 expected[run] += 1
                 run = 0
-    hist = span_histogram([plan_from_positions(s) for s in position_sets])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "BLOCK_EXAMPLES", block)
+        hist = span_histogram([plan_from_positions(s) for s in position_sets])
     assert hist.counts == expected
+    assert all(type(n) is int and type(c) is int for n, c in hist.counts.items())

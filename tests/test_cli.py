@@ -3,12 +3,14 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from mlmpipe import masking
 from mlmpipe.cli import run
-from mlmpipe.corpus import load_packed, serialize_tokens
+from mlmpipe.corpus import PackedDataset, Vocab, load_packed, save_packed, serialize_tokens
 from mlmpipe.masking import MaskingConfig, generate_examples
+from mlmpipe.pmi import PmiVocabulary
 
 from conftest import VOCAB, random_docs
 
@@ -297,6 +299,56 @@ class TestPmiBuildAndStats:
         assert not out.exists()
 
 
+class TestCoverageLaw:
+    """Under uniform masking with an exact budget of c among N maskable
+    positions, an n-gram inside the maskable set is fully masked with
+    probability C(N-n, c-n) / C(N, c). PMI masking, which masks vocabulary
+    n-grams as units, must fully mask them more often at every rate."""
+
+    WINDOWS, L, SIZE = 3000, 128, 5000
+    LENGTHS = (2, 3, 4, 5)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        # no sep or pad: all N = L positions are maskable; each window holds
+        # one vocabulary n-gram of each length, at disjoint offsets
+        tmp = tmp_path_factory.mktemp("law")
+        vocab = Vocab(size=self.SIZE, mask_id=2, pad_id=0, sep_id=1)
+        rng = np.random.default_rng(29)
+        ids = rng.integers(3, self.SIZE, size=(self.WINDOWS, self.L))
+        word_starts = rng.random(ids.shape) < 0.7
+        word_starts[:, 0] = True
+        ds = PackedDataset(ids=ids, word_starts=word_starts, vocab=vocab)
+        entries = {tuple(row[10 * n:11 * n].tolist()): 1.0 for row in ids for n in self.LENGTHS}
+        packed, tsv = tmp / "packed.jsonl", tmp / "pmi.tsv"
+        save_packed(ds, packed)
+        PmiVocabulary(entries=entries, n_max=5, size_cap=len(entries)).save_tsv(tsv)
+        return packed, tsv
+
+    def coverage(self, inputs, tmp_path, strategy, m):
+        packed, tsv = inputs
+        out = tmp_path / f"{strategy}-{m}.csv"
+        assert run(["--seed", "3", "stats", "coverage", "--input", str(packed),
+                    "--output", str(out), "--strategy", strategy, "--mask-rate", str(m),
+                    "--pmi-vocab", str(tsv)]) == 0
+        return {int(r["ngram_len"]): float(r["coverage"]) for r in read_csv(out)}
+
+    @pytest.mark.parametrize("m", [0.15, 0.4, 0.8])
+    def test_uniform_coverage_is_hypergeometric(self, inputs, tmp_path, m):
+        N = self.L
+        c = masking.exact_count(m, N)
+        uniform = self.coverage(inputs, tmp_path, "uniform", m)
+        pmi = self.coverage(inputs, tmp_path, "pmi", m)
+        assert set(uniform) == set(pmi) == set(self.LENGTHS)
+        for n in self.LENGTHS:
+            p = math.comb(N - n, c - n) / math.comb(N, c)
+            # at least one occurrence per window; chance matches add a few
+            trials = self.WINDOWS
+            tolerance = 4 * math.sqrt(p * (1 - p) / trials) + 1 / trials
+            assert abs(uniform[n] - p) <= tolerance, (n, uniform[n], p)
+            assert pmi[n] > uniform[n], (n, pmi[n], uniform[n])
+
+
 MALFORMED_TSV = {"non_numeric_score": "5 6\tabc", "no_tab": "5 6 0.5",
                  "two_tabs": "5 6\t0.5\t1", "non_integer_id": "5 x\t0.5"}
 
@@ -409,6 +461,18 @@ class TestMalformedPackedWindow:
         out = tmp_path / "o"
         rc = run(["mask", "--input", str(packed), "--output", str(out)])
         assert_one_line_error(capsys, rc, "packed dataset: bad header")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", [["mask"], ["stats", "spans"]])
+    def test_seq_len_beyond_numpy_exit_2(self, tmp_path, capsys, subcommand):
+        packed = tmp_path / "packed.jsonl"
+        header = {"seq_len": 10 ** 30, "vocab": {"size": VOCAB.size, "mask_id": VOCAB.mask_id,
+                                                 "pad_id": VOCAB.pad_id, "sep_id": VOCAB.sep_id}}
+        packed.write_text(json.dumps(header) + "\n"
+                          + '{"ids":[5,6,4,3],"word_starts":[1,0,0,1]}\n')
+        out = tmp_path / "o"
+        rc = run(subcommand + ["--input", str(packed), "--output", str(out)])
+        assert_one_line_error(capsys, rc, "packed dataset: seq_len")
         assert not out.exists()
 
 

@@ -235,6 +235,16 @@ class TestPackedIO:
         with pytest.raises(ParseError, match="^packed dataset line 2: window is not length"):
             load_packed(path)
 
+    @pytest.mark.parametrize("windows", ["", '{"ids": [5, 6, 7, 8], "word_starts": [1, 1, 1, 1]}\n'],
+                             ids=["no-windows", "one-window"])
+    def test_seq_len_beyond_numpy_is_parse_error(self, tmp_path, windows):
+        # numpy refuses a (0 x 10**30) matrix, so no row count makes it fit
+        path = tmp_path / "packed.jsonl"
+        path.write_text('{"seq_len": %d, "vocab": {"size": 100, "mask_id": 2, '
+                        '"pad_id": 0, "sep_id": 1}}\n' % 10 ** 30 + windows)
+        with pytest.raises(ParseError, match=r"^packed dataset: seq_len 10{30} is too large$"):
+            load_packed(path)
+
     def test_roundtrip_blank_lines_and_zero_windows(self, tmp_path):
         ds = pack_sequences(random_docs(5, 40), 32, VOCAB)
         path = tmp_path / "packed.jsonl"

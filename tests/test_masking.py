@@ -111,6 +111,48 @@ class TestSampleSpan:
         assert len(set(picked.tolist())) == budget
 
 
+    @given(st.integers(min_value=1, max_value=200), st.floats(min_value=0.0, max_value=1.0),
+           st.sampled_from([1.0, 3.0, 8.0]), st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=150, deadline=None)
+    def test_picks_equal_loop_reference(self, n, rate, mean_span, seed):
+        # same generator calls, same picks as the span-by-span copy loop
+        allowed = np.sort(np.random.default_rng(seed).choice(3 * n, size=n, replace=False))
+        budget = int(rate * n)
+        assert np.array_equal(sample_span(allowed, budget, mean_span, rng_for(seed)),
+                              reference_sample_span(allowed, budget, mean_span, rng_for(seed)))
+
+
+def reference_composition(total, parts, rng):
+    if parts == 1:
+        return np.array([total], dtype=np.int64)
+    cuts = np.sort(rng.choice(total - 1, size=parts - 1, replace=False)) + 1
+    return np.diff(np.concatenate([[0], cuts, [total]]))
+
+
+def reference_sample_span(allowed, budget, mean_span, rng):
+    """sample_span with its compositions built by concatenate/diff and its
+    spans copied one at a time."""
+    n = len(allowed)
+    if budget == 0:
+        return np.empty(0, dtype=np.int64)
+    remainder = n - budget
+    num_spans = max(1, min(max(1, int(round(budget / mean_span))), budget, remainder - 1))
+    lengths = reference_composition(budget, num_spans, rng)
+    if remainder >= num_spans + 1:
+        gaps = reference_composition(remainder, num_spans + 1, rng)
+    else:
+        gaps = reference_composition(remainder + 2, 2, rng)
+        gaps[0] -= 1
+        gaps[-1] -= 1
+    picked = np.empty(budget, dtype=np.int64)
+    idx, out = int(gaps[0]), 0
+    for i, length in enumerate(lengths.tolist()):
+        picked[out:out + length] = allowed[idx:idx + length]
+        out += length
+        idx += length + int(gaps[i + 1])
+    return picked
+
+
 class TestSampleUnits:
     def test_unit_atomicity(self):
         units = [(2, 4), (5, 7)]
