@@ -13,13 +13,13 @@ import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from statistics import pstdev
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import BLOCK_EXAMPLES, MaskingConfig, MaskPlan, generate_blocks
+from .masking import MaskingConfig, MaskPlan, generate_blocks
 from .pmi import PmiVocabulary
 
 Query = tuple[int, int]  # (position, original id)
@@ -203,19 +203,6 @@ def _vocab_occurrences(ids: np.ndarray, pmi_vocab: PmiVocabulary) -> np.ndarray:
     return pmi_vocab.occurrences(ids)
 
 
-def _window_blocks(plans: Iterable[MaskPlan]) -> Iterator[list[MaskPlan]]:
-    """Consecutive plans, about BLOCK_EXAMPLES at a time; a block ends only
-    where the source sequence changes, so adjacent duplicates stay together."""
-    block: list[MaskPlan] = []
-    for plan in plans:
-        if len(block) >= BLOCK_EXAMPLES and plan.source_sequence != block[-1].source_sequence:
-            yield block
-            block = []
-        block.append(plan)
-    if block:
-        yield block
-
-
 def _corrupted_rows(corrupted: list[np.ndarray], width: int) -> np.ndarray:
     """A (plans x width) 0/1 matrix of the plans' corrupted positions."""
     counts = np.fromiter(map(len, corrupted), dtype=np.int64, count=len(corrupted))
@@ -227,22 +214,22 @@ def _corrupted_rows(corrupted: list[np.ndarray], width: int) -> np.ndarray:
     return rows
 
 
-def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
+def pmi_coverage(blocks: Iterable[Sequence[MaskPlan]], pmi_vocab: PmiVocabulary,
                  ds: PackedDataset, masking_rate: float = float("nan"),
                  strategy: str = "") -> CoverageReport:
     """How often vocabulary n-grams are fully corrupted, by length.
 
     Every occurrence (including overlapping ones) is counted once per
     plan; duplicated sequences therefore contribute once per duplicate.
-    Plans are read in window-aligned blocks, and each run of plans of one
-    window looks its window up once. An occurrence (start, n) is fully
-    corrupted when the prefix sums ``cs`` of the plan's corrupted row give
-    ``cs[start + n] - cs[start] == n``.
+    Plans come in non-empty blocks, such as the lists of ``generate_plans``,
+    and each run of a block's plans of one window looks its window up once.
+    An occurrence (start, n) is fully corrupted when the prefix sums ``cs``
+    of the plan's corrupted row give ``cs[start + n] - cs[start] == n``.
     """
     L = ds.seq_len
     occurring = np.zeros(L + 1, dtype=np.int64)   # by n-gram length
     covered = np.zeros(L + 1, dtype=np.int64)
-    for block in _window_blocks(plans):
+    for block in blocks:
         source = np.array([p.source_sequence for p in block], dtype=np.int64)
         outside = (source < 0) | (source >= len(ds))
         if outside.any():
@@ -274,15 +261,15 @@ def pmi_coverage(plans: Iterable[MaskPlan], pmi_vocab: PmiVocabulary,
                           strategy=strategy)
 
 
-def span_histogram(plans: Iterable[MaskPlan]) -> SpanLengthHistogram:
+def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> SpanLengthHistogram:
     """Tally contiguous runs of corrupted positions by length.
 
-    Plans are read in blocks. In a block's corrupted rows, each ending in
-    an uncorrupted column, ``np.diff`` is +1 where a run starts and -1 just
-    past its end.
+    Plans come in non-empty blocks, such as the lists of ``generate_plans``.
+    In a block's corrupted rows, each ending in an uncorrupted column,
+    ``np.diff`` is +1 where a run starts and -1 just past its end.
     """
     counts: Counter = Counter()
-    for block in _window_blocks(plans):
+    for block in blocks:
         corrupted = [p.corrupted_positions for p in block]
         width = 2 + max(int(c.max(initial=-1)) for c in corrupted)
         edges = np.diff(_corrupted_rows(corrupted, width), axis=1, prepend=0)

@@ -211,6 +211,8 @@ def _cmd_pmi_build(args) -> int:
 
 def _cmd_mask(args) -> int:
     config = _masking_config(args)
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     pmi_vocab = _load_pmi_vocab(args, config)
     ds = corpus.load_packed(args.input)
     with open(args.output, "wb") as out:
@@ -228,17 +230,17 @@ def _cmd_stats(args) -> int:
     if args.kind == "coverage" and pmi_vocab is None:
         raise ConfigError("stats coverage requires --pmi-vocab")
     ds = corpus.load_packed(args.input)
-    plans = masking.generate_plans(ds, config, pmi_vocab)
+    blocks = masking.generate_plans(ds, config, pmi_vocab)
     header = "# " + json.dumps(_resolved_config(args), separators=(",", ":"))
     with open(args.output, "w", encoding="utf-8") as out:
         out.write(header + "\n")
         if args.kind == "coverage":
-            report = analysis.pmi_coverage(plans, pmi_vocab, ds,
+            report = analysis.pmi_coverage(blocks, pmi_vocab, ds,
                                            masking_rate=config.corruption_rate,
                                            strategy=config.strategy)
             emit_coverage_csv(report, out)
         else:
-            hist = analysis.span_histogram(plans)
+            hist = analysis.span_histogram(blocks)
             emit_spans_csv(hist, config.strategy, config.corruption_rate, out)
     return 0
 

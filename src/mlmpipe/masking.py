@@ -27,8 +27,8 @@ STRATEGIES = ("uniform", "whole_word", "span", "pmi")
 # strategies that mask whole units; each is also its segmentation mode
 UNIT_STRATEGIES = ("whole_word", "pmi")
 
-# plans materialized together by generate_blocks; bounds the arrays of a
-# block, so memory does not grow with the corpus
+# windows planned, then materialized or tallied, as one block; bounds the
+# arrays of a block, so memory does not grow with the corpus
 BLOCK_EXAMPLES = 64
 
 
@@ -150,6 +150,8 @@ class MaskingConfig:
             raise ConfigError(f"unknown policy_sampling {self.policy_sampling!r}")
         if self.corruption_rate == 0.0 and self.prediction_rate > 0.0:
             raise ConfigError("m_pred > 0 requires m_corr > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def corruption_rate(self) -> float:
@@ -509,13 +511,11 @@ def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
 
 def generate_plans(ds: PackedDataset, config: MaskingConfig,
                    pmi_vocab: PmiVocabulary | None = None,
-                   epoch: int = 0) -> Iterator[MaskPlan]:
-    """MaskPlans for one epoch in seeded stream order; a window's
-    duplicates are adjacent.
-
-    Windows are taken from the stream BLOCK_EXAMPLES at a time, and unit
-    strategies segment each block's windows in one ``segment_block`` call.
-    """
+                   epoch: int = 0) -> Iterator[list[MaskPlan]]:
+    """One epoch's MaskPlans in seeded stream order, one non-empty list per
+    block of BLOCK_EXAMPLES windows; `mask`, `stats` and `ppl` all read these
+    blocks. A window's duplicates are adjacent, and unit strategies segment a
+    block's windows in one ``segment_block`` call."""
     stream = epoch_stream(ds, config.seed, epoch)
     while block := list(itertools.islice(stream, BLOCK_EXAMPLES)):
         if config.strategy in UNIT_STRATEGIES:
@@ -524,19 +524,20 @@ def generate_plans(ds: PackedDataset, config: MaskingConfig,
                                   config.strategy, pmi_vocab)
         else:
             units = [None] * len(block)
-        for (idx, rng), window_units in zip(block, units):
-            yield from plan_window(ds[idx], ds.vocab, config, rng, pmi_vocab,
-                                   source_sequence=idx, units=window_units)
+        plans = [plan for (idx, rng), window_units in zip(block, units)
+                 for plan in plan_window(ds[idx], ds.vocab, config, rng, pmi_vocab,
+                                         source_sequence=idx, units=window_units)]
+        if plans:
+            yield plans
 
 
 def generate_blocks(ds: PackedDataset, config: MaskingConfig,
                     pmi_vocab: PmiVocabulary | None = None,
                     epoch: int = 0) -> Iterator[MaskedBlock]:
-    """One epoch's examples in stream order, materialized BLOCK_EXAMPLES plans
-    at a time; the CLI's `mask` and `ppl` both read them."""
-    plans = generate_plans(ds, config, pmi_vocab, epoch)
-    while block := list(itertools.islice(plans, BLOCK_EXAMPLES)):
-        yield materialize_block(ds.ids[[p.source_sequence for p in block]], block, ds.vocab)
+    """One epoch's examples in stream order, each ``generate_plans`` list
+    materialized as one block; the CLI's `mask` and `ppl` both read them."""
+    for plans in generate_plans(ds, config, pmi_vocab, epoch):
+        yield materialize_block(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
 
 
 def generate_examples(ds: PackedDataset, config: MaskingConfig,
@@ -544,5 +545,6 @@ def generate_examples(ds: PackedDataset, config: MaskingConfig,
                       epoch: int = 0) -> Iterator[MaskedExample]:
     """Materialized corrupted examples for one epoch in stream order, one plan
     at a time: the reference for generate_blocks."""
-    for plan in generate_plans(ds, config, pmi_vocab, epoch):
-        yield materialize(ds[plan.source_sequence], plan, ds.vocab)
+    for plans in generate_plans(ds, config, pmi_vocab, epoch):
+        for plan in plans:
+            yield materialize(ds[plan.source_sequence], plan, ds.vocab)

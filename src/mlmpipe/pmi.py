@@ -169,6 +169,9 @@ class PmiVocabulary:
                 raise DataError(f"PMI TSV line {lineno}: {exc}") from exc
             if not gram:
                 raise DataError(f"PMI TSV line {lineno}: empty n-gram")
+            if min(gram) < 0 or max(gram) not in _INT64:
+                raise DataError(f"PMI TSV line {lineno}: token ids must be non-negative "
+                                "and fit in int64")
             entries[gram] = score
         n_max = max((len(g) for g in entries), default=2)
         return cls(entries=entries, n_max=n_max, size_cap=max(len(entries), 1))
@@ -187,22 +190,14 @@ def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray,
     positions from it to the end of its run, itself included.
 
     A run is a document, or in packed data a stretch of a window between
-    sep/pad positions, which themselves have room 0.
+    sep/pad positions (see ``_run_room``).
     """
     if isinstance(data, PackedDataset):
-        ids = data.ids.ravel()
-        idx = np.arange(len(ids))
-        special = (ids == data.vocab.pad_id) | (ids == data.vocab.sep_id)
-        # a run ends at its window's end or at the nearest sep/pad at or after it
-        next_special = np.minimum.accumulate(np.where(special, idx, len(ids))[::-1])[::-1]
-        run_end = np.minimum(idx - idx % data.seq_len + data.seq_len, next_special)
-    else:
-        seqs = list(data)
-        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-        ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
-        idx = np.arange(len(ids))
-        run_end = np.repeat(np.cumsum(lengths), lengths)
-    return ids, run_end - idx
+        return data.ids.ravel(), _run_room(data.ids, data.vocab)
+    seqs = list(data)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
+    return ids, np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -363,6 +358,20 @@ def _next_at_or_after(stop: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(np.where(stop, idx, len(stop) - 1)[::-1])[::-1]
 
 
+def _run_room(ids: np.ndarray, vocab: Vocab) -> np.ndarray:
+    """The room of each position of a (rows x L) id matrix, flattened: how
+    many positions from it to the end of its run, itself included. A run
+    stops at sep/pad or at the row's end; sep/pad positions have room 0."""
+    rows, L = ids.shape
+    special = ((ids == vocab.pad_id) | (ids == vocab.sep_id)).ravel()
+    stop = np.ones(rows * L + 1, dtype=bool)   # each row start, and one past the end
+    stop[:-1] = special
+    stop[::L] = True
+    room = _next_at_or_after(stop)[1:] - np.arange(rows * L)
+    room[special] = 0
+    return room
+
+
 def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: str,
                   pmi_vocab: PmiVocabulary | None = None) -> list[list[tuple[int, int]]]:
     """``segment_units`` for each row of (rows x L) id and word-start
@@ -382,36 +391,30 @@ def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: 
     size = rows * L
     if size == 0:
         return [[] for _ in range(rows)]
-    idx = np.arange(size + 1)
-    # one sentinel position past the end, which is special and starts a row
-    special = np.ones(size + 1, dtype=bool)
-    special[:size] = (ids == vocab.pad_id).ravel() | (ids == vocab.sep_id).ravel()
-    run_stop = special | (idx % L == 0)
-    run_start = ~special & (run_stop | np.append(True, special[:-1]))
+    room = _run_room(ids, vocab)
     if mode == "single_token":
-        starts = np.flatnonzero(~special[:size])
+        starts = np.flatnonzero(room)
         ends = starts + 1
     else:
         # a unit runs to the next word start or run end strictly after it
         ends = np.ones(size + 1, dtype=bool)
         ends[:size] = word_starts.ravel()
-        ends = _next_at_or_after(ends | run_stop)[1:]
+        ends = np.minimum(_next_at_or_after(ends)[1:], np.arange(size) + room)
         if mode == "pmi":
-            room = _next_at_or_after(run_stop)[1:] - idx[:size]
-            room[special[:size]] = 0
             occ = pmi_vocab.occurrences(ids, room.reshape(rows, L))
             pos = occ[:, 0] * L + occ[:, 1]
             # occurrences are sorted by position and length: the last is the longest
             longest = np.ones(len(pos), dtype=bool)
             longest[:-1] = pos[1:] != pos[:-1]
             ends[pos[longest]] = pos[longest] + occ[longest, 2]
-        step = np.append(ends, size)
-        step[special] = size
-        reached = run_start
+        # sep/pad positions step to a sentinel past the end; a run starts
+        # where the position before it is sep/pad or ends its run
+        step = np.append(np.where(room > 0, ends, size), size)
+        reached = np.append((room > 0) & (np.append(0, room[:-1]) <= 1), False)
         for _ in range((L - 1).bit_length()):
             reached[step[reached]] = True
             step = step[step]
-        starts = np.flatnonzero(reached[:size] & ~special[:size])
+        starts = np.flatnonzero(reached[:size] & (room > 0))
         ends = ends[starts]
     row = starts // L
     units = list(zip((starts - row * L).tolist(), (ends - row * L).tolist()))

@@ -9,6 +9,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_criterion_2_effective_rate_arithmetic():
 
     ds = full_windows(1, 128, seed=2)
     cfg = MaskingConfig(m=0.40, extra_same=0.05, seed=3)
-    plan = next(generate_plans(ds, cfg))
+    [plan] = next(generate_plans(ds, cfg))     # one window: one block of one plan
     n_pred = len(plan.pred_positions)
     ok = ok and n_pred == 57 and len(plan.corrupted_positions) == 51
     report(2, "80-10-10 at m=0.40 -> (0.36, 0.36); +5% same -> 57 predictions",
@@ -208,7 +209,7 @@ def test_criterion_7_perplexity_contracts():
                      if int(t) not in VOCAB.special_ids)
     total = sum(counts.values())
     logs = [math.log(counts[orig] / total)
-            for plan in generate_plans(ds, cfg)
+            for plan in chain.from_iterable(generate_plans(ds, cfg))
             for orig in plan.pred_originals.tolist()]
     brute = math.exp(-sum(logs) / len(logs))
     unigram_ok = abs(ppl_unigram - brute) / brute < 1e-9

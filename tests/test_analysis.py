@@ -2,13 +2,14 @@ import math
 import sys
 import weakref
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe import analysis
+from mlmpipe import analysis, masking
 from mlmpipe.analysis import (CoverageReport, ExternScorer, OracleScorer,
                               UniformScorer, UnigramScorer, make_scorer,
                               masked_perplexity, minimal_pair_accuracy,
@@ -60,7 +61,7 @@ class TestMaskedPerplexity:
             counts.update(int(t) for t in keep)
         total = sum(counts.values())
         logs = []
-        for plan in generate_plans(ds, cfg):
+        for plan in chain.from_iterable(generate_plans(ds, cfg)):
             for orig in plan.pred_originals.tolist():
                 logs.append(math.log(counts[orig] / total))
         expected = math.exp(-sum(logs) / len(logs))
@@ -247,8 +248,8 @@ class TestCoverage:
         assert report.by_length[2].probability == pytest.approx(expected, rel=0.05)
 
     def test_keeps_one_block_of_occurrences(self, monkeypatch):
-        # a block's occurrences are dropped once the stream moves past it,
-        # and every window is looked up once, in stream order
+        # a generate_plans block's occurrences are dropped once the stream moves
+        # past it, and every window is looked up once, in stream order
         alive, looked_up = [], []
         real = analysis._vocab_occurrences
 
@@ -259,23 +260,23 @@ class TestCoverage:
             return occ
 
         monkeypatch.setattr(analysis, "_vocab_occurrences", tracked)
-        monkeypatch.setattr(analysis, "BLOCK_EXAMPLES", 5)
+        monkeypatch.setattr(masking, "BLOCK_EXAMPLES", 3)
         ds = packed_dataset(n_docs=20)
         pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds},
                            n_max=2, size_cap=100)
         held, order = [], []
 
-        def plans():
-            for plan in generate_plans(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
+        def blocks():
+            for block in generate_plans(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
                 held.append(sum(ref() is not None for ref in alive))
-                if plan.duplicate_index == 0:
-                    order.append(plan.source_sequence)
-                yield plan
+                order.extend(p.source_sequence for p in block if p.duplicate_index == 0)
+                yield block
 
-        report = pmi_coverage(plans(), pv, ds)
-        # blocks of 5 plans hold 3 windows: their two duplicates are adjacent
-        assert len(held) == 2 * len(ds) and len(alive) == math.ceil(len(ds) / 3) > 1
+        report = pmi_coverage(blocks(), pv, ds)
+        # one lookup per block of 3 windows, each window with two duplicates
+        assert len(held) == len(alive) == math.ceil(len(ds) / 3) > 1
         assert max(held) == 1
+        assert sorted(order) == list(range(len(ds)))
         assert np.array_equal(np.concatenate(looked_up), ds.ids[order])
         assert report.by_length[2].occurrence_count >= 2 * len(ds)
 
@@ -283,17 +284,17 @@ class TestCoverage:
         ds = packed_dataset(n_docs=2)
         pv = PmiVocabulary(entries={(7, 8): 1.0}, n_max=2, size_cap=10)
         with pytest.raises(IntegrityError):
-            pmi_coverage([plan_from_positions([0], src=99)], pv, ds)
+            pmi_coverage([[plan_from_positions([0], src=99)]], pv, ds)
 
 
 class TestSpanHistogram:
     def test_single_fully_masked_window(self):
-        hist = span_histogram([plan_from_positions(range(128))])
+        hist = span_histogram([[plan_from_positions(range(128))]])
         assert hist.counts == Counter({128: 1})
         assert hist.mean_length == 128.0
 
     def test_mean_is_count_weighted(self):
-        hist = span_histogram([plan_from_positions([0, 1, 5])])
+        hist = span_histogram([[plan_from_positions([0, 1, 5])]])
         assert hist.counts == Counter({2: 1, 1: 1})
         assert hist.mean_length == pytest.approx(1.5)
 
@@ -305,7 +306,7 @@ class TestSpanHistogram:
         cfg = MaskingConfig(m=0.15, seed=8)
         total = 0
         n_runs = 0
-        for plan in generate_plans(ds, cfg):
+        for plan in chain.from_iterable(generate_plans(ds, cfg)):
             positions = plan.corrupted_positions.tolist()
             if not positions:
                 continue
@@ -419,8 +420,7 @@ def test_span_histogram_counts_runs(position_sets, block):
             elif run:
                 expected[run] += 1
                 run = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "BLOCK_EXAMPLES", block)
-        hist = span_histogram([plan_from_positions(s) for s in position_sets])
+    plans = [plan_from_positions(s) for s in position_sets]
+    hist = span_histogram(plans[i:i + block] for i in range(0, len(plans), block))
     assert hist.counts == expected
     assert all(type(n) is int and type(c) is int for n, c in hist.counts.items())

@@ -86,9 +86,9 @@ class TestMask:
         ["--strategy", "pmi", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
          "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1", "--extra-same", "0.05"],
     ], ids=["uniform", "span", "whole_word", "pmi-dup-80-10-10-extra"])
-    def test_block_size_byte_identical(self, tmp_path, monkeypatch, flags):
-        # several output blocks at the default size, and blocks that split a
-        # window's duplicates at the others
+    def test_block_size_byte_identical(self, tmp_path, monkeypatch, capsys, flags):
+        # several blocks at the default size, and blocks of 1 and 7 windows:
+        # `mask`, both `stats` CSVs and `ppl` read the same plan blocks
         corpus = tmp_path / "corpus.jsonl"
         serialize_tokens(random_docs(300, 80, seed=1), corpus)
         packed = tmp_path / "packed.jsonl"
@@ -101,13 +101,19 @@ class TestMask:
         outs = []
         for size in (masking.BLOCK_EXAMPLES, 1, 7):
             monkeypatch.setattr(masking, "BLOCK_EXAMPLES", size)
-            out = tmp_path / f"b{size}.jsonl"
-            rc = run(["--seed", "3", "mask", "--epochs", "2",
-                      "--input", str(packed), "--output", str(out),
-                      "--pmi-vocab", str(tsv)] + flags)
-            assert rc == 0
-            outs.append(out.read_bytes())
+            common = ["--input", str(packed), "--pmi-vocab", str(tsv)] + flags
+            paths = [tmp_path / f"b{size}.{name}" for name in ("jsonl", "coverage", "spans")]
+            assert run(["--seed", "3", "mask", "--epochs", "2",
+                        "--output", str(paths[0])] + common) == 0
+            for path in paths[1:]:
+                assert run(["--seed", "3", "stats", path.suffix[1:],
+                            "--output", str(path)] + common) == 0
+            capsys.readouterr()
+            assert run(["--seed", "3", "ppl"] + common) == 0
+            outs.append([p.read_bytes() for p in paths] + [capsys.readouterr().out])
         assert outs[0] == outs[1] == outs[2]
+        assert outs[0][1].count(b"\n") > 2 and outs[0][2].count(b"\n") > 2
+        assert "perplexity" in outs[0][3]
 
     @pytest.mark.parametrize("argv, config, needle", [
         # named even though argparse alone would take the 2 for the subcommand
@@ -235,6 +241,41 @@ class TestMask:
         assert not out.exists()
 
 
+class TestSeedAndEpochs:
+    @pytest.mark.parametrize("subcommand", [["mask"], ["stats", "spans"], ["ppl"]])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, packed_path, capsys, subcommand,
+                                          via):
+        argv = ["--seed", "-1"]
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        output = [] if subcommand == ["ppl"] else ["--output", str(out)]
+        rc = run(argv + subcommand + ["--input", str(packed_path)] + output)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert len(captured.err.splitlines()) == 1 and "seed" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_epochs_below_one_is_usage_error(self, tmp_path, packed_path, capsys, epochs,
+                                             via):
+        argv = ["mask", "--epochs", epochs]
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"epochs": int(epochs)}))
+            argv = ["--config", str(cfg), "mask"]
+        out = tmp_path / "o.jsonl"
+        rc = run(argv + ["--input", str(packed_path), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "epochs" in err
+        assert not out.exists()
+
+
 class TestPmiBuildAndStats:
     def test_pmi_build_tsv(self, tmp_path, corpus_path):
         out = tmp_path / "pmi.tsv"
@@ -350,7 +391,8 @@ class TestCoverageLaw:
 
 
 MALFORMED_TSV = {"non_numeric_score": "5 6\tabc", "no_tab": "5 6 0.5",
-                 "two_tabs": "5 6\t0.5\t1", "non_integer_id": "5 x\t0.5"}
+                 "two_tabs": "5 6\t0.5\t1", "non_integer_id": "5 x\t0.5",
+                 "negative_id": "-5 6\t1.0", "id_beyond_int64": "99999999999999999999999 7\t0.5"}
 
 
 def assert_one_line_error(capsys, rc, needle):
@@ -370,6 +412,7 @@ class TestMalformedPmiTsv:
         rc = run(subcommand + ["--input", str(packed_path),
                                "--output", str(tmp_path / "o"), "--pmi-vocab", str(tsv)])
         assert_one_line_error(capsys, rc, "line 2")
+        assert not (tmp_path / "o").exists()
 
 
 BAD_UTF8 = b"\xff\xfe"

@@ -1,14 +1,18 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmpipe import masking
+from mlmpipe.corpus import epoch_stream
 from mlmpipe.errors import ConfigError, DataError, InfeasibleError, IntegrityError
 from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, MaskingConfig,
                              MaskPlan, apply_policy, effective_rates, exact_count,
-                             generate_examples, generate_plans, largest_remainder,
+                             generate_blocks, generate_examples, generate_plans,
+                             largest_remainder,
                              make_sampler, materialize, materialize_block,
                              plan_decoupled, plan_window, sample_span,
                              sample_uniform, sample_units)
@@ -400,7 +404,7 @@ class TestStreamDeterminism:
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(m=0.3, seed=5)
         serial = {p.source_sequence: p.positions.tolist()
-                  for p in generate_plans(ds, cfg)}
+                  for p in chain.from_iterable(generate_plans(ds, cfg))}
         scattered = {}
         for idx in reversed(range(len(ds))):
             rng = substream(cfg.seed, 0, idx)
@@ -418,7 +422,7 @@ class TestStreamDeterminism:
         pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4},
                            n_max=3, size_cap=10)
         cfg = MaskingConfig(strategy=strategy, m=m, seed=seed)
-        for plan in generate_plans(ds, cfg, pv):
+        for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
             maskable = set(win.maskable_positions(VOCAB).tolist())
             expected = exact_count(m, len(maskable))
@@ -431,7 +435,7 @@ class TestStreamDeterminism:
         pv = PmiVocabulary(entries={(7, 8): 1.0, (9, 10): 0.8}, n_max=2, size_cap=10)
         cfg = MaskingConfig(strategy="pmi", m=0.3, seed=11)
         from mlmpipe.pmi import segment_units
-        for plan in generate_plans(ds, cfg, pv):
+        for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
             units = segment_units(win, VOCAB, "pmi", pv)
             masked = set(plan.positions.tolist())
@@ -442,6 +446,38 @@ class TestStreamDeterminism:
             # everything outside fully-masked units must be single-position fill
             n = len(win.maskable_positions(VOCAB))
             assert full_size + partial == exact_count(0.3, n)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("strategy, rates, k", [
+    ("uniform", {"m": 0.15}, 1),
+    ("span", {"m_corr": 0.4, "m_pred": 0.2}, 1),
+    ("uniform", {"m_corr": 0.1, "m_pred": 0.3}, 3),
+    ("pmi", {"m_corr": 0.2, "m_pred": 0.8}, 4),
+])
+def test_generate_plans_yields_window_blocks(block, strategy, rates, k, monkeypatch):
+    # each list holds the plans of the next min(BLOCK_EXAMPLES, windows left)
+    # windows of the stream, a window's k duplicates contiguous and in order
+    monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
+    ds = packed_dataset(n_docs=80)
+    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4}, n_max=3, size_cap=10)
+    cfg = MaskingConfig(strategy=strategy, policy=(0.8, 0.1, 0.1), seed=3, **rates)
+    stream = [idx for idx, _ in epoch_stream(ds, cfg.seed, 1)]
+    assert len(stream) > 64
+    blocks = list(generate_plans(ds, cfg, pv, epoch=1))
+    assert all(isinstance(b, list) for b in blocks)
+    windows = [stream[i:i + block] for i in range(0, len(stream), block)]
+    assert len(blocks) == len(windows)
+    for plans, want in zip(blocks, windows):
+        assert plans and len(plans) == k * len(want)
+        assert [p.source_sequence for p in plans] == [w for w in want for _ in range(k)]
+        assert [p.duplicate_index for p in plans] == list(range(k)) * len(want)
+
+
+def test_generate_plans_yields_no_empty_list(monkeypatch):
+    monkeypatch.setattr(masking, "plan_decoupled", lambda *a, **k: [])
+    assert list(generate_plans(packed_dataset(n_docs=5), MaskingConfig())) == []
+    assert list(generate_blocks(packed_dataset(n_docs=5), MaskingConfig())) == []
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +620,7 @@ class TestArrayPlans:
     def test_block_equals_one_plan_at_a_time(self):
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=2)
-        plans = list(generate_plans(ds, cfg))
+        plans = list(chain.from_iterable(generate_plans(ds, cfg)))
         rows = ds.ids[[p.source_sequence for p in plans]]
         block = materialize_block(rows, plans, VOCAB)
         offset = 0
@@ -624,7 +660,8 @@ class TestArrayPlans:
                     p.kinds.tolist(), p.replacements.tolist(), p.pred_positions.tolist(),
                     p.pred_originals.tolist())
 
-        whole = [fields(p) for p in generate_plans(ds, cfg, pv, epoch=1)]
+        whole = [fields(p)
+                 for p in chain.from_iterable(generate_plans(ds, cfg, pv, epoch=1))]
         order = [src for src, dup, *_ in whole if dup == 0]
         assert sorted(order) == list(range(len(ds)))
         planned = {idx: plan_window(ds[idx], VOCAB, cfg, substream(4, 1, idx), pv,

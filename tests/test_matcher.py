@@ -14,14 +14,14 @@ The index, the block segmenter and the block coverage driver must agree
 with them exactly.
 """
 
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlmpipe import analysis, masking, pmi
+from mlmpipe import masking, pmi
 from mlmpipe.analysis import LengthCoverage, _vocab_occurrences, pmi_coverage
 from mlmpipe.cli import run
 from mlmpipe.corpus import PackedDataset, load_packed, serialize_tokens
@@ -328,9 +328,8 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
     pv = PmiVocabulary(entries={g: 1.0 for g in grams}, n_max=6, size_cap=len(grams))
     cfg = MaskingConfig(strategy=strategy, policy=policy, extra_same=extra_same,
                         seed=seed, **rates)
-    want = oracle_coverage(generate_plans(ds, cfg, pv), pv, ds)
+    want = oracle_coverage(chain.from_iterable(generate_plans(ds, cfg, pv)), pv, ds)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "BLOCK_EXAMPLES", block)
         mp.setattr(masking, "BLOCK_EXAMPLES", block)
         got = pmi_coverage(generate_plans(ds, cfg, pv), pv, ds)
     assert got.by_length == want
@@ -341,15 +340,22 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch):
     # a window planned twice, far apart, is looked up once per run of plans;
-    # a window's disjoint duplicates share one block
+    # a window's disjoint duplicates share one generate_plans block, and blocks cut
+    # anywhere else give the same counts
     ds = small_dataset(3, 30, 40)
     pv = PmiVocabulary(entries={(5, 6): 1.0, (6, 7, 8): 1.0, (7,): 1.0, (SEP, 5): 1.0},
                        n_max=3, size_cap=4)
     cfg = MaskingConfig(strategy="pmi", m_corr=0.2, m_pred=0.6, policy=(0.8, 0.1, 0.1),
                         extra_same=0.05, seed=9)
-    plans = list(generate_plans(ds, cfg, pv))
+    monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
+    blocks = list(generate_plans(ds, cfg, pv))
+    plans = list(chain.from_iterable(blocks))
     assert [p.duplicate_index for p in plans[:3]] == [0, 1, 2]
-    plans = plans + plans[:5]
-    monkeypatch.setattr(analysis, "BLOCK_EXAMPLES", block)
-    assert pmi_coverage(plans, pv, ds).by_length == oracle_coverage(plans, pv, ds)
+    assert [len(b) for b in blocks] == [3 * block] * (len(ds) // block) + \
+        [3 * (len(ds) % block)] * (len(ds) % block > 0)
+    blocks, plans = blocks + [plans[:5]], plans + plans[:5]
+    want = oracle_coverage(plans, pv, ds)
+    assert pmi_coverage(blocks, pv, ds).by_length == want
+    cut = [plans[i:i + block] for i in range(0, len(plans), block)]
+    assert pmi_coverage(cut, pv, ds).by_length == want
 
