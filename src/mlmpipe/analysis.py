@@ -19,66 +19,51 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import MaskingConfig, MaskPlan, generate_blocks
+from .masking import BLOCK_EXAMPLES, MaskedBlock, MaskingConfig, MaskPlan, generate_blocks
 from .pmi import PmiVocabulary
-
-Query = tuple[int, int]  # (position, original id)
 
 
 class Scorer(Protocol):
-    """Provides log p(original id at position | corrupted window)."""
+    """One float64 log p(original id | corrupted row) per block target, in order."""
 
-    def log_prob(self, corrupted_ids: Sequence[int], queries: Sequence[Query]
-                 ) -> list[float]: ...
-
-
-class UniformScorer:
-    """Assigns probability 1/V to every token; perplexity equals V."""
-
-    def __init__(self, vocab_size: int):
-        if vocab_size < 1:
-            raise ConfigError(f"vocab_size must be positive, got {vocab_size}")
-        self._logp = -math.log(vocab_size)
-
-    def log_prob(self, corrupted_ids, queries):
-        return [self._logp] * len(queries)
+    def log_probs(self, block: MaskedBlock) -> np.ndarray: ...
 
 
-class UnigramScorer:
-    """Maximum-likelihood unigram model; ignores the corrupted context."""
+@dataclass
+class TokenScorer:
+    """Context-free scoring: a target with original id t scores ``logp[t]``,
+    and a NaN entry is an id without a count. A table of zeros is the oracle."""
 
-    def __init__(self, counts: dict[int, int]):
-        self.counts = counts
-        self.total = sum(counts.values())
-        if self.total == 0:
-            raise DataError("unigram scorer needs a non-empty corpus")
+    logp: np.ndarray    # float64, indexed by token id
 
-    @classmethod
-    def from_dataset(cls, ds: PackedDataset) -> "UnigramScorer":
-        counts = np.bincount(ds.ids.ravel(), minlength=ds.vocab.size)
-        counts[[ds.vocab.pad_id, ds.vocab.sep_id]] = 0
-        seen = np.flatnonzero(counts)
-        return cls(dict(zip(seen.tolist(), counts[seen].tolist())))
-
-    def log_prob(self, corrupted_ids, queries):
-        out = []
-        for _, orig in queries:
-            c = self.counts.get(orig, 0)
-            if c == 0:
-                raise DataError(f"unigram scorer has no count for token {orig}")
-            out.append(math.log(c / self.total))
-        return out
+    def log_probs(self, block: MaskedBlock) -> np.ndarray:
+        values = self.logp[block.target_originals]
+        if np.isnan(values).any():
+            missing = block.target_originals[np.isnan(values)][0]
+            raise DataError(f"scorer has no count for token {missing}")
+        return values
 
 
-class OracleScorer:
-    """Probability 1 on the truth; useful for contract tests."""
+def uniform(vocab_size: int) -> TokenScorer:
+    """Probability 1/V for every token; perplexity equals V."""
+    if vocab_size < 1:
+        raise ConfigError(f"vocab_size must be positive, got {vocab_size}")
+    return TokenScorer(np.full(vocab_size, -math.log(vocab_size)))
 
-    def log_prob(self, corrupted_ids, queries):
-        return [0.0] * len(queries)
+
+def unigram(counts: Sequence[int]) -> TokenScorer:
+    """Maximum-likelihood unigram model from counts indexed by token id."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        raise DataError("unigram scorer needs a non-empty corpus")
+    # one math.log per id, as np.log may differ in the last place
+    return TokenScorer(np.array([math.log(c / total) if c else math.nan
+                                 for c in counts.tolist()]))
 
 
 class ExternScorer:
-    """Line-delimited JSON scorer over a subprocess's stdio.
+    """Line-delimited JSON over a subprocess's stdio, one request per row with targets.
 
     Request:  {"qid": n, "seq": [...corrupted ids...], "queries": [[pos, orig], ...]}
     Response: {"qid": n, "logp": [...]} with one JSON number per query, in order.
@@ -86,25 +71,32 @@ class ExternScorer:
 
     CLOSE_TIMEOUT_S = 10
 
-    def __init__(self, command: str):
-        self._proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1)
+    def __init__(self, argv: Sequence[str]):
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._qid = 0
 
-    def log_prob(self, corrupted_ids, queries):
+    def log_probs(self, block: MaskedBlock) -> np.ndarray:
+        queries = np.stack([block.target_positions, block.target_originals], axis=1).tolist()
+        ends = np.cumsum(block.target_counts).tolist()
+        values: list[float] = []
+        for row, start, end in zip(block.corrupted_ids.tolist(), [0] + ends, ends):
+            if start < end:
+                values += self._request(row, queries[start:end])
+        return np.array(values, dtype=np.float64)
+
+    def _request(self, seq: list[int], queries: list[list[int]]) -> list[float]:
         self._qid += 1
-        req = {"qid": self._qid, "seq": [int(t) for t in corrupted_ids],
-               "queries": [[int(p), int(o)] for p, o in queries]}
-        self._proc.stdin.write(json.dumps(req, separators=(",", ":")) + "\n")
+        req = {"qid": self._qid, "seq": seq, "queries": queries}
+        self._proc.stdin.write(json.dumps(req, separators=(",", ":")).encode() + b"\n")
         self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
+        raw = self._proc.stdout.readline()
+        if not raw:
             raise DataError("external scorer closed its output stream")
         try:
+            line = raw.decode("utf-8")
             resp = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"external scorer sent invalid JSON: {line!r}") from exc
+        except ValueError as exc:   # not UTF-8 (which JSON text is), or not JSON
+            raise DataError(f"external scorer sent invalid JSON: {raw!r}") from exc
         if not isinstance(resp, dict):
             raise DataError(f"external scorer sent a non-object response: {line!r}")
         if resp.get("qid") != self._qid:
@@ -150,13 +142,21 @@ def make_scorer(spec: str, ds: PackedDataset | None = None,
     if spec == "uniform":
         if vocab_size is None:
             raise ConfigError("uniform scorer needs a vocabulary size")
-        return UniformScorer(vocab_size)
+        return uniform(vocab_size)
     if spec == "unigram":
         if ds is None:
             raise ConfigError("unigram scorer needs a corpus")
-        return UnigramScorer.from_dataset(ds)
+        counts = np.bincount(ds.ids.ravel(), minlength=max(ds.vocab.size, vocab_size or 0))
+        counts[[ds.vocab.pad_id, ds.vocab.sep_id]] = 0
+        return unigram(counts)
     if spec.startswith("extern:"):
-        return ExternScorer(spec[len("extern:"):])
+        try:
+            argv = shlex.split(spec[len("extern:"):])
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse scorer {spec!r}: {exc}") from exc
+        if not argv:
+            raise ConfigError(f"scorer {spec!r} names no command")
+        return ExternScorer(argv)
     raise ConfigError(f"unknown scorer {spec!r}")
 
 
@@ -289,19 +289,13 @@ def masked_perplexity(ds: PackedDataset, config: MaskingConfig, scorer: Scorer,
                       pmi_vocab: PmiVocabulary | None = None,
                       epoch: int = 0) -> float:
     """exp(-mean log p) over every prediction in one epoch."""
-    total = 0.0
-    count = 0
+    total, count = 0.0, 0
     for block in generate_blocks(ds, config, pmi_vocab, epoch):
-        targets = list(zip(block.target_positions.tolist(), block.target_originals.tolist()))
-        ends = np.cumsum(block.target_counts).tolist()
-        for row, start, end in zip(block.corrupted_ids.tolist(), [0] + ends, ends):
-            if start == end:
-                continue
-            for v in scorer.log_prob(row, targets[start:end]):
-                if v > 0.0:
-                    raise DataError(f"scorer returned log-probability {v} > 0")
-                total += v
-                count += 1
+        for v in scorer.log_probs(block).tolist():
+            if v > 0.0:
+                raise DataError(f"scorer returned log-probability {v} > 0")
+            total += v
+            count += 1
     if count == 0:
         raise DataError("no predictions generated; cannot compute perplexity")
     return math.exp(-total / count)
@@ -309,13 +303,18 @@ def masked_perplexity(ds: PackedDataset, config: MaskingConfig, scorer: Scorer,
 
 def pll_score(sentence: TokenSequence | Sequence[int], scorer: Scorer,
               vocab: Vocab) -> float:
-    """Pseudo log-likelihood: mask each position individually and sum."""
-    ids = sentence.ids.tolist() if isinstance(sentence, TokenSequence) else list(sentence)
+    """Pseudo log-likelihood: mask each position individually and sum. Row
+    i masks position i and predicts it; rows go BLOCK_EXAMPLES at a time."""
+    ids = np.asarray(getattr(sentence, "ids", sentence), dtype=np.int64)
     total = 0.0
-    for i, orig in enumerate(ids):
-        corrupted = list(ids)
-        corrupted[i] = vocab.mask_id
-        total += scorer.log_prob(corrupted, [(i, orig)])[0]
+    for start in range(0, len(ids), BLOCK_EXAMPLES):
+        at = np.arange(start, min(start + BLOCK_EXAMPLES, len(ids)))
+        rows = np.where(at[:, None] == np.arange(len(ids)), vocab.mask_id, ids)
+        block = MaskedBlock(rows, target_counts=np.ones_like(at), target_positions=at,
+                            target_originals=ids[at], duplicate_index=np.zeros_like(at),
+                            source_sequence=np.zeros_like(at))
+        for v in scorer.log_probs(block).tolist():
+            total += v
     return total
 
 

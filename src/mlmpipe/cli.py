@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, corpus, jsonl, masking, pmi
@@ -322,8 +323,13 @@ def _cmd_metric(args) -> int:
     try:
         with open(args.values, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if type(raw) is not dict or not set(map(type, raw.values())) <= {int, float}:
+            raise ValueError("expected a JSON object of numbers")
         values = {float(k): float(v) for k, v in raw.items()}
-    except (OSError, ValueError) as exc:
+        if not all(map(math.isfinite, [*values, *values.values()])):
+            raise ValueError("rates and values must be finite")
+    except (OSError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read values file {args.values}: {exc}") from exc
     if args.kind == "normalize":
         result = analysis.normalized_performance(values, args.baseline)

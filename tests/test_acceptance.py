@@ -14,10 +14,9 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from mlmpipe.analysis import (OracleScorer, UnigramScorer, UniformScorer,
-                              masked_perplexity, minimal_pair_accuracy,
-                              normalized_performance, pll_score, pmi_coverage,
-                              relative_metric, span_histogram)
+from mlmpipe.analysis import (TokenScorer, make_scorer, masked_perplexity,
+                              minimal_pair_accuracy, normalized_performance, pll_score,
+                              pmi_coverage, relative_metric, span_histogram, unigram)
 from mlmpipe.cli import run
 from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream,
                             load_packed, pack_sequences, serialize_tokens)
@@ -199,11 +198,10 @@ def test_criterion_6_span_statistics():
 def test_criterion_7_perplexity_contracts():
     ds = full_windows(20, 128, seed=7)  # 2560 tokens <= 10k
     cfg = MaskingConfig(m=0.15, seed=19)
-    ppl_uniform = masked_perplexity(ds, cfg, UniformScorer(VOCAB.size))
+    ppl_uniform = masked_perplexity(ds, cfg, make_scorer("uniform", vocab_size=VOCAB.size))
     uniform_ok = abs(ppl_uniform - VOCAB.size) / VOCAB.size < 1e-12
 
-    scorer = UnigramScorer.from_dataset(ds)
-    ppl_unigram = masked_perplexity(ds, cfg, scorer)
+    ppl_unigram = masked_perplexity(ds, cfg, make_scorer("unigram", ds=ds))
     # independent brute force: recount unigrams, re-walk the plan stream
     counts = Counter(int(t) for w in ds for t in w.ids
                      if int(t) not in VOCAB.special_ids)
@@ -221,22 +219,21 @@ def test_criterion_7_perplexity_contracts():
 
 def test_criterion_8_pll_contracts():
     sentences = [[10, 11, 12, 13], [20, 21], [30]]
-    oracle_ok = all(pll_score(s, OracleScorer(), VOCAB) == 0.0 for s in sentences)
+    oracle = TokenScorer(np.zeros(VOCAB.size))
+    oracle_ok = all(pll_score(s, oracle, VOCAB) == 0.0 for s in sentences)
 
     # oracle-consistent scorer: good sentences use frequent tokens
-    counts = {t: 1000 for t in range(10, 20)}
-    counts.update({t: 1 for t in range(20, 30)})
-    scorer = UnigramScorer(counts)
+    counts = np.zeros(VOCAB.size, dtype=np.int64)
+    counts[10:20], counts[20:30] = 1000, 1
+    scorer = unigram(counts)
     pairs = [([10, 11], [20, 21]), ([12, 13, 14], [22, 23, 24])]
     acc = minimal_pair_accuracy(pairs, scorer, VOCAB)
 
     brute_ok = True
+    total = int(counts.sum())
     for s in sentences[:2]:
-        sc = UnigramScorer(counts) if all(t in counts for t in s) else None
-        if sc is None:
-            continue
-        expected = sum(math.log(counts[t] / sc.total) for t in s)
-        got = pll_score(s, sc, VOCAB)
+        expected = sum(math.log(int(counts[t]) / total) for t in s)
+        got = pll_score(s, scorer, VOCAB)
         if abs(got - expected) > 1e-9 * max(1.0, abs(expected)):
             brute_ok = False
 
@@ -245,12 +242,13 @@ def test_criterion_8_pll_contracts():
             self.sent = sent
             self.calls = 0
 
-        def log_prob(self, corrupted_ids, queries):
-            self.calls += 1
-            diffs = [i for i, (a, b) in enumerate(zip(corrupted_ids, self.sent))
-                     if a != b]
-            assert diffs == [queries[0][0]] and len(queries) == 1
-            return [0.0]
+        def log_probs(self, block):
+            assert block.target_counts.tolist() == [1] * len(block.corrupted_ids)
+            for row, pos in zip(block.corrupted_ids.tolist(), block.target_positions.tolist()):
+                self.calls += 1
+                diffs = [i for i, (a, b) in enumerate(zip(row, self.sent)) if a != b]
+                assert diffs == [pos]
+            return np.zeros(len(block.target_originals))
 
     query_ok = True
     for s in sentences:

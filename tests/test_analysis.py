@@ -10,49 +10,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe import analysis, masking
-from mlmpipe.analysis import (CoverageReport, ExternScorer, OracleScorer,
-                              UniformScorer, UnigramScorer, make_scorer,
+from mlmpipe.analysis import (CoverageReport, ExternScorer, TokenScorer, make_scorer,
                               masked_perplexity, minimal_pair_accuracy,
                               normalized_performance, pll_score, pmi_coverage,
-                              relative_metric, span_histogram)
+                              relative_metric, span_histogram, uniform, unigram)
 from mlmpipe.corpus import TokenSequence
 from mlmpipe.errors import ConfigError, DataError, IntegrityError
-from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskingConfig, generate_examples,
-                             generate_plans)
+from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingConfig,
+                             generate_examples, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
 from conftest import VOCAB, mask_plan, packed_dataset
 
+ORACLE = TokenScorer(np.zeros(VOCAB.size))
+
+
+def unigram_counts(counts: dict[int, int]) -> np.ndarray:
+    """A {token id: count} map as the per-id count array ``unigram`` takes."""
+    table = np.zeros(VOCAB.size, dtype=np.int64)
+    table[list(counts)] = list(counts.values())
+    return table
+
+
+def block_rows(block):
+    """Each row of a block that has targets, with its (position, original) targets."""
+    ends = np.cumsum(block.target_counts).tolist()
+    targets = list(zip(block.target_positions.tolist(), block.target_originals.tolist()))
+    return [(row, targets[end - n:end])
+            for row, n, end in zip(block.corrupted_ids.tolist(),
+                                   block.target_counts.tolist(), ends) if n]
+
 
 class SpyScorer:
-    """Wraps a scorer, recording every (corrupted window, queries) call."""
+    """Wraps a scorer, recording every block's size and integer dtypes, and the
+    (corrupted row, targets) sequence of the rows with targets."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = []
+        self.rows = []
+        self.blocks = []
 
-    def log_prob(self, corrupted_ids, queries):
-        self.calls.append((list(corrupted_ids), list(queries)))
-        return self.inner.log_prob(corrupted_ids, queries)
+    def log_probs(self, block):
+        self.blocks.append((len(block.corrupted_ids), {
+            a.dtype.kind for a in (block.corrupted_ids, block.target_counts,
+                                   block.target_positions, block.target_originals)}))
+        self.rows += block_rows(block)
+        values = self.inner.log_probs(block)
+        assert values.dtype == np.float64 and values.shape == block.target_originals.shape
+        return values
 
 
 class TestMaskedPerplexity:
     def test_uniform_scorer_gives_vocab_size(self):
         ds = packed_dataset(n_docs=10)
         cfg = MaskingConfig(m=0.15, seed=1)
-        ppl = masked_perplexity(ds, cfg, UniformScorer(100))
+        ppl = masked_perplexity(ds, cfg, uniform(100))
         assert ppl == pytest.approx(100.0, rel=1e-12)
 
     def test_oracle_scorer_gives_one(self):
         ds = packed_dataset(n_docs=5)
         cfg = MaskingConfig(m=0.15, seed=1)
-        assert masked_perplexity(ds, cfg, OracleScorer()) == pytest.approx(1.0, rel=1e-12)
+        assert masked_perplexity(ds, cfg, ORACLE) == pytest.approx(1.0, rel=1e-12)
 
     def test_unigram_matches_brute_force(self):
         # independent oracle: recompute -mean log p from the same plan stream
         ds = packed_dataset(n_docs=12)
         cfg = MaskingConfig(m=0.15, seed=4)
-        scorer = UnigramScorer.from_dataset(ds)
+        scorer = make_scorer("unigram", ds=ds)
         ppl = masked_perplexity(ds, cfg, scorer)
 
         counts = Counter()
@@ -69,20 +93,48 @@ class TestMaskedPerplexity:
 
     def test_positive_logprob_rejected(self):
         class Broken:
-            def log_prob(self, corrupted_ids, queries):
-                return [0.1] * len(queries)
+            def log_probs(self, block):
+                return np.full(len(block.target_originals), 0.1)
 
         ds = packed_dataset(n_docs=3)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="log-probability 0.1 > 0"):
             masked_perplexity(ds, MaskingConfig(m=0.15), Broken())
+
+    def test_sums_left_to_right(self):
+        # a case where a compensated (math.fsum, builtin sum on Python >= 3.12)
+        # or a pairwise (np.sum) sum gives other bits than adding one value
+        # at a time
+        ds = packed_dataset(n_docs=12)
+        cfg = MaskingConfig(m=0.4, seed=2)
+        table = -np.log1p(np.arange(VOCAB.size)) / 3
+        values = [table[orig] for plan in chain.from_iterable(generate_plans(ds, cfg))
+                  for orig in plan.pred_originals.tolist()]
+        total = 0.0
+        for v in values:
+            total += v
+        for other in (math.fsum(values), float(np.sum(values))):
+            assert math.exp(-other / len(values)) != math.exp(-total / len(values))
+        assert masked_perplexity(ds, cfg, TokenScorer(table)) == \
+            math.exp(-total / len(values))
+
+
+def one_row_block(example):
+    """A per-plan example as a one-row block."""
+    positions, originals = zip(*example.targets) if example.targets else ((), ())
+    return MaskedBlock(corrupted_ids=np.array([example.corrupted_ids], dtype=np.int64),
+                       target_counts=np.array([len(example.targets)]),
+                       target_positions=np.array(positions, dtype=np.int64),
+                       target_originals=np.array(originals, dtype=np.int64),
+                       duplicate_index=np.array([example.duplicate_index]),
+                       source_sequence=np.array([example.source_sequence]))
 
 
 def reference_perplexity(ds, cfg, scorer, pmi_vocab=None):
-    """masked_perplexity as one materialize and one scorer call per plan."""
+    """masked_perplexity as one materialize and one one-row block per plan."""
     total, count = 0.0, 0
     for example in generate_examples(ds, cfg, pmi_vocab):
         if example.targets:
-            for v in scorer.log_prob(example.corrupted_ids, example.targets):
+            for v in scorer.log_probs(one_row_block(example)).tolist():
                 total += v
                 count += 1
     return math.exp(-total / count)
@@ -90,8 +142,7 @@ def reference_perplexity(ds, cfg, scorer, pmi_vocab=None):
 
 BLOCK_DS = packed_dataset(n_docs=80, seed=6)
 BLOCK_PMI = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
-                                   for w in BLOCK_DS for i, n in ((3, 2), (20, 3))},
-                          n_max=3, size_cap=1000)
+                                   for w in BLOCK_DS for i, n in ((3, 2), (20, 3))})
 
 
 @given(strategy=st.sampled_from(STRATEGIES),
@@ -106,68 +157,96 @@ BLOCK_PMI = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
 def test_block_driver_perplexity_equals_per_plan_reference(strategy, rates, policy,
                                                            policy_sampling, extra_same,
                                                            scorer, seed):
-    # bit-equal, with the same scorer calls in the same order
+    # bit-equal, with the same scored rows and targets in the same order
     assert len(BLOCK_DS) > BLOCK_EXAMPLES
     cfg = MaskingConfig(strategy=strategy, policy=policy, policy_sampling=policy_sampling,
                         extra_same=extra_same, seed=seed, **rates)
-    inner = {"uniform": UniformScorer(VOCAB.size), "oracle": OracleScorer(),
-             "unigram": UnigramScorer.from_dataset(BLOCK_DS)}[scorer]
+    inner = {"uniform": uniform(VOCAB.size), "oracle": ORACLE,
+             "unigram": make_scorer("unigram", ds=BLOCK_DS)}[scorer]
     got, want = SpyScorer(inner), SpyScorer(inner)
     assert masked_perplexity(BLOCK_DS, cfg, got, BLOCK_PMI) == \
         reference_perplexity(BLOCK_DS, cfg, want, BLOCK_PMI)
-    assert got.calls == want.calls
-    assert all(type(t) is int for ids, queries in got.calls for t in ids)
-    assert all(type(t) is int for ids, queries in got.calls for q in queries for t in q)
+    assert got.rows == want.rows
+    # one call per generate_blocks block, each of integer arrays
+    assert len(got.blocks) < len(want.blocks)
+    assert all(kinds == {"i"} for _, kinds in got.blocks)
 
 
 class TestPllScore:
     def test_oracle_is_zero(self):
         sent = TokenSequence(np.array([5, 6, 7]), np.ones(3, dtype=bool))
-        assert pll_score(sent, OracleScorer(), VOCAB) == 0.0
+        assert pll_score(sent, ORACLE, VOCAB) == 0.0
 
     def test_unigram_is_sum_of_unigram_logs(self):
         counts = {5: 3, 6: 1, 7: 6}
-        scorer = UnigramScorer(counts)
+        scorer = unigram(unigram_counts(counts))
         sent = [5, 6, 7, 5]
         expected = sum(math.log(counts[t] / 10) for t in sent)
         assert pll_score(sent, scorer, VOCAB) == pytest.approx(expected, rel=1e-12)
 
     def test_one_single_mask_query_per_position(self):
         sent = [5, 6]
-        spy = SpyScorer(OracleScorer())
+        spy = SpyScorer(ORACLE)
         pll_score(sent, spy, VOCAB)
-        assert len(spy.calls) == 2
-        for i, (corrupted, queries) in enumerate(spy.calls):
+        assert len(spy.rows) == 2
+        for i, (corrupted, targets) in enumerate(spy.rows):
             diffs = [j for j, (a, b) in enumerate(zip(corrupted, sent)) if a != b]
             assert diffs == [i]
             assert corrupted[i] == VOCAB.mask_id
-            assert queries == [(i, sent[i])]
+            assert targets == [(i, sent[i])]
+
+    def test_long_sentence_is_scored_in_bounded_blocks(self):
+        sent = [3 + i % 90 for i in range(2 * BLOCK_EXAMPLES + 5)]
+        spy = SpyScorer(ORACLE)
+        assert pll_score(sent, spy, VOCAB) == 0.0
+        assert [n for n, _ in spy.blocks] == [BLOCK_EXAMPLES, BLOCK_EXAMPLES, 5]
+        for i, (corrupted, targets) in enumerate(spy.rows):
+            assert corrupted == sent[:i] + [VOCAB.mask_id] + sent[i + 1:]
+            assert targets == [(i, sent[i])]
+
+    def test_empty_sentence_scores_nothing(self):
+        spy = SpyScorer(ORACLE)
+        assert pll_score([], spy, VOCAB) == 0.0 and spy.blocks == []
+
+    def test_sums_left_to_right(self):
+        # -1 then many tiny values: adding one at a time drops every tiny
+        # value, while math.fsum keeps them
+        table = np.zeros(VOCAB.size)
+        table[5], table[6] = -1.0, -1e-17
+        sent = [5] + [6] * (BLOCK_EXAMPLES + 50)
+        total = 0.0
+        for t in sent:
+            total += table[t]
+        assert math.fsum(table[sent]) != total
+        assert pll_score(sent, TokenScorer(table), VOCAB) == total == -1.0
 
 
 class TestMinimalPairs:
     def test_oracle_consistent(self):
         class LengthScorer:  # longer sentences score strictly higher in total
-            def log_prob(self, corrupted_ids, queries):
-                return [-1.0 / len(corrupted_ids) ** 2] * len(queries)
+            def log_probs(self, block):
+                return np.full(len(block.target_originals),
+                               -1.0 / block.corrupted_ids.shape[1] ** 2)
 
         pairs = [([5, 6, 7], [5, 6]), ([5] * 4, [5] * 2)]
         assert minimal_pair_accuracy(pairs, LengthScorer(), VOCAB) == 1.0
 
     def test_inverted(self):
         class Inverted:
-            def log_prob(self, corrupted_ids, queries):
-                return [-float(len(corrupted_ids))] * len(queries)
+            def log_probs(self, block):
+                return np.full(len(block.target_originals),
+                               -float(block.corrupted_ids.shape[1]))
 
         pairs = [([5, 6, 7], [5, 6])]
         assert minimal_pair_accuracy(pairs, Inverted(), VOCAB) == 0.0
 
     def test_identical_pair_is_tie(self):
         pairs = [([5, 6], [5, 6])]
-        assert minimal_pair_accuracy(pairs, UniformScorer(100), VOCAB) == 0.5
+        assert minimal_pair_accuracy(pairs, uniform(100), VOCAB) == 0.5
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ConfigError):
-            minimal_pair_accuracy([], OracleScorer(), VOCAB)
+            minimal_pair_accuracy([], ORACLE, VOCAB)
 
 
 class TestMetrics:
@@ -224,7 +303,7 @@ def plan_from_positions(positions, src=0):
 class TestCoverage:
     def test_zero_rate_zero_coverage(self):
         ds = packed_dataset(n_docs=5)
-        pv = PmiVocabulary(entries={(7, 8): 1.0}, n_max=2, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0})
         cfg = MaskingConfig(m=0.0, seed=0)
         report = pmi_coverage(generate_plans(ds, cfg), pv, ds)
         for cell in report.by_length.values():
@@ -240,7 +319,7 @@ class TestCoverage:
         for w in wins:
             for i in range(127):
                 entries[(int(w.ids[i]), int(w.ids[i + 1]))] = 1.0
-        pv = PmiVocabulary(entries=entries, n_max=2, size_cap=len(entries))
+        pv = PmiVocabulary(entries=entries)
         cfg = MaskingConfig(m=0.40, seed=2)
         report = pmi_coverage(generate_plans(ds, cfg), pv, ds,
                               masking_rate=0.40, strategy="uniform")
@@ -262,8 +341,7 @@ class TestCoverage:
         monkeypatch.setattr(analysis, "_vocab_occurrences", tracked)
         monkeypatch.setattr(masking, "BLOCK_EXAMPLES", 3)
         ds = packed_dataset(n_docs=20)
-        pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds},
-                           n_max=2, size_cap=100)
+        pv = PmiVocabulary(entries={tuple(w.ids[3:5].tolist()): 1.0 for w in ds})
         held, order = [], []
 
         def blocks():
@@ -282,7 +360,7 @@ class TestCoverage:
 
     def test_misaligned_stream(self):
         ds = packed_dataset(n_docs=2)
-        pv = PmiVocabulary(entries={(7, 8): 1.0}, n_max=2, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0})
         with pytest.raises(IntegrityError):
             pmi_coverage([[plan_from_positions([0], src=99)]], pv, ds)
 
@@ -343,14 +421,51 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+# logs every request line to argv[1] and answers -1 - (position % 5) per query
+ECHO_SCRIPT = """\
+import json, sys
+log = open(sys.argv[1], 'a')
+for line in sys.stdin:
+    log.write(line)
+    log.flush()
+    req = json.loads(line)
+    logp = [-1.0 - p % 5 for p, o in req['queries']]
+    print(json.dumps({'qid': req['qid'], 'logp': logp}), flush=True)
+"""
+
+
+def extern(script, *args):
+    return ExternScorer([sys.executable, str(script), *map(str, args)])
+
+
+# rows [5, 6, 7], [8, 9, 10] and [11, 12, 13]; the middle row has no target
+THREE_ROWS = MaskedBlock(corrupted_ids=np.arange(5, 14).reshape(3, 3),
+                         target_counts=np.array([2, 0, 1]),
+                         target_positions=np.array([0, 2, 1]),
+                         target_originals=np.array([5, 7, 12]),
+                         duplicate_index=np.zeros(3, dtype=np.int64),
+                         source_sequence=np.arange(3))
+
 
 class TestExternScorer:
     def test_round_trip(self, tmp_path):
         script = tmp_path / "scorer.py"
         script.write_text(EXTERN_SCRIPT)
-        with ExternScorer(f"{sys.executable} {script}") as scorer:
-            out = scorer.log_prob([5, 6, 7], [(0, 5), (2, 7)])
-        assert out == pytest.approx([-math.log(100)] * 2)
+        with extern(script) as scorer:
+            out = scorer.log_probs(THREE_ROWS)
+        assert out.dtype == np.float64
+        assert out.tolist() == pytest.approx([-math.log(100)] * 3)
+
+    def test_one_request_per_row_with_targets(self, tmp_path):
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_SCRIPT)
+        log = tmp_path / "requests.jsonl"
+        with extern(script, log) as scorer:
+            out = scorer.log_probs(THREE_ROWS)
+        assert log.read_bytes() == (
+            b'{"qid":1,"seq":[5,6,7],"queries":[[0,5],[2,7]]}\n'
+            b'{"qid":2,"seq":[11,12,13],"queries":[[1,12]]}\n')
+        assert out.tolist() == [-1.0, -3.0, -2.0]
 
     @pytest.mark.parametrize("response, needle", [
         ("[1, 2]", "non-object"),
@@ -364,47 +479,88 @@ class TestExternScorer:
         script = tmp_path / "scorer.py"
         script.write_text(f"import sys\nfor line in sys.stdin:\n"
                           f"    print({response!r}, flush=True)\n")
-        with ExternScorer(f"{sys.executable} {script}") as scorer:
+        with extern(script) as scorer:
             with pytest.raises(DataError, match=needle):
-                scorer.log_prob([5, 6, 7], [(0, 5), (2, 7)])
+                scorer.log_probs(THREE_ROWS)
+
+    def test_output_that_is_not_utf8_is_data_error(self, tmp_path):
+        script = tmp_path / "scorer.py"
+        script.write_text("import sys\nfor line in sys.stdin:\n"
+                          "    sys.stdout.buffer.write(b'{\"qid\": 1, \"logp\": [\\xff]}\\n')\n"
+                          "    sys.stdout.flush()\n")
+        with extern(script) as scorer:
+            with pytest.raises(DataError, match=r"invalid JSON: b.*\\xff"):
+                scorer.log_probs(THREE_ROWS)
 
     def test_close_kills_a_child_that_keeps_running(self, tmp_path, monkeypatch):
         script = tmp_path / "stubborn.py"
         script.write_text("import time\ntime.sleep(60)\n")
         monkeypatch.setattr(ExternScorer, "CLOSE_TIMEOUT_S", 0.2)
-        scorer = ExternScorer(f"{sys.executable} {script}")
+        scorer = extern(script)
         scorer.close()
         assert scorer._proc.returncode is not None and scorer._proc.returncode < 0
 
     def test_block_driver_sends_the_per_plan_requests(self, tmp_path):
-        # an echo scorer logs every request line; both loops send the same bytes
+        # an echo scorer logs every request line; the block driver and the
+        # one-row blocks of the per-plan reference send the same bytes
         script = tmp_path / "echo.py"
-        script.write_text("import json, sys\n"
-                          "log = open(sys.argv[1], 'a')\n"
-                          "for line in sys.stdin:\n"
-                          "    log.write(line)\n"
-                          "    log.flush()\n"
-                          "    req = json.loads(line)\n"
-                          "    logp = [-1.0 - p % 5 for p, o in req['queries']]\n"
-                          "    print(json.dumps({'qid': req['qid'], 'logp': logp}), flush=True)\n")
+        script.write_text(ECHO_SCRIPT)
         cfg = MaskingConfig(strategy="span", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1),
                             extra_same=0.05, seed=5)
         results, logs = [], []
         for name, perplexity in (("blocks", masked_perplexity),
                                  ("reference", reference_perplexity)):
             log = tmp_path / f"{name}.jsonl"
-            with ExternScorer(f"{sys.executable} {script} {log}") as scorer:
+            with extern(script, log) as scorer:
                 results.append(perplexity(BLOCK_DS, cfg, scorer))
             logs.append(log.read_bytes())
         assert results[0] == results[1]
         assert logs[0] == logs[1] and logs[0].count(b"\n") > BLOCK_EXAMPLES
 
+    def test_pll_sends_one_request_per_position(self, tmp_path):
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_SCRIPT)
+        log = tmp_path / "requests.jsonl"
+        with extern(script, log) as scorer:
+            assert pll_score([5, 6, 7], scorer, VOCAB) == -1.0 - 2.0 - 3.0
+        assert log.read_bytes() == (
+            b'{"qid":1,"seq":[2,6,7],"queries":[[0,5]]}\n'
+            b'{"qid":2,"seq":[5,2,7],"queries":[[1,6]]}\n'
+            b'{"qid":3,"seq":[5,6,2],"queries":[[2,7]]}\n')
+
     def test_make_scorer_dispatch(self, tmp_path):
-        assert isinstance(make_scorer("uniform", vocab_size=10), UniformScorer)
+        assert isinstance(make_scorer("uniform", vocab_size=10), TokenScorer)
         ds = packed_dataset(n_docs=2)
-        assert isinstance(make_scorer("unigram", ds=ds), UnigramScorer)
+        assert isinstance(make_scorer("unigram", ds=ds), TokenScorer)
         with pytest.raises(ConfigError):
             make_scorer("nope")
+
+
+class TestTokenScorer:
+    def test_unigram_table_is_one_math_log_per_id(self):
+        counts = [0, 3, 0, 7, 1, 10 ** 6]
+        table = unigram(counts).logp
+        total = sum(counts)
+        assert np.isnan(table[[0, 2]]).all()
+        assert [table[i] for i in (1, 3, 4, 5)] == [math.log(c / total) for c in (3, 7, 1, 10 ** 6)]
+
+    def test_uniform_needs_a_positive_size(self):
+        with pytest.raises(ConfigError):
+            uniform(0)
+
+    def test_unigram_needs_a_count(self):
+        with pytest.raises(DataError, match="non-empty"):
+            unigram([0, 0])
+
+    def test_the_first_token_without_a_count_is_named(self):
+        scorer = unigram([0, 1, 0, 0, 0, 1, 1, 0, 0, 0])
+        block = MaskedBlock(corrupted_ids=np.array([[5, 2, 6, 2]]), target_counts=np.array([3]),
+                            target_positions=np.array([2, 1, 3]),
+                            target_originals=np.array([6, 7, 3]),
+                            duplicate_index=np.zeros(1, dtype=np.int64),
+                            source_sequence=np.zeros(1, dtype=np.int64))
+        with pytest.raises(DataError, match="^scorer has no count for token 7$"):
+            scorer.log_probs(block)
 
 
 @given(st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=30), max_size=6),

@@ -363,7 +363,7 @@ class TestCoverageLaw:
         entries = {tuple(row[10 * n:11 * n].tolist()): 1.0 for row in ids for n in self.LENGTHS}
         packed, tsv = tmp / "packed.jsonl", tmp / "pmi.tsv"
         save_packed(ds, packed)
-        PmiVocabulary(entries=entries, n_max=5, size_cap=len(entries)).save_tsv(tsv)
+        PmiVocabulary(entries=entries).save_tsv(tsv)
         return packed, tsv
 
     def coverage(self, inputs, tmp_path, strategy, m):
@@ -412,6 +412,16 @@ class TestMalformedPmiTsv:
         rc = run(subcommand + ["--input", str(packed_path),
                                "--output", str(tmp_path / "o"), "--pmi-vocab", str(tsv)])
         assert_one_line_error(capsys, rc, "line 2")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", [["mask", "--strategy", "pmi"],
+                                            ["stats", "coverage"]])
+    def test_repeated_ngram_names_both_lines(self, tmp_path, packed_path, capsys, subcommand):
+        tsv = tmp_path / "pmi.tsv"
+        tsv.write_text("5 6\t1.0\n7 8\t0.5\n5 6\t2.0\n")
+        rc = run(subcommand + ["--input", str(packed_path),
+                               "--output", str(tmp_path / "o"), "--pmi-vocab", str(tsv)])
+        assert_one_line_error(capsys, rc, "line 3: n-gram 5 6 repeats line 1")
         assert not (tmp_path / "o").exists()
 
 
@@ -581,6 +591,15 @@ class TestScoring:
         rc = run(["pll", "--pairs", str(pairs), "--scorer", scorer] + VOCAB_FLAGS)
         assert_one_line_error(capsys, rc, "external scorer sent a 'logp' entry that is not finite")
 
+    def test_pll_unigram_token_beyond_the_corpus_vocabulary(self, tmp_path, packed_path,
+                                                           capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, VOCAB.size + 7]}) + "\n")
+        flags = VOCAB_FLAGS[:1] + [str(2 * VOCAB.size)] + VOCAB_FLAGS[2:]
+        rc = run(["pll", "--pairs", str(pairs), "--scorer", "unigram",
+                  "--corpus", str(packed_path)] + flags)
+        assert_one_line_error(capsys, rc, f"scorer has no count for token {VOCAB.size + 7}")
+
     def test_pll_accuracy(self, tmp_path, packed_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 6]}) + "\n")
@@ -636,6 +655,56 @@ class TestMetric:
         rc = run(["metric", "normalize", "--baseline", "0.15",
                   "--values", str(values)])
         assert rc == 2
+
+
+def not_utf8_scorer(tmp_path):
+    script = tmp_path / "scorer.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n"
+                      "    sys.stdout.buffer.write(b'{\"qid\": 1, \"logp\": [\\xff]}\\n')\n"
+                      "    sys.stdout.flush()\n")
+    return f"extern:{sys.executable} {script}"
+
+
+# id: (argv of the subcommand after `metric`/`ppl`/`pll`, expected exit code)
+MALFORMED_CLI = {
+    "metric-list": (["metric", "--values", "[1, 2]"], 1),
+    "metric-null": (["metric", "--values", '{"0.15": null, "0.4": 1.0}'], 1),
+    "metric-nan-string": (["metric", "--values", '{"0.15": "nan", "0.4": 1.0}'], 1),
+    "metric-nan-literal": (["metric", "--values", '{"0.15": NaN, "0.4": 1.0}'], 1),
+    "metric-overflow": (["metric", "--values", '{"0.15": 1e400, "0.4": 1.0}'], 1),
+    "metric-huge-int": (["metric", "--values", '{"0.15": 1%s, "0.4": 1.0}' % ("0" * 400)], 1),
+    "metric-bool": (["metric", "--values", '{"0.15": true, "0.4": 1.0}'], 1),
+    "metric-rate-inf": (["metric", "--values", '{"0.15": 1.0, "inf": 2.0}'], 1),
+    "ppl-extern-empty": (["ppl", "--scorer", "extern:"], 1),
+    "ppl-extern-open-quote": (["ppl", "--scorer", 'extern:"x'], 1),
+    "pll-extern-blank": (["pll", "--scorer", "extern:  "], 1),
+    "pll-extern-open-quote": (["pll", "--scorer", 'extern:"x'], 1),
+    "ppl-extern-not-utf8": (["ppl", "--scorer", not_utf8_scorer], 2),
+    "pll-extern-not-utf8": (["pll", "--scorer", not_utf8_scorer], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED_CLI.values(), ids=MALFORMED_CLI.keys())
+def test_malformed_input_is_one_line(tmp_path, packed_path, capsys, argv, code):
+    # the documented exit code and one stderr line, never a traceback
+    subcommand, flag, value = argv
+    if callable(value):
+        value = value(tmp_path)
+    if subcommand == "metric":
+        values = tmp_path / "values.json"
+        values.write_text(value)
+        argv = ["metric", "normalize", "--baseline", "0.15", "--values", str(values)]
+    elif subcommand == "ppl":
+        argv = ["ppl", "--input", str(packed_path), flag, value]
+    else:
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n")
+        argv = ["pll", "--pairs", str(pairs), flag, value] + VOCAB_FLAGS
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("mlmpipe: error: ")
 
 
 class TestUsage:

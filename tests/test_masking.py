@@ -419,8 +419,7 @@ class TestStreamDeterminism:
     @settings(max_examples=40, deadline=None)
     def test_exact_budget_and_no_special_positions(self, strategy, m, seed):
         ds = packed_dataset(n_docs=4, seed=seed % 17)
-        pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4},
-                           n_max=3, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
         cfg = MaskingConfig(strategy=strategy, m=m, seed=seed)
         for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
@@ -432,7 +431,7 @@ class TestStreamDeterminism:
 
     def test_unit_atomicity_in_stream(self):
         ds = packed_dataset(n_docs=10, seed=3)
-        pv = PmiVocabulary(entries={(7, 8): 1.0, (9, 10): 0.8}, n_max=2, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0, (9, 10): 0.8})
         cfg = MaskingConfig(strategy="pmi", m=0.3, seed=11)
         from mlmpipe.pmi import segment_units
         for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
@@ -460,7 +459,7 @@ def test_generate_plans_yields_window_blocks(block, strategy, rates, k, monkeypa
     # windows of the stream, a window's k duplicates contiguous and in order
     monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
     ds = packed_dataset(n_docs=80)
-    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4}, n_max=3, size_cap=10)
+    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
     cfg = MaskingConfig(strategy=strategy, policy=(0.8, 0.1, 0.1), seed=3, **rates)
     stream = [idx for idx, _ in epoch_stream(ds, cfg.seed, 1)]
     assert len(stream) > 64
@@ -557,7 +556,7 @@ def reference_plans(window, config, rng, pmi_vocab=None):
 ])
 def test_array_plans_match_reference(kw):
     ds = packed_dataset(n_docs=12, seed=5)
-    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4}, n_max=3, size_cap=10)
+    pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
     config = MaskingConfig(seed=3, **kw)
     for idx, win in enumerate(ds):
         got = plan_window(win, VOCAB, config, substream(3, 0, idx), pv, source_sequence=idx)
@@ -650,8 +649,7 @@ class TestArrayPlans:
         # so planning the windows in any order reproduces the stream's plans
         ds = packed_dataset(n_docs=20)
         pv = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
-                                    for w in ds for i, n in ((3, 2), (20, 3))},
-                           n_max=3, size_cap=100)
+                                    for w in ds for i, n in ((3, 2), (20, 3))})
         cfg = MaskingConfig(strategy=strategy, m_corr=0.2, m_pred=0.4,
                             policy=(0.8, 0.1, 0.1), extra_same=0.05, seed=4)
 

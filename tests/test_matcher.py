@@ -180,7 +180,7 @@ def vocab_with_prefixes(grams, prefix_cuts):
         entries[gram] = 1.0
         if 0 < cut < len(gram):
             entries[gram[:cut]] = 0.5
-    return PmiVocabulary(entries=entries, n_max=8, size_cap=max(len(entries), 1))
+    return PmiVocabulary(entries=entries)
 
 
 @given(ids=st.lists(TOKENS, max_size=40),
@@ -272,8 +272,7 @@ def test_index_is_built_on_first_use(tmp_path):
 
 
 def test_ids_beyond_int64_are_left_out():
-    pv = PmiVocabulary(entries={(2 ** 70, 5): 1.0, (5, 6): 1.0, (6, -2 ** 64, 7): 1.0},
-                       n_max=3, size_cap=3)
+    pv = PmiVocabulary(entries={(2 ** 70, 5): 1.0, (5, 6): 1.0, (6, -2 ** 64, 7): 1.0})
     ids = np.array([[5, 6, 5, 6]])
     assert _vocab_occurrences(ids, pv).tolist() == [[0, 0, 2], [0, 2, 2]]
     assert pv.index[0].tolist() == [5, 6]
@@ -289,9 +288,9 @@ def test_ids_beyond_int64_are_left_out():
 def test_key_overflow_raises(monkeypatch, entries, limit):
     monkeypatch.setattr(pmi, "_KEY_LIMIT", limit)
     with pytest.raises(DataError, match="overflow"):
-        PmiVocabulary(entries=dict(entries), n_max=3, size_cap=2).index
+        PmiVocabulary(entries=dict(entries)).index
     monkeypatch.setattr(pmi, "_KEY_LIMIT", limit + 1)
-    pv = PmiVocabulary(entries=dict(entries), n_max=3, size_cap=2)
+    pv = PmiVocabulary(entries=dict(entries))
     ids = np.array([list(next(iter(entries)))])
     assert _vocab_occurrences(ids, pv)[:, 2].max() == len(next(iter(entries)))
 
@@ -325,7 +324,7 @@ def small_dataset(seed, windows, L):
 def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, policy,
                                         extra_same, block, grams):
     ds = small_dataset(seed, windows, L)
-    pv = PmiVocabulary(entries={g: 1.0 for g in grams}, n_max=6, size_cap=len(grams))
+    pv = PmiVocabulary(entries={g: 1.0 for g in grams})
     cfg = MaskingConfig(strategy=strategy, policy=policy, extra_same=extra_same,
                         seed=seed, **rates)
     want = oracle_coverage(chain.from_iterable(generate_plans(ds, cfg, pv)), pv, ds)
@@ -343,8 +342,7 @@ def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch
     # a window's disjoint duplicates share one generate_plans block, and blocks cut
     # anywhere else give the same counts
     ds = small_dataset(3, 30, 40)
-    pv = PmiVocabulary(entries={(5, 6): 1.0, (6, 7, 8): 1.0, (7,): 1.0, (SEP, 5): 1.0},
-                       n_max=3, size_cap=4)
+    pv = PmiVocabulary(entries={(5, 6): 1.0, (6, 7, 8): 1.0, (7,): 1.0, (SEP, 5): 1.0})
     cfg = MaskingConfig(strategy="pmi", m_corr=0.2, m_pred=0.6, policy=(0.8, 0.1, 0.1),
                         extra_same=0.05, seed=9)
     monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)

@@ -308,19 +308,19 @@ class TestSegmentUnits:
         assert units == [(0, 2), (2, 4)]
 
     def test_pmi_mode_matches_pair(self):
-        pv = PmiVocabulary(entries={(7, 8): 1.0}, n_max=2, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0})
         win = make_window([5, 7, 8, 6])
         units = segment_units(win, VOCAB, "pmi", pv)
         assert (1, 3) in units
 
     def test_greedy_longest_leftmost(self):
-        pv = PmiVocabulary(entries={(7, 8): 1.0, (8, 9): 2.0}, n_max=2, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0, (8, 9): 2.0})
         win = make_window([7, 8, 9])
         units = segment_units(win, VOCAB, "pmi", pv)
         assert units == [(0, 2), (2, 3)]
 
     def test_longer_match_preferred(self):
-        pv = PmiVocabulary(entries={(7, 8): 1.0, (7, 8, 9): 0.5}, n_max=3, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0, (7, 8, 9): 0.5})
         win = make_window([7, 8, 9])
         units = segment_units(win, VOCAB, "pmi", pv)
         assert units == [(0, 3)]
@@ -338,8 +338,7 @@ class TestSegmentUnits:
         ws = rng.random(len(ids)) < 0.6
         ws[0] = True
         win = make_window(ids, word_starts=ws)
-        pv = PmiVocabulary(entries={(7, 8): 1.0, (8, 9): 2.0, (5, 6, 7): 0.3},
-                           n_max=3, size_cap=10)
+        pv = PmiVocabulary(entries={(7, 8): 1.0, (8, 9): 2.0, (5, 6, 7): 0.3})
         units = segment_units(win, VOCAB, mode, pv)
         covered = [p for s, e in units for p in range(s, e)]
         maskable = [i for i, t in enumerate(ids)
