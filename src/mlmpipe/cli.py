@@ -319,14 +319,24 @@ def _cmd_pll(args) -> int:
     return 0
 
 
+class _Pairs(list):
+    """A JSON object as the list of its (key, value) pairs."""
+
+
 def _cmd_metric(args) -> int:
     try:
         with open(args.values, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # every object as its (key, value) pairs, so no repeated key is lost
+            raw = json.load(fh, object_pairs_hook=_Pairs)
         # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-        if type(raw) is not dict or not set(map(type, raw.values())) <= {int, float}:
+        if type(raw) is not _Pairs or not {type(v) for _, v in raw} <= {int, float}:
             raise ValueError("expected a JSON object of numbers")
-        values = {float(k): float(v) for k, v in raw.items()}
+        values, keys = {}, {}
+        for key, value in raw:
+            rate = float(key)
+            if rate in keys:
+                raise ValueError(f"keys {keys[rate]!r} and {key!r} name the same rate {rate:g}")
+            values[rate], keys[rate] = float(value), key
         if not all(map(math.isfinite, [*values, *values.values()])):
             raise ValueError("rates and values must be finite")
     except (OSError, ValueError, OverflowError) as exc:

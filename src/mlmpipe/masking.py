@@ -10,6 +10,7 @@ the replacement policy is available behind ``policy_sampling``).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab, epoch_stream
 from .errors import ConfigError, DataError, InfeasibleError, IntegrityError
-from .pmi import PmiVocabulary, segment_block, segment_units
+from .pmi import PmiVocabulary, segment_block
 
 _EPS = 1e-9
 
@@ -238,35 +239,58 @@ def sample_span(allowed: np.ndarray, budget: int, mean_span: float,
     return allowed[np.repeat(np.cumsum(gaps[:-1]), lengths) + np.arange(budget)]
 
 
-def sample_units(units: list[tuple[int, int]], allowed: np.ndarray, budget: int,
-                 rng: np.random.Generator) -> np.ndarray:
+def sample_units(units: np.ndarray | Sequence[tuple[int, int]], allowed: np.ndarray,
+                 budget: int, rng: np.random.Generator) -> np.ndarray:
     """Mask whole units; fill any leftover budget with single positions.
 
-    Units are drawn uniformly without replacement and accepted only when
-    they fit the remaining budget in full.
+    ``units`` are disjoint, non-empty half-open (start, end) ranges, as
+    ``segment_block`` returns them, and ``allowed`` holds distinct positions
+    in ascending order. A unit is usable when every position of it is
+    allowed. Usable units are drawn in a uniformly random order and accepted
+    only when they fit the remaining budget in full; any budget left after
+    them goes to a uniform draw from the allowed positions that no accepted
+    unit covers.
     """
     n = len(allowed)
     if budget > n:
         raise InfeasibleError(f"budget {budget} exceeds {n} maskable positions")
     if budget == 0:
         return np.empty(0, dtype=np.int64)
-    allowed_set = set(allowed.tolist())
-    usable = [u for u in units
-              if (u[0] in allowed_set if u[1] - u[0] == 1
-                  else allowed_set.issuperset(range(u[0], u[1])))]
-    picked: list[int] = []
-    remaining = budget
-    for j in rng.permutation(len(usable)):
-        if remaining == 0:
-            break
-        start, end = usable[int(j)]
-        if end - start <= remaining:
-            picked.extend(range(start, end))
-            remaining -= end - start
-    if remaining > 0:
-        leftover = np.array(sorted(allowed_set - set(picked)), dtype=np.int64)
-        picked.extend(int(p) for p in rng.choice(leftover, size=remaining, replace=False))
-    return np.sort(np.array(picked, dtype=np.int64))
+    units = np.asarray(units, dtype=np.int64).reshape(-1, 2)
+    lengths = units[:, 1] - units[:, 0]
+    # the positions below each bound that are not allowed: a unit is usable
+    # when as many lie below its end as below its start
+    gaps = units - allowed.searchsorted(units)
+    usable = (gaps[:, 0] == gaps[:, 1]).nonzero()[0]
+    order = usable[rng.permutation(len(usable))]
+    # the units before the first that overflows the budget all fit
+    total = lengths[order].cumsum()
+    fit = int(total.searchsorted(budget, "right"))
+    remaining = budget - int(total[fit - 1]) if fit else budget
+    taken = units[order[:fit]]
+    if remaining and fit < len(order):
+        rest = order[fit + 1:]
+        more = []
+        for j, length in zip(rest.tolist(), lengths[rest].tolist()):
+            if length <= remaining:
+                more.append(j)
+                remaining -= length
+                if remaining == 0:
+                    break
+        taken = np.concatenate([taken, units[more]])
+    # +1 at each taken start and -1 at its end: the running sum is 1 inside
+    # a taken unit, so the picked positions come out in ascending order
+    size = int(allowed[-1]) + 1
+    inside = np.zeros(size + 1, dtype=np.int8)
+    inside[taken[:, 0]] = 1
+    inside[taken[:, 1]] -= 1
+    in_unit = inside[:size].cumsum(dtype=np.int8).view(bool)
+    picked = in_unit.nonzero()[0]
+    if remaining:
+        leftover = allowed[~in_unit[allowed]]
+        fill = rng.choice(leftover, size=remaining, replace=False)
+        picked = np.sort(np.concatenate([picked, fill]))
+    return picked
 
 
 Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
@@ -274,11 +298,11 @@ Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
                  pmi_vocab: PmiVocabulary | None = None,
-                 units: list[tuple[int, int]] | None = None) -> Sampler:
+                 units: np.ndarray | None = None) -> Sampler:
     """Bind a strategy to a window, returning f(allowed, budget, rng).
 
-    Unit strategies take the window's ``segment_units`` result as ``units``,
-    or segment the window themselves.
+    Unit strategies take the window's ``segment_block`` unit array as
+    ``units``, or segment the window themselves.
     """
     if config.strategy == "uniform":
         return sample_uniform
@@ -286,7 +310,8 @@ def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
         return lambda allowed, budget, rng: sample_span(
             allowed, budget, config.mean_span, rng)
     if units is None:
-        units = segment_units(window, vocab, config.strategy, pmi_vocab)
+        units = segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
+                              vocab, config.strategy, pmi_vocab)[0]
     return lambda allowed, budget, rng: sample_units(units, allowed, budget, rng)
 
 
@@ -360,12 +385,29 @@ def largest_remainder(total: int, proportions: tuple[float, ...]) -> list[int]:
     return counts
 
 
+@functools.lru_cache(maxsize=4096)
+def _exact_kinds(n_act: int, policy: tuple[float, float, float]) -> np.ndarray:
+    """The kind codes of n_act actions under exact apportionment, MASK codes
+    first, then RANDOM, then SAME; read-only, as it is shared."""
+    kinds = np.repeat(np.arange(3, dtype=np.uint8), largest_remainder(n_act, policy))
+    kinds.setflags(write=False)
+    return kinds
+
+
+@functools.lru_cache(maxsize=64)
+def _special_thresholds(special_ids: tuple[int, ...]) -> np.ndarray:
+    """s_i - i for the sorted special ids s_0 < s_1 < s_2: a draw d over the
+    non-special ids maps to d plus the number of thresholds at or below d.
+    Read-only, as it is shared."""
+    thresholds = np.sort(np.array(special_ids, dtype=np.int64)) - np.arange(len(special_ids))
+    thresholds.setflags(write=False)
+    return thresholds
+
+
 def _random_replacements(count: int, vocab: Vocab, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws over the vocabulary excluding mask/pad/sep ids."""
     draws = rng.integers(0, vocab.size - 3, size=count)
-    for s in sorted(vocab.special_ids):
-        draws[draws >= s] += 1
-    return draws
+    return draws + _special_thresholds(vocab.special_ids).searchsorted(draws, "right")
 
 
 def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same: float,
@@ -378,41 +420,50 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
     positions in a random permutation order, and random replacements are
     handed out in that same order. extra_same adds same-token predictions
     on previously untouched maskable positions; those join the prediction
-    set but are never corrupted.
+    set but are never corrupted. The plan's positions and predictions must
+    be ascending, as ``plan_decoupled`` makes them.
     """
     if plan.kinds.any():
         raise DataError("apply_policy requires an all-mask plan")
     n_act = len(plan.positions)
     if sampling == "exact":
-        drawn = np.repeat(np.arange(3, dtype=np.uint8), largest_remainder(n_act, policy))
+        drawn = _exact_kinds(n_act, tuple(policy))
     else:
         drawn = rng.choice(3, size=n_act, p=np.asarray(policy) / sum(policy)).astype(np.uint8)
     perm = rng.permutation(n_act)
     positions = plan.positions
     kinds = np.empty(n_act, dtype=np.uint8)
     kinds[perm] = drawn
-    repl = np.zeros(n_act, dtype=np.int64)
+    # the positions that draw RANDOM, in permutation order; each takes the
+    # next replacement
     random_at = perm[drawn == RANDOM]
-    if len(random_at):
-        repl[random_at] = _random_replacements(len(random_at), vocab, rng)
+    draws = _random_replacements(len(random_at), vocab, rng) if len(random_at) else _NO_IDS
     pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
     maskable = window.maskable_positions(vocab) if extra_same > 0 else _NO_IDS
     e = exact_count(extra_same, len(maskable))
-    if e:
-        free = np.zeros(len(window.ids), dtype=bool)
-        free[maskable] = True
-        free[positions] = False
-        candidates = np.flatnonzero(free)
-        if e > len(candidates):
-            raise InfeasibleError(
-                f"{e} extra same-token predictions requested but only "
-                f"{len(candidates)} untouched positions remain")
-        chosen = rng.choice(candidates, size=e, replace=False)
-        positions = np.concatenate([positions, chosen])
-        kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
-        repl = np.concatenate([repl, np.zeros(e, dtype=np.int64)])
-        pred_positions = np.concatenate([pred_positions, chosen])
-        pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
+    if not e:
+        # positions are ascending already: replacements go in position order
+        return MaskPlan(positions=positions, kinds=kinds,
+                        replacements=draws[np.argsort(random_at)],
+                        pred_positions=pred_positions, pred_originals=pred_originals,
+                        duplicate_index=plan.duplicate_index,
+                        source_sequence=plan.source_sequence)
+    repl = np.zeros(n_act, dtype=np.int64)
+    repl[random_at] = draws
+    free = np.zeros(len(window.ids), dtype=bool)
+    free[maskable] = True
+    free[positions] = False
+    candidates = np.flatnonzero(free)
+    if e > len(candidates):
+        raise InfeasibleError(
+            f"{e} extra same-token predictions requested but only "
+            f"{len(candidates)} untouched positions remain")
+    chosen = rng.choice(candidates, size=e, replace=False)
+    positions = np.concatenate([positions, chosen])
+    kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
+    repl = np.concatenate([repl, np.zeros(e, dtype=np.int64)])
+    pred_positions = np.concatenate([pred_positions, chosen])
+    pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
     order = np.argsort(pred_positions)
     pred_positions, pred_originals = pred_positions[order], pred_originals[order]
     order = np.argsort(positions)
@@ -496,7 +547,7 @@ def materialize(window: TokenSequence, plan: MaskPlan, vocab: Vocab) -> MaskedEx
 def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
                 rng: np.random.Generator, pmi_vocab: PmiVocabulary | None = None,
                 source_sequence: int = 0,
-                units: list[tuple[int, int]] | None = None) -> list[MaskPlan]:
+                units: np.ndarray | None = None) -> list[MaskPlan]:
     """All plans for one window: strategy sampling, decoupling, policy.
     ``units`` is as for ``make_sampler``."""
     sampler = make_sampler(window, vocab, config, pmi_vocab, units)

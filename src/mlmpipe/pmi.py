@@ -353,8 +353,9 @@ def segment_units(window: TokenSequence, vocab: Vocab, mode: str,
     greedy leftmost-longest match against the PMI vocabulary, falling back
     to whole-word units. Pad/sep positions never appear in a unit.
     """
-    return segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
-                         vocab, mode, pmi_vocab)[0]
+    units = segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
+                          vocab, mode, pmi_vocab)[0]
+    return list(map(tuple, units.tolist()))
 
 
 def _next_at_or_after(stop: np.ndarray) -> np.ndarray:
@@ -379,9 +380,10 @@ def _run_room(ids: np.ndarray, vocab: Vocab) -> np.ndarray:
 
 
 def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: str,
-                  pmi_vocab: PmiVocabulary | None = None) -> list[list[tuple[int, int]]]:
+                  pmi_vocab: PmiVocabulary | None = None) -> list[np.ndarray]:
     """``segment_units`` for each row of (rows x L) id and word-start
-    matrices: one list of units per row.
+    matrices: one int64 (units x 2) array of (start, end) ranges per row,
+    each a view into one array of the block's units.
 
     Each maskable position p gets the end of the unit that would start at
     it: p plus the longest entry that fits in p's run (pmi), or else the
@@ -396,7 +398,7 @@ def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: 
     rows, L = ids.shape
     size = rows * L
     if size == 0:
-        return [[] for _ in range(rows)]
+        return [np.empty((0, 2), dtype=np.int64) for _ in range(rows)]
     room = _run_room(ids, vocab)
     if mode == "single_token":
         starts = np.flatnonzero(room)
@@ -423,6 +425,6 @@ def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: 
         starts = np.flatnonzero(reached[:size] & (room > 0))
         ends = ends[starts]
     row = starts // L
-    units = list(zip((starts - row * L).tolist(), (ends - row * L).tolist()))
+    units = np.stack([starts, ends], axis=1) - (row * L)[:, np.newaxis]
     bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
     return [units[a:b] for a, b in zip(bounds, bounds[1:])]

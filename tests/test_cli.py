@@ -649,6 +649,21 @@ class TestMetric:
         got = {float(r["masking_rate"]): float(r["relative_value"]) for r in rows}
         assert got[0.40] == pytest.approx(1.8, abs=1e-9)
 
+    @pytest.mark.parametrize("text, keys", [
+        ('{"0.15": 84.2, "0.150": 90.0, "0.4": 84.5}', "'0.15' and '0.150'"),
+        ('{"0.4": 84.5, "0.15": 84.2, "0.15": 90.0}', "'0.15' and '0.15'"),
+    ], ids=["two-spellings", "same-key"])
+    def test_repeated_rate_is_usage_error(self, tmp_path, capsys, text, keys):
+        # json.load would keep one of the two values without a word
+        values = tmp_path / "values.json"
+        values.write_text(text)
+        rc = run(["metric", "relative", "--baseline", "0.15", "--values", str(values)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"mlmpipe: error: cannot read values file {values}: keys {keys} name the same "
+            "rate 0.15"]
+
     def test_degenerate_is_data_error(self, tmp_path):
         values = tmp_path / "values.json"
         values.write_text(json.dumps({"0.15": 1.0, "0.40": 1.0}))
@@ -675,6 +690,10 @@ MALFORMED_CLI = {
     "metric-huge-int": (["metric", "--values", '{"0.15": 1%s, "0.4": 1.0}' % ("0" * 400)], 1),
     "metric-bool": (["metric", "--values", '{"0.15": true, "0.4": 1.0}'], 1),
     "metric-rate-inf": (["metric", "--values", '{"0.15": 1.0, "inf": 2.0}'], 1),
+    "metric-rate-spelled-twice": (["metric", "--values",
+                                   '{"0.15": 84.2, "0.150": 90.0, "0.4": 84.5}'], 1),
+    "metric-key-twice": (["metric", "--values", '{"0.15": 84.2, "0.15": 90.0, "0.4": 84.5}'],
+                         1),
     "ppl-extern-empty": (["ppl", "--scorer", "extern:"], 1),
     "ppl-extern-open-quote": (["ppl", "--scorer", 'extern:"x'], 1),
     "pll-extern-blank": (["pll", "--scorer", "extern:  "], 1),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe import masking
-from mlmpipe.corpus import epoch_stream
+from mlmpipe.corpus import Vocab, epoch_stream
 from mlmpipe.errors import ConfigError, DataError, InfeasibleError, IntegrityError
 from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, MaskingConfig,
                              MaskPlan, apply_policy, effective_rates, exact_count,
@@ -16,7 +16,7 @@ from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, Masking
                              make_sampler, materialize, materialize_block,
                              plan_decoupled, plan_window, sample_span,
                              sample_uniform, sample_units)
-from mlmpipe.pmi import PmiVocabulary
+from mlmpipe.pmi import PmiVocabulary, segment_units
 from mlmpipe.rng import substream
 
 from conftest import VOCAB, full_window, make_window, mask_plan, packed_dataset
@@ -155,6 +155,105 @@ def reference_sample_span(allowed, budget, mean_span, rng):
         out += length
         idx += length + int(gaps[i + 1])
     return picked
+
+
+def oracle_sample_units(units, allowed, budget, rng):
+    """The set-based unit sampler that the array sampler replaced, kept as
+    its oracle: ``sample_units`` must make the same generator calls and
+    return the same picks."""
+    n = len(allowed)
+    if budget > n:
+        raise InfeasibleError(f"budget {budget} exceeds {n} maskable positions")
+    if budget == 0:
+        return np.empty(0, dtype=np.int64)
+    allowed_set = set(allowed.tolist())
+    usable = [u for u in units
+              if (u[0] in allowed_set if u[1] - u[0] == 1
+                  else allowed_set.issuperset(range(u[0], u[1])))]
+    picked = []
+    remaining = budget
+    for j in rng.permutation(len(usable)):
+        if remaining == 0:
+            break
+        start, end = usable[int(j)]
+        if end - start <= remaining:
+            picked.extend(range(start, end))
+            remaining -= end - start
+    if remaining > 0:
+        leftover = np.array(sorted(allowed_set - set(picked)), dtype=np.int64)
+        picked.extend(int(p) for p in rng.choice(leftover, size=remaining, replace=False))
+    return np.sort(np.array(picked, dtype=np.int64))
+
+
+def generator_state(rng):
+    """Where a generator stands in its stream, as nested plain values."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return np.asarray(value).tolist()
+    return plain(rng.bit_generator.state)
+
+
+@st.composite
+def unit_cases(draw):
+    """(units, allowed, budget, seed): a partition of 0..L-1 into units with
+    some units left out, a subset of the positions allowed (units may
+    straddle disallowed ones), and a budget from 0 to one past the number
+    of allowed positions."""
+    L = draw(st.integers(1, 40))
+    cuts = draw(st.sets(st.integers(1, L - 1), max_size=L)) if L > 1 else set()
+    bounds = [0, *sorted(cuts), L]
+    units = list(zip(bounds, bounds[1:]))
+    if draw(st.booleans()):
+        # multi-token units only, so budget is often left for the fill
+        units = [(s, e) for s, e in units if e - s >= 2]
+    keep = draw(st.lists(st.booleans(), min_size=len(units), max_size=len(units)))
+    units = [u for u, k in zip(units, keep) if k]
+    if draw(st.booleans()):
+        allowed = np.arange(L)
+    else:
+        mask = draw(st.lists(st.booleans(), min_size=L, max_size=L))
+        allowed = np.flatnonzero(mask)
+    budget = draw(st.integers(0, len(allowed) + 1))
+    return units, allowed, budget, draw(st.integers(0, 2 ** 32))
+
+
+def check_against_oracle(units, allowed, budget, seed):
+    array_units = np.array(units, dtype=np.int64).reshape(-1, 2)
+    got_rng, want_rng = rng_for(seed), rng_for(seed)
+    if budget > len(allowed):
+        with pytest.raises(InfeasibleError):
+            sample_units(array_units, allowed, budget, got_rng)
+        with pytest.raises(InfeasibleError):
+            oracle_sample_units(units, allowed, budget, want_rng)
+        return
+    got = sample_units(array_units, allowed, budget, got_rng)
+    want = oracle_sample_units(units, allowed, budget, want_rng)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert generator_state(got_rng) == generator_state(want_rng)
+
+
+class TestSampleUnitsOracle:
+    @given(unit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_set_oracle(self, case):
+        check_against_oracle(*case)
+
+    @pytest.mark.parametrize("budget", [0, 1, 5, 9, 10, 11])
+    def test_budget_bounds(self, budget):
+        # budget 0, the whole allowed set and one past it; units of 2 and 3
+        # with a disallowed position inside one of them
+        units = [(0, 2), (2, 5), (5, 7), (8, 11), (11, 12)]
+        allowed = np.array([0, 1, 2, 3, 4, 5, 6, 8, 9, 11])
+        check_against_oracle(units, allowed, budget, 7)
+
+    def test_multi_token_units_leave_a_fill(self):
+        # 2-token units and an odd budget: the last position comes from the fill
+        units = [(0, 2), (2, 4), (4, 6)]
+        for seed in range(20):
+            check_against_oracle(units, np.arange(6), 3, seed)
+        picked = sample_units(np.array(units), np.arange(6), 3, rng_for())
+        assert len(picked) == 3 and np.all(np.diff(picked) > 0)
 
 
 class TestSampleUnits:
@@ -325,6 +424,106 @@ class TestApplyPolicy:
         assert len(counts) > 1
 
 
+# specials in the middle and at both ends of the vocabulary
+SCATTERED = Vocab(size=1000, mask_id=999, pad_id=0, sep_id=500)
+
+
+def oracle_apply_policy(plan, policy, extra_same, vocab, rng, window, sampling="exact"):
+    """The policy step before its replacement map became one searchsorted
+    and before it skipped sorting plans that were sorted already; kept as
+    the oracle of ``apply_policy``."""
+    n_act = len(plan.positions)
+    if sampling == "exact":
+        drawn = np.repeat(np.arange(3, dtype=np.uint8), largest_remainder(n_act, policy))
+    else:
+        drawn = rng.choice(3, size=n_act, p=np.asarray(policy) / sum(policy)).astype(np.uint8)
+    perm = rng.permutation(n_act)
+    positions = plan.positions
+    kinds = np.empty(n_act, dtype=np.uint8)
+    kinds[perm] = drawn
+    repl = np.zeros(n_act, dtype=np.int64)
+    random_at = perm[drawn == RANDOM]
+    if len(random_at):
+        draws = rng.integers(0, vocab.size - 3, size=len(random_at))
+        for s in sorted(vocab.special_ids):
+            draws[draws >= s] += 1
+        repl[random_at] = draws
+    pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
+    maskable = window.maskable_positions(vocab) if extra_same > 0 else np.empty(0, np.int64)
+    e = exact_count(extra_same, len(maskable))
+    if e:
+        free = np.zeros(len(window.ids), dtype=bool)
+        free[maskable] = True
+        free[positions] = False
+        chosen = rng.choice(np.flatnonzero(free), size=e, replace=False)
+        positions = np.concatenate([positions, chosen])
+        kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
+        repl = np.concatenate([repl, np.zeros(e, dtype=np.int64)])
+        pred_positions = np.concatenate([pred_positions, chosen])
+        pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
+    order = np.argsort(pred_positions)
+    pred_positions, pred_originals = pred_positions[order], pred_originals[order]
+    order = np.argsort(positions)
+    positions, kinds, repl = positions[order], kinds[order], repl[order]
+    return MaskPlan(positions=positions, kinds=kinds, replacements=repl[kinds == RANDOM],
+                    pred_positions=pred_positions, pred_originals=pred_originals,
+                    duplicate_index=plan.duplicate_index,
+                    source_sequence=plan.source_sequence)
+
+
+def plan_fields(plan):
+    return (plan.positions.tolist(), plan.kinds.tolist(), plan.replacements.tolist(),
+            plan.pred_positions.tolist(), plan.pred_originals.tolist(),
+            plan.duplicate_index, plan.source_sequence)
+
+
+class AllDraws:
+    """A stand-in generator whose ``integers`` returns every value of its
+    range once, in order."""
+
+    def integers(self, low, high, size):
+        assert size == high - low
+        return np.arange(low, high)
+
+
+class TestPolicyOracle:
+    @pytest.mark.parametrize("vocab", [
+        SCATTERED, VOCAB, Vocab(size=12, mask_id=5, pad_id=6, sep_id=7),
+        Vocab(size=9, mask_id=8, pad_id=3, sep_id=0),
+    ], ids=["scattered", "first-three", "adjacent", "both-ends"])
+    def test_replacement_map_on_every_draw(self, vocab):
+        # each draw on and next to every threshold, against the loop that
+        # shifts the draws past one special at a time
+        n = vocab.size - 3
+        want = np.arange(n)
+        for s in sorted(vocab.special_ids):
+            want[want >= s] += 1
+        got = masking._random_replacements(n, vocab, AllDraws())
+        assert got.tolist() == want.tolist()
+        assert sorted(got.tolist()) == sorted(set(range(vocab.size)) - set(vocab.special_ids))
+
+    @pytest.mark.parametrize("sampling", ["exact", "bernoulli"])
+    @pytest.mark.parametrize("extra_same", [0.0, 0.1])
+    @pytest.mark.parametrize("policy", [(0.8, 0.1, 0.1), (0.0, 1.0, 0.0), (0.5, 0.3, 0.2)])
+    @pytest.mark.parametrize("rates", [(0.4, 0.4), (0.5, 0.3)])
+    def test_equals_oracle(self, sampling, extra_same, policy, rates):
+        gen = np.random.default_rng(17)
+        for i in range(30):
+            # ordinary ids on both sides of every special, a few pad and sep
+            ids = gen.integers(1, 999, size=64)
+            ids[ids == 500] = 501
+            ids[gen.random(64) < 0.1] = SCATTERED.sep_id
+            ids[64 - gen.integers(0, 8):] = SCATTERED.pad_id
+            win = make_window(ids)
+            plan = plan_decoupled(win, SCATTERED, sample_uniform, *rates, rng_for(i))[0]
+            got_rng, want_rng = rng_for(1000 + i), rng_for(1000 + i)
+            got = apply_policy(plan, policy, extra_same, SCATTERED, got_rng, win, sampling)
+            want = oracle_apply_policy(plan, policy, extra_same, SCATTERED, want_rng, win,
+                                       sampling)
+            assert plan_fields(got) == plan_fields(want)
+            assert generator_state(got_rng) == generator_state(want_rng)
+
+
 class TestEffectiveRates:
     def test_eighty_ten_ten(self):
         cfg = MaskingConfig(m=0.40, policy=(0.8, 0.1, 0.1))
@@ -485,9 +684,16 @@ def test_generate_plans_yields_no_empty_list(monkeypatch):
 
 def reference_plans(window, config, rng, pmi_vocab=None):
     """Plans as (position, kind, replacement) lists and (position, original)
-    lists, drawn with one MaskAction-style loop per position: the generator
-    calls the array code must reproduce, in the same order and sizes."""
-    sampler = make_sampler(window, VOCAB, config, pmi_vocab)
+    lists, drawn with one MaskAction-style loop per position and, for unit
+    strategies, the set-based unit oracle: the generator calls the array
+    code must reproduce, in the same order and sizes."""
+    if config.strategy in masking.UNIT_STRATEGIES:
+        units = segment_units(window, VOCAB, config.strategy, pmi_vocab)
+
+        def sampler(allowed, budget, rng):
+            return oracle_sample_units(units, allowed, budget, rng)
+    else:
+        sampler = make_sampler(window, VOCAB, config, pmi_vocab)
     maskable = window.maskable_positions(VOCAB)
     n = len(maskable)
     c = exact_count(config.corruption_rate, n)

@@ -183,6 +183,13 @@ def vocab_with_prefixes(grams, prefix_cuts):
     return PmiVocabulary(entries=entries)
 
 
+def block_units(block):
+    """``segment_block``'s rows as lists of (start, end) tuples, after
+    checking that each row is an int64 (units x 2) array."""
+    assert all(u.dtype == np.int64 and u.ndim == 2 and u.shape[1] == 2 for u in block)
+    return [list(map(tuple, u.tolist())) for u in block]
+
+
 @given(ids=st.lists(TOKENS, max_size=40),
        starts=st.lists(st.booleans(), min_size=40, max_size=40),
        rows=st.integers(1, 4),
@@ -209,10 +216,10 @@ def test_matcher_equals_tuple_scan(ids, starts, rows, grams, prefix_cuts):
     windows = [make_window(row_ids, row_ws) for row_ids, row_ws in zip(matrix, word_starts)]
     want_units = [oracle_segment_units(w, VOCAB, "pmi", pv) for w in windows]
     assert want_units == [matcher.segment_units(w, VOCAB) for w in windows]
-    assert segment_block(matrix, word_starts, VOCAB, "pmi", pv) == want_units
+    assert block_units(segment_block(matrix, word_starts, VOCAB, "pmi", pv)) == want_units
     assert [segment_units(w, VOCAB, "pmi", pv) for w in windows] == want_units
     for mode in ("single_token", "whole_word"):
-        assert segment_block(matrix, word_starts, VOCAB, mode) == \
+        assert block_units(segment_block(matrix, word_starts, VOCAB, mode)) == \
             [oracle_segment_units(w, VOCAB, mode) for w in windows]
     want_occ = [(r, s, n) for r, w in enumerate(windows) for s, n in oracle_occurrences(w, pv)]
     assert want_occ == [(r, s, n) for r, w in enumerate(windows)
@@ -247,7 +254,8 @@ def test_pmi_mask_cli_matches_oracle_segmentation(tmp_path, monkeypatch):
         return out.read_bytes()
 
     def oracle_block(ids, word_starts, vocab, mode, pmi_vocab=None):
-        return [oracle_segment_units(make_window(i, w), vocab, mode, pmi_vocab)
+        return [np.array(oracle_segment_units(make_window(i, w), vocab, mode, pmi_vocab),
+                         dtype=np.int64).reshape(-1, 2)
                 for i, w in zip(ids, word_starts)]
 
     matcher = mask(tmp_path / "matcher.jsonl")
