@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab, epoch_stream
 from .errors import ConfigError, DataError, InfeasibleError, IntegrityError
-from .pmi import PmiVocabulary, segment_block
+from .pmi import PmiVocabulary, segment_block, segment_units
 
 _EPS = 1e-9
 
@@ -310,8 +310,7 @@ def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
         return lambda allowed, budget, rng: sample_span(
             allowed, budget, config.mean_span, rng)
     if units is None:
-        units = segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
-                              vocab, config.strategy, pmi_vocab)[0]
+        units = segment_units(window, vocab, config.strategy, pmi_vocab)
     return lambda allowed, budget, rng: sample_units(units, allowed, budget, rng)
 
 
@@ -438,37 +437,31 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
     # next replacement
     random_at = perm[drawn == RANDOM]
     draws = _random_replacements(len(random_at), vocab, rng) if len(random_at) else _NO_IDS
+    # extra positions are SAME and plan positions ascend, so the RANDOM
+    # positions keep their relative order under the sort below
+    replacements = draws[np.argsort(random_at)]
     pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
     maskable = window.maskable_positions(vocab) if extra_same > 0 else _NO_IDS
     e = exact_count(extra_same, len(maskable))
-    if not e:
-        # positions are ascending already: replacements go in position order
-        return MaskPlan(positions=positions, kinds=kinds,
-                        replacements=draws[np.argsort(random_at)],
-                        pred_positions=pred_positions, pred_originals=pred_originals,
-                        duplicate_index=plan.duplicate_index,
-                        source_sequence=plan.source_sequence)
-    repl = np.zeros(n_act, dtype=np.int64)
-    repl[random_at] = draws
-    free = np.zeros(len(window.ids), dtype=bool)
-    free[maskable] = True
-    free[positions] = False
-    candidates = np.flatnonzero(free)
-    if e > len(candidates):
-        raise InfeasibleError(
-            f"{e} extra same-token predictions requested but only "
-            f"{len(candidates)} untouched positions remain")
-    chosen = rng.choice(candidates, size=e, replace=False)
-    positions = np.concatenate([positions, chosen])
-    kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
-    repl = np.concatenate([repl, np.zeros(e, dtype=np.int64)])
-    pred_positions = np.concatenate([pred_positions, chosen])
-    pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
-    order = np.argsort(pred_positions)
-    pred_positions, pred_originals = pred_positions[order], pred_originals[order]
-    order = np.argsort(positions)
-    positions, kinds, repl = positions[order], kinds[order], repl[order]
-    return MaskPlan(positions=positions, kinds=kinds, replacements=repl[kinds == RANDOM],
+    if e:
+        free = np.zeros(len(window.ids), dtype=bool)
+        free[maskable] = True
+        free[positions] = False
+        candidates = np.flatnonzero(free)
+        if e > len(candidates):
+            raise InfeasibleError(
+                f"{e} extra same-token predictions requested but only "
+                f"{len(candidates)} untouched positions remain")
+        chosen = rng.choice(candidates, size=e, replace=False)
+        positions = np.concatenate([positions, chosen])
+        kinds = np.concatenate([kinds, np.full(e, SAME, dtype=np.uint8)])
+        pred_positions = np.concatenate([pred_positions, chosen])
+        pred_originals = np.concatenate([pred_originals, window.ids[chosen]])
+        order = np.argsort(pred_positions)
+        pred_positions, pred_originals = pred_positions[order], pred_originals[order]
+        order = np.argsort(positions)
+        positions, kinds = positions[order], kinds[order]
+    return MaskPlan(positions=positions, kinds=kinds, replacements=replacements,
                     pred_positions=pred_positions, pred_originals=pred_originals,
                     duplicate_index=plan.duplicate_index,
                     source_sequence=plan.source_sequence)
