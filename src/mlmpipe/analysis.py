@@ -1,7 +1,9 @@
-"""Masking statistics, perplexity, and pseudo-log-likelihood scoring.
+"""Scorers, and reductions over masked blocks: masking statistics,
+perplexity, and pseudo-log-likelihood scoring.
 
-Floating-point aggregation uses a fixed left-to-right reduction order so
-results are bit-stable across runs.
+The reductions take the blocks they reduce; the caller drives the stream
+and formats the result. Floating-point aggregation uses a fixed
+left-to-right reduction order so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import BLOCK_EXAMPLES, MaskedBlock, MaskingConfig, MaskPlan, generate_blocks
+from .masking import BLOCK_EXAMPLES, MaskedBlock, MaskPlan
 from .pmi import PmiVocabulary
 
 
@@ -175,25 +177,6 @@ class LengthCoverage:
                 if self.occurrence_count else 0.0)
 
 
-@dataclass
-class CoverageReport:
-    by_length: dict[int, LengthCoverage]
-    masking_rate: float
-    strategy: str
-
-    @property
-    def overall_probability(self) -> float:
-        covered = sum(v.fully_masked_count for v in self.by_length.values())
-        total = sum(v.occurrence_count for v in self.by_length.values())
-        return covered / total if total else 0.0
-
-
-@dataclass
-class SpanLengthHistogram:
-    counts: Counter
-    mean_length: float
-
-
 def _vocab_occurrences(ids: np.ndarray, pmi_vocab: PmiVocabulary) -> np.ndarray:
     """All (row, start, length) occurrences of vocabulary n-grams in a
     (rows x L) block of windows, as an (occurrences x 3) array.
@@ -215,9 +198,9 @@ def _corrupted_rows(corrupted: list[np.ndarray], width: int) -> np.ndarray:
 
 
 def pmi_coverage(blocks: Iterable[Sequence[MaskPlan]], pmi_vocab: PmiVocabulary,
-                 ds: PackedDataset, masking_rate: float = float("nan"),
-                 strategy: str = "") -> CoverageReport:
-    """How often vocabulary n-grams are fully corrupted, by length.
+                 ds: PackedDataset) -> dict[int, LengthCoverage]:
+    """How often vocabulary n-grams are fully corrupted, by n-gram length;
+    lengths that never occur are absent.
 
     Every occurrence (including overlapping ones) is counted once per
     plan; duplicated sequences therefore contribute once per duplicate.
@@ -255,14 +238,12 @@ def pmi_coverage(blocks: Iterable[Sequence[MaskPlan]], pmi_vocab: PmiVocabulary,
         occurring += np.bincount(n, minlength=L + 1)
         covered += np.bincount(n[full], minlength=L + 1)
     lengths = np.flatnonzero(occurring)
-    by_length = {n: LengthCoverage(c, o) for n, c, o in zip(
+    return {n: LengthCoverage(c, o) for n, c, o in zip(
         lengths.tolist(), covered[lengths].tolist(), occurring[lengths].tolist())}
-    return CoverageReport(by_length=by_length, masking_rate=masking_rate,
-                          strategy=strategy)
 
 
-def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> SpanLengthHistogram:
-    """Tally contiguous runs of corrupted positions by length.
+def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> Counter:
+    """Tally contiguous runs of corrupted positions: run length -> count.
 
     Plans come in non-empty blocks, such as the lists of ``generate_plans``.
     In a block's corrupted rows, each ending in an uncorrupted column,
@@ -276,21 +257,18 @@ def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> SpanLengthHistogram:
         tally = np.bincount(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
         lengths = np.flatnonzero(tally)
         counts.update(dict(zip(lengths.tolist(), tally[lengths].tolist())))
-    total = sum(counts.values())
-    mean = (sum(length * c for length, c in counts.items()) / total) if total else 0.0
-    return SpanLengthHistogram(counts=counts, mean_length=mean)
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # scoring metrics
 
 
-def masked_perplexity(ds: PackedDataset, config: MaskingConfig, scorer: Scorer,
-                      pmi_vocab: PmiVocabulary | None = None,
-                      epoch: int = 0) -> float:
-    """exp(-mean log p) over every prediction in one epoch."""
+def masked_perplexity(blocks: Iterable[MaskedBlock], scorer: Scorer) -> float:
+    """exp(-mean log p) over every target of the blocks, such as one epoch of
+    ``generate_blocks``."""
     total, count = 0.0, 0
-    for block in generate_blocks(ds, config, pmi_vocab, epoch):
+    for block in blocks:
         for v in scorer.log_probs(block).tolist():
             if v > 0.0:
                 raise DataError(f"scorer returned log-probability {v} > 0")

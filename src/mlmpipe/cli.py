@@ -163,6 +163,18 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("config", "output")}
 
 
+def _write_csv(args, columns: str, rows: list[str]) -> None:
+    """The `# <resolved config>` line, the column line and the rows, to
+    --output or, when it is absent, to stdout."""
+    text = "".join([f"# {json.dumps(_resolved_config(args), separators=(',', ':'))}\n",
+                    f"{columns}\n", *(f"{row}\n" for row in rows)])
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
+
+
 def _vocab_from_args(args) -> corpus.Vocab:
     return corpus.Vocab(size=args.vocab_size, mask_id=args.mask_id,
                         pad_id=args.pad_id, sep_id=args.sep_id)
@@ -203,7 +215,9 @@ def _cmd_pack(args) -> int:
 
 def _cmd_pmi_build(args) -> int:
     docs = corpus.load_tokens(args.input, args.vocab_size)
-    counts = pmi.count_ngrams(docs, args.n_max, min_count=args.min_count)
+    # no n-gram is longer than the longest document; n_max 1 stays an error
+    n_max = min(args.n_max, max(2, max(map(len, docs), default=0)))
+    counts = pmi.count_ngrams(docs, n_max, min_count=args.min_count)
     vocab = pmi.build_vocab(counts, size_cap=args.size_cap, min_count=args.min_count)
     vocab.save_tsv(args.output,
                    header=json.dumps(_resolved_config(args), separators=(",", ":")))
@@ -232,39 +246,16 @@ def _cmd_stats(args) -> int:
         raise ConfigError("stats coverage requires --pmi-vocab")
     ds = corpus.load_packed(args.input)
     blocks = masking.generate_plans(ds, config, pmi_vocab)
-    header = "# " + json.dumps(_resolved_config(args), separators=(",", ":"))
-    with open(args.output, "w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        if args.kind == "coverage":
-            report = analysis.pmi_coverage(blocks, pmi_vocab, ds,
-                                           masking_rate=config.corruption_rate,
-                                           strategy=config.strategy)
-            emit_coverage_csv(report, out)
-        else:
-            hist = analysis.span_histogram(blocks)
-            emit_spans_csv(hist, config.strategy, config.corruption_rate, out)
+    label = f"{config.strategy},{config.corruption_rate:g}"
+    if args.kind == "coverage":
+        by_length = analysis.pmi_coverage(blocks, pmi_vocab, ds)
+        _write_csv(args, "strategy,masking_rate,ngram_len,coverage",
+                   [f"{label},{n},{by_length[n].probability:.9g}" for n in sorted(by_length)])
+    else:
+        counts = analysis.span_histogram(blocks)
+        _write_csv(args, "strategy,masking_rate,span_len,count",
+                   [f"{label},{n},{counts[n]}" for n in sorted(counts)])
     return 0
-
-
-def emit_coverage_csv(report: analysis.CoverageReport, out) -> None:
-    out.write("strategy,masking_rate,ngram_len,coverage\n")
-    for n in sorted(report.by_length):
-        cell = report.by_length[n]
-        out.write(f"{report.strategy},{report.masking_rate:g},{n},"
-                  f"{cell.probability:.9g}\n")
-
-
-def emit_spans_csv(hist: analysis.SpanLengthHistogram, strategy: str,
-                   masking_rate: float, out) -> None:
-    out.write("strategy,masking_rate,span_len,count\n")
-    for length in sorted(hist.counts):
-        out.write(f"{strategy},{masking_rate:g},{length},{hist.counts[length]}\n")
-
-
-def emit_metric_csv(values: dict[float, float], column: str, out) -> None:
-    out.write(f"masking_rate,{column}\n")
-    for rate in sorted(values):
-        out.write(f"{rate:g},{values[rate]:.9g}\n")
 
 
 def _cmd_ppl(args) -> int:
@@ -273,7 +264,8 @@ def _cmd_ppl(args) -> int:
     ds = corpus.load_packed(args.input)
     scorer = analysis.make_scorer(args.scorer, ds=ds, vocab_size=ds.vocab.size)
     try:
-        ppl = analysis.masked_perplexity(ds, config, scorer, pmi_vocab)
+        ppl = analysis.masked_perplexity(masking.generate_blocks(ds, config, pmi_vocab),
+                                         scorer)
     finally:
         if isinstance(scorer, analysis.ExternScorer):
             scorer.close()
@@ -347,14 +339,8 @@ def _cmd_metric(args) -> int:
     else:
         result = analysis.relative_metric(values, args.baseline)
         column = "relative_value"
-    header = "# " + json.dumps(_resolved_config(args), separators=(",", ":"))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.write(header + "\n")
-            emit_metric_csv(result, column, out)
-    else:
-        sys.stdout.write(header + "\n")
-        emit_metric_csv(result, column, sys.stdout)
+    _write_csv(args, f"masking_rate,{column}",
+               [f"{rate:g},{result[rate]:.9g}" for rate in sorted(result)])
     return 0
 
 

@@ -326,8 +326,14 @@ def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> Pac
     word_starts = np.insert(np.concatenate([_NO_FLAGS] + [doc.word_starts for doc in docs]),
                             seps, True)
     pad = -len(ids) % seq_len
-    ids = np.pad(ids, (0, pad), constant_values=vocab.pad_id).reshape(-1, seq_len)
-    word_starts = np.pad(word_starts, (0, pad), constant_values=True).reshape(-1, seq_len)
+    too_large = ConfigError(f"seq_len {seq_len} is too large")
+    if len(ids) + pad > np.iinfo(np.intp).max:   # beyond any numpy array
+        raise too_large
+    try:
+        ids = np.pad(ids, (0, pad), constant_values=vocab.pad_id).reshape(-1, seq_len)
+        word_starts = np.pad(word_starts, (0, pad), constant_values=True).reshape(-1, seq_len)
+    except (MemoryError, ValueError):   # numpy refuses the size or the dimension
+        raise too_large from None
     return PackedDataset(ids=ids, word_starts=word_starts, vocab=vocab)
 
 

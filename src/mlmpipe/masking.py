@@ -221,7 +221,8 @@ def sample_span(allowed: np.ndarray, budget: int, mean_span: float,
         raise InfeasibleError(f"budget {budget} exceeds {n} maskable positions")
     if budget == 0:
         return np.empty(0, dtype=np.int64)
-    num_spans = max(1, int(round(budget / mean_span)))
+    # a quotient beyond the budget (inf for a tiny mean_span) is capped below
+    num_spans = max(1, int(round(min(budget / mean_span, budget))))
     remainder = n - budget
     # all num_spans + 1 gaps must be >= 1; reduce the span count when the
     # remainder cannot supply that many gaps

@@ -252,8 +252,12 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
     """
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     ids, room = _flatten(data)
-    slots = {n: int(np.count_nonzero(room >= n)) for n in range(1, n_max + 1)}
+    # at_least[n] positions have room for an n-gram; none past the longest run
+    at_least = np.cumsum(np.bincount(room)[::-1])[::-1].tolist()
+    slots = {n: at_least[n] if n < len(at_least) else 0 for n in range(1, n_max + 1)}
     pos = np.flatnonzero(room >= 1)
     rank = np.zeros(len(ids), dtype=np.int64)  # rank of the n-gram at each position
     kept = np.zeros(len(ids) + 1, dtype=bool)  # one spare slot for kept[pos + 1]
@@ -285,6 +289,8 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
         chunks.extend((n, starts[lo:lo + _CHUNK].astype(pos_type),
                        sizes[lo:lo + _CHUNK].astype(count_type))
                       for lo in range(0, len(starts), _CHUNK))
+        if not len(starts):   # no n-gram kept, so no longer one either
+            break
     del ids, room, pos, rank, kept, keys, ranks, sizes, members, frequent, starts
     tok_rank = tok_rank.astype(np.min_scalar_type(width))
 

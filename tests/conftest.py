@@ -49,6 +49,12 @@ def packed_dataset(n_docs=50, doc_len=100, seq_len=128, vocab=VOCAB, seed=0):
     return pack_sequences(random_docs(n_docs, doc_len, vocab, seed), seq_len, vocab)
 
 
+def mean_run_length(counts):
+    """The count-weighted mean of a run length -> count tally."""
+    total = sum(counts.values())
+    return sum(n * c for n, c in counts.items()) / total if total else 0.0
+
+
 def mask_plan(positions, predictions=(), src=0):
     """An all-MASK plan over `positions` with (position, original id) targets."""
     positions = np.asarray(positions, dtype=np.int64)

@@ -22,13 +22,13 @@ from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream,
                             load_packed, pack_sequences, serialize_tokens)
 from mlmpipe.errors import InfeasibleError
 from mlmpipe.masking import (MaskingConfig, exact_count, effective_rates,
-                             generate_plans, materialize, plan_decoupled,
+                             generate_blocks, generate_plans, materialize, plan_decoupled,
                              plan_window, sample_uniform)
 from mlmpipe.pmi import (build_vocab, count_ngrams, count_ngrams_sharded,
                          pmi_score)
 from mlmpipe.rng import substream
 
-from conftest import VOCAB
+from conftest import VOCAB, mean_run_length
 
 
 def report(num, desc, ok, detail=""):
@@ -171,9 +171,10 @@ def test_criterion_5_figure7_qualitative(desk_corpus):
     cov = {}
     for strategy, m in (("uniform", 0.15), ("uniform", 0.40), ("pmi", 0.15)):
         cfg = MaskingConfig(strategy=strategy, m=m, seed=13)
-        rep = pmi_coverage(generate_plans(subset, cfg, pmi_vocab), pmi_vocab,
-                           subset, masking_rate=m, strategy=strategy)
-        cov[(strategy, m)] = rep.overall_probability
+        by_length = pmi_coverage(generate_plans(subset, cfg, pmi_vocab), pmi_vocab, subset)
+        # overall: every occurrence of every length counts once
+        cov[(strategy, m)] = (sum(c.fully_masked_count for c in by_length.values())
+                              / sum(c.occurrence_count for c in by_length.values()))
     ratio = cov[("uniform", 0.40)] / cov[("uniform", 0.15)]
     pmi_beats_uniform = cov[("pmi", 0.15)] > cov[("uniform", 0.15)]
     report(5, "uniform 40%/15% full-span coverage ratio in [5, 12]; "
@@ -188,7 +189,7 @@ def test_criterion_6_span_statistics():
     means = {}
     for m in (0.40, 0.80):
         cfg = MaskingConfig(strategy="span", m=m, mean_span=3.0, seed=17)
-        means[m] = span_histogram(generate_plans(ds, cfg)).mean_length
+        means[m] = mean_run_length(span_histogram(generate_plans(ds, cfg)))
     ok = 2.5 <= means[0.40] <= 3.5 and means[0.80] > 3.5
     report(6, "span strategy mean run length in [2.5, 3.5] at m=0.40 and "
               "> 3.5 at m=0.80",
@@ -198,10 +199,11 @@ def test_criterion_6_span_statistics():
 def test_criterion_7_perplexity_contracts():
     ds = full_windows(20, 128, seed=7)  # 2560 tokens <= 10k
     cfg = MaskingConfig(m=0.15, seed=19)
-    ppl_uniform = masked_perplexity(ds, cfg, make_scorer("uniform", vocab_size=VOCAB.size))
+    ppl_uniform = masked_perplexity(generate_blocks(ds, cfg),
+                                    make_scorer("uniform", vocab_size=VOCAB.size))
     uniform_ok = abs(ppl_uniform - VOCAB.size) / VOCAB.size < 1e-12
 
-    ppl_unigram = masked_perplexity(ds, cfg, make_scorer("unigram", ds=ds))
+    ppl_unigram = masked_perplexity(generate_blocks(ds, cfg), make_scorer("unigram", ds=ds))
     # independent brute force: recount unigrams, re-walk the plan stream
     counts = Counter(int(t) for w in ds for t in w.ids
                      if int(t) not in VOCAB.special_ids)

@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe import analysis, masking
-from mlmpipe.analysis import (CoverageReport, ExternScorer, TokenScorer, make_scorer,
+from mlmpipe.analysis import (ExternScorer, TokenScorer, make_scorer,
                               masked_perplexity, minimal_pair_accuracy,
                               normalized_performance, pll_score, pmi_coverage,
                               relative_metric, span_histogram, uniform, unigram)
 from mlmpipe.corpus import TokenSequence
 from mlmpipe.errors import ConfigError, DataError, IntegrityError
 from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingConfig,
-                             generate_examples, generate_plans)
+                             generate_blocks, generate_examples, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, mask_plan, packed_dataset
+from conftest import VOCAB, mask_plan, mean_run_length, packed_dataset
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size))
 
@@ -64,20 +64,20 @@ class TestMaskedPerplexity:
     def test_uniform_scorer_gives_vocab_size(self):
         ds = packed_dataset(n_docs=10)
         cfg = MaskingConfig(m=0.15, seed=1)
-        ppl = masked_perplexity(ds, cfg, uniform(100))
+        ppl = masked_perplexity(generate_blocks(ds, cfg), uniform(100))
         assert ppl == pytest.approx(100.0, rel=1e-12)
 
     def test_oracle_scorer_gives_one(self):
         ds = packed_dataset(n_docs=5)
         cfg = MaskingConfig(m=0.15, seed=1)
-        assert masked_perplexity(ds, cfg, ORACLE) == pytest.approx(1.0, rel=1e-12)
+        assert masked_perplexity(generate_blocks(ds, cfg), ORACLE) == pytest.approx(1.0, rel=1e-12)
 
     def test_unigram_matches_brute_force(self):
         # independent oracle: recompute -mean log p from the same plan stream
         ds = packed_dataset(n_docs=12)
         cfg = MaskingConfig(m=0.15, seed=4)
         scorer = make_scorer("unigram", ds=ds)
-        ppl = masked_perplexity(ds, cfg, scorer)
+        ppl = masked_perplexity(generate_blocks(ds, cfg), scorer)
 
         counts = Counter()
         for win in ds:
@@ -98,7 +98,7 @@ class TestMaskedPerplexity:
 
         ds = packed_dataset(n_docs=3)
         with pytest.raises(DataError, match="log-probability 0.1 > 0"):
-            masked_perplexity(ds, MaskingConfig(m=0.15), Broken())
+            masked_perplexity(generate_blocks(ds, MaskingConfig(m=0.15)), Broken())
 
     def test_sums_left_to_right(self):
         # a case where a compensated (math.fsum, builtin sum on Python >= 3.12)
@@ -114,7 +114,7 @@ class TestMaskedPerplexity:
             total += v
         for other in (math.fsum(values), float(np.sum(values))):
             assert math.exp(-other / len(values)) != math.exp(-total / len(values))
-        assert masked_perplexity(ds, cfg, TokenScorer(table)) == \
+        assert masked_perplexity(generate_blocks(ds, cfg), TokenScorer(table)) == \
             math.exp(-total / len(values))
 
 
@@ -164,7 +164,7 @@ def test_block_driver_perplexity_equals_per_plan_reference(strategy, rates, poli
     inner = {"uniform": uniform(VOCAB.size), "oracle": ORACLE,
              "unigram": make_scorer("unigram", ds=BLOCK_DS)}[scorer]
     got, want = SpyScorer(inner), SpyScorer(inner)
-    assert masked_perplexity(BLOCK_DS, cfg, got, BLOCK_PMI) == \
+    assert masked_perplexity(generate_blocks(BLOCK_DS, cfg, BLOCK_PMI), got) == \
         reference_perplexity(BLOCK_DS, cfg, want, BLOCK_PMI)
     assert got.rows == want.rows
     # one call per generate_blocks block, each of integer arrays
@@ -306,7 +306,7 @@ class TestCoverage:
         pv = PmiVocabulary(entries={(7, 8): 1.0})
         cfg = MaskingConfig(m=0.0, seed=0)
         report = pmi_coverage(generate_plans(ds, cfg), pv, ds)
-        for cell in report.by_length.values():
+        for cell in report.values():
             assert cell.fully_masked_count == 0
 
     def test_adjacent_pair_hypergeometric(self):
@@ -321,10 +321,9 @@ class TestCoverage:
                 entries[(int(w.ids[i]), int(w.ids[i + 1]))] = 1.0
         pv = PmiVocabulary(entries=entries)
         cfg = MaskingConfig(m=0.40, seed=2)
-        report = pmi_coverage(generate_plans(ds, cfg), pv, ds,
-                              masking_rate=0.40, strategy="uniform")
+        report = pmi_coverage(generate_plans(ds, cfg), pv, ds)
         expected = 51 * 50 / (128 * 127)
-        assert report.by_length[2].probability == pytest.approx(expected, rel=0.05)
+        assert report[2].probability == pytest.approx(expected, rel=0.05)
 
     def test_keeps_one_block_of_occurrences(self, monkeypatch):
         # a generate_plans block's occurrences are dropped once the stream moves
@@ -356,7 +355,7 @@ class TestCoverage:
         assert max(held) == 1
         assert sorted(order) == list(range(len(ds)))
         assert np.array_equal(np.concatenate(looked_up), ds.ids[order])
-        assert report.by_length[2].occurrence_count >= 2 * len(ds)
+        assert report[2].occurrence_count >= 2 * len(ds)
 
     def test_misaligned_stream(self):
         ds = packed_dataset(n_docs=2)
@@ -368,13 +367,13 @@ class TestCoverage:
 class TestSpanHistogram:
     def test_single_fully_masked_window(self):
         hist = span_histogram([[plan_from_positions(range(128))]])
-        assert hist.counts == Counter({128: 1})
-        assert hist.mean_length == 128.0
+        assert hist == Counter({128: 1})
+        assert mean_run_length(hist) == 128.0
 
     def test_mean_is_count_weighted(self):
         hist = span_histogram([[plan_from_positions([0, 1, 5])]])
-        assert hist.counts == Counter({2: 1, 1: 1})
-        assert hist.mean_length == pytest.approx(1.5)
+        assert hist == Counter({2: 1, 1: 1})
+        assert mean_run_length(hist) == pytest.approx(1.5)
 
     def test_uniform_interior_run_mean(self):
         # interior runs under uniform m=0.15 have mean ~ 1/(1-m)
@@ -409,7 +408,7 @@ class TestSpanHistogram:
         ds = packed(wins)
         cfg = MaskingConfig(strategy="span", m=0.40, mean_span=3.0, seed=8)
         hist = span_histogram(generate_plans(ds, cfg))
-        assert 2.5 <= hist.mean_length <= 3.5
+        assert 2.5 <= mean_run_length(hist) <= 3.5
 
 
 EXTERN_SCRIPT = r"""
@@ -508,11 +507,13 @@ class TestExternScorer:
         cfg = MaskingConfig(strategy="span", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1),
                             extra_same=0.05, seed=5)
         results, logs = [], []
-        for name, perplexity in (("blocks", masked_perplexity),
-                                 ("reference", reference_perplexity)):
+        for name, perplexity in (
+                ("blocks", lambda scorer: masked_perplexity(generate_blocks(BLOCK_DS, cfg),
+                                                            scorer)),
+                ("reference", lambda scorer: reference_perplexity(BLOCK_DS, cfg, scorer))):
             log = tmp_path / f"{name}.jsonl"
             with extern(script, log) as scorer:
-                results.append(perplexity(BLOCK_DS, cfg, scorer))
+                results.append(perplexity(scorer))
             logs.append(log.read_bytes())
         assert results[0] == results[1]
         assert logs[0] == logs[1] and logs[0].count(b"\n") > BLOCK_EXAMPLES
@@ -578,5 +579,5 @@ def test_span_histogram_counts_runs(position_sets, block):
                 run = 0
     plans = [plan_from_positions(s) for s in position_sets]
     hist = span_histogram(plans[i:i + block] for i in range(0, len(plans), block))
-    assert hist.counts == expected
-    assert all(type(n) is int and type(c) is int for n, c in hist.counts.items())
+    assert type(hist) is Counter and hist == expected
+    assert all(type(n) is int and type(c) is int for n, c in hist.items())

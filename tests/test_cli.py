@@ -79,6 +79,18 @@ class TestMask:
         assert set(rec) == {"seq", "targets", "dup", "src"}
         assert len(rec["seq"]) == 128
 
+    def test_tiny_mean_span_as_one_below_one(self, tmp_path, packed_path):
+        # budget / mean_span is inf for 1e-320; capped at the budget, it plans
+        # as every mean span below 1 does
+        bodies = []
+        for mean_span in ("1e-320", "0.5"):
+            out = tmp_path / f"{mean_span}.jsonl"
+            assert run(["--seed", "4", "mask", "--input", str(packed_path), "--output", str(out),
+                        "--strategy", "span", "--mask-rate", "0.4",
+                        "--mean-span", mean_span]) == 0
+            bodies.append(out.read_bytes().split(b"\n", 1)[1])
+        assert bodies[0] == bodies[1] and bodies[0].count(b"\n") > 10
+
     @pytest.mark.parametrize("flags", [
         ["--strategy", "uniform", "--mask-rate", "0.15"],
         ["--strategy", "span", "--mask-rate", "0.4"],
@@ -291,6 +303,18 @@ class TestPmiBuildAndStats:
         assert all(tok.isdigit() for tok in gram.split())
         float(score)
 
+    def test_pmi_build_n_max_beyond_the_longest_document(self, tmp_path, corpus_path):
+        # no document reaches 200 tokens, and counting stops at the longest
+        # one, so a huge --n-max finishes with the entries of --n-max 200
+        bodies = []
+        for n_max in ("200", "100000000"):
+            out = tmp_path / f"pmi{n_max}.tsv"
+            assert run(["pmi-build", "--input", str(corpus_path), "--output", str(out),
+                        "--vocab-size", str(VOCAB.size), "--n-max", n_max,
+                        "--min-count", "2", "--size-cap", "50"]) == 0
+            bodies.append(out.read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1] and bodies[0].count("\n") == 50
+
     def test_stats_coverage_csv(self, tmp_path, corpus_path, packed_path):
         pmi_tsv = tmp_path / "pmi.tsv"
         run(["pmi-build", "--input", str(corpus_path), "--output", str(pmi_tsv),
@@ -331,6 +355,18 @@ class TestPmiBuildAndStats:
         assert rc == 0
         rows = read_csv(out)
         assert rows and all(r["masking_rate"] == "0.4" for r in rows)
+
+    @pytest.mark.parametrize("kind", ["coverage", "spans"])
+    def test_failed_run_leaves_no_csv(self, tmp_path, packed_path, capsys, kind):
+        # the plans fail while the stream is read, and the CSV is written after
+        tsv = tmp_path / "pmi.tsv"
+        tsv.write_text("5 6\t1.0\n")
+        out = tmp_path / f"{kind}.csv"
+        rc = run(["stats", kind, "--input", str(packed_path), "--output", str(out),
+                  "--pmi-vocab", str(tsv), "--corruption-rate", "0.4",
+                  "--prediction-rate", "0.9"])
+        assert rc == 3 and len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     def test_coverage_requires_pmi_vocab(self, tmp_path, packed_path, capsys):
         out = tmp_path / "o.csv"
@@ -680,8 +716,13 @@ def not_utf8_scorer(tmp_path):
     return f"extern:{sys.executable} {script}"
 
 
-# id: (argv of the subcommand after `metric`/`ppl`/`pll`, expected exit code)
+# id: ([subcommand, flag, value], expected exit code)
 MALFORMED_CLI = {
+    "pack-seq-len-beyond-memory": (["pack", "--seq-len", "1000000000000"], 1),
+    "pack-seq-len-beyond-int64": (["pack", "--seq-len", "1" + "0" * 30], 1),
+    "pmi-build-min-count-0": (["pmi-build", "--min-count", "0"], 1),
+    "pmi-build-min-count-negative": (["pmi-build", "--min-count", "-5"], 1),
+    "pmi-build-n-max-1": (["pmi-build", "--n-max", "1"], 1),
     "metric-list": (["metric", "--values", "[1, 2]"], 1),
     "metric-null": (["metric", "--values", '{"0.15": null, "0.4": 1.0}'], 1),
     "metric-nan-string": (["metric", "--values", '{"0.15": "nan", "0.4": 1.0}'], 1),
@@ -704,12 +745,20 @@ MALFORMED_CLI = {
 
 
 @pytest.mark.parametrize("argv, code", MALFORMED_CLI.values(), ids=MALFORMED_CLI.keys())
-def test_malformed_input_is_one_line(tmp_path, packed_path, capsys, argv, code):
+def test_malformed_input_is_one_line(tmp_path, corpus_path, packed_path, capsys, argv,
+                                    code):
     # the documented exit code and one stderr line, never a traceback
     subcommand, flag, value = argv
     if callable(value):
         value = value(tmp_path)
-    if subcommand == "metric":
+    out = tmp_path / "out"
+    if subcommand == "pack":
+        argv = ["pack", "--input", str(corpus_path), "--output", str(out), flag, value] \
+            + VOCAB_FLAGS
+    elif subcommand == "pmi-build":
+        argv = ["pmi-build", "--input", str(corpus_path), "--output", str(out),
+                "--vocab-size", str(VOCAB.size), flag, value]
+    elif subcommand == "metric":
         values = tmp_path / "values.json"
         values.write_text(value)
         argv = ["metric", "normalize", "--baseline", "0.15", "--values", str(values)]
@@ -724,6 +773,7 @@ def test_malformed_input_is_one_line(tmp_path, packed_path, capsys, argv, code):
     assert rc == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("mlmpipe: error: ")
+    assert not out.exists()
 
 
 class TestUsage:

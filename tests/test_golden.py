@@ -1,12 +1,14 @@
-"""Golden digests of the v1 masking stream.
+"""Golden digests of the v1 masking stream and of the analysis outputs.
 
 Each case runs `mask` on one small fixed corpus and PMI vocabulary and pins
 the SHA-256 of every example line (the provenance header, which names the
-input paths, is left out). The digests guard the stream contract: refactors
-and speed-ups of planning must keep these bytes. A change that alters the
-stream on purpose must bump ``stream_version`` in the provenance header (a
-header without the field is version 1) and update these digests in the same
-change.
+input paths, is left out). The analysis cases pin `stats`, `metric` and
+`ppl` output in the same way: every CSV line after the `# <config>` line,
+and the `ppl` JSON line without its `_config` key. The digests guard the
+stream contract: refactors and speed-ups of planning must keep these bytes.
+A change that alters the stream on purpose must bump ``stream_version`` in
+the provenance header (a header without the field is version 1) and update
+these digests in the same change.
 
 The corpus and the vocabulary are built here from a fixed linear
 congruential sequence, so neither depends on numpy's generators or on other
@@ -113,3 +115,59 @@ def test_mask_output_digest(tmp_path, flags, digest):
     header, body = out.read_bytes().split(b"\n", 1)
     assert body.count(b"\n") > 100
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+# values file of the `metric` cases, keys out of rate order
+METRIC_VALUES = '{"0.4": 85.1, "0.15": 84.2, "0.8": 83.3, "0.2": 84.9}'
+DECOUPLED = ["--corruption-rate", "0.2", "--prediction-rate", "0.4"]
+
+# id: (subcommand argv, output file or None for stdout, SHA-256 without provenance)
+ANALYSIS_GOLDEN = {
+    "stats-coverage-span-0.4": (
+        ["stats", "coverage", "--strategy", "span", "--mask-rate", "0.4"], "out.csv",
+        "cb43afe53f76b478f95c3111f32d2cf7251c78df677d8da2d07cc94cc5fb978f"),
+    "stats-coverage-pmi-0.2-0.4-80-10-10": (
+        ["stats", "coverage", "--strategy", "pmi"] + DECOUPLED + POLICY, "out.csv",
+        "d35a6d4e04f4b4b65125a122420d77002ef4637d665a5b0b44d8e93999112fc2"),
+    "stats-spans-span-0.4": (
+        ["stats", "spans", "--strategy", "span", "--mask-rate", "0.4"], "out.csv",
+        "8e9ef967d44ffbc303b42eca31fcb5255c750bd7e819be8c5c11e702c5852827"),
+    "metric-normalize-output": (
+        ["metric", "normalize", "--baseline", "0.15"], "out.csv",
+        "cb528657d631986fe81cc0f0e9fcf3a3d6c781cd4c342886517420312dc1ac46"),
+    "metric-relative-stdout": (
+        ["metric", "relative", "--baseline", "0.15"], None,
+        "d626de00648d73f9cbef034b0ce3bb935c025fea9e94eec1595eede738dbdade"),
+    "ppl-unigram-pmi-0.2-0.4-80-10-10": (
+        ["ppl", "--scorer", "unigram", "--strategy", "pmi"] + DECOUPLED + POLICY, None,
+        "56c91459b4c968e60c23e284b354e78c43c24e16f730633aa7a2316ab0473f28"),
+}
+
+
+def without_provenance(output: bytes) -> bytes:
+    """A CSV without its `# <config>` line, or a JSON line without "_config"."""
+    if output.startswith(b"# "):
+        return output.split(b"\n", 1)[1]
+    record = json.loads(output)
+    del record["_config"]
+    return json.dumps(record).encode()
+
+
+@pytest.mark.parametrize("argv, output, digest", ANALYSIS_GOLDEN.values(),
+                         ids=ANALYSIS_GOLDEN.keys())
+def test_analysis_output_digest(tmp_path, capsys, argv, output, digest):
+    packed, tsv = write_inputs(tmp_path)
+    capsys.readouterr()
+    if argv[0] == "metric":
+        values = tmp_path / "values.json"
+        values.write_text(METRIC_VALUES)
+        argv = argv + ["--values", str(values)]
+    else:
+        argv = argv + ["--input", str(packed), "--pmi-vocab", str(tsv)]
+    if output is not None:
+        argv = argv + ["--output", str(tmp_path / output)]
+    assert run(["--seed", "5"] + argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = stdout if output is None else (tmp_path / output).read_bytes()
+    assert (output is None) == bool(stdout)
+    assert hashlib.sha256(without_provenance(got)).hexdigest() == digest

@@ -339,9 +339,9 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masking, "BLOCK_EXAMPLES", block)
         got = pmi_coverage(generate_plans(ds, cfg, pv), pv, ds)
-    assert got.by_length == want
+    assert got == want
     assert all(type(c.fully_masked_count) is int and type(c.occurrence_count) is int
-               for c in got.by_length.values())
+               for c in got.values())
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -361,7 +361,7 @@ def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch
         [3 * (len(ds) % block)] * (len(ds) % block > 0)
     blocks, plans = blocks + [plans[:5]], plans + plans[:5]
     want = oracle_coverage(plans, pv, ds)
-    assert pmi_coverage(blocks, pv, ds).by_length == want
+    assert pmi_coverage(blocks, pv, ds) == want
     cut = [plans[i:i + block] for i in range(0, len(plans), block)]
-    assert pmi_coverage(cut, pv, ds).by_length == want
+    assert pmi_coverage(cut, pv, ds) == want
 
