@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab
 from .errors import ConfigError, DataError, IntegrityError
-from .masking import BLOCK_EXAMPLES, MaskedBlock, MaskPlan
+from .masking import BLOCK_EXAMPLES, MaskedBlock
 from .pmi import PmiVocabulary
 
 
@@ -186,55 +186,43 @@ def _vocab_occurrences(ids: np.ndarray, pmi_vocab: PmiVocabulary) -> np.ndarray:
     return pmi_vocab.occurrences(ids)
 
 
-def _corrupted_rows(corrupted: list[np.ndarray], width: int) -> np.ndarray:
-    """A (plans x width) 0/1 matrix of the plans' corrupted positions."""
-    counts = np.fromiter(map(len, corrupted), dtype=np.int64, count=len(corrupted))
-    positions = np.concatenate(corrupted)
-    if positions.size and not 0 <= positions.min() <= positions.max() < width:
-        raise IntegrityError(f"plan position outside window of length {width}")
-    rows = np.zeros((len(corrupted), width), dtype=np.int8)
-    rows[np.repeat(np.arange(len(corrupted)), counts), positions] = 1
-    return rows
-
-
-def pmi_coverage(blocks: Iterable[Sequence[MaskPlan]], pmi_vocab: PmiVocabulary,
+def pmi_coverage(blocks: Iterable[MaskedBlock], pmi_vocab: PmiVocabulary,
                  ds: PackedDataset) -> dict[int, LengthCoverage]:
     """How often vocabulary n-grams are fully corrupted, by n-gram length;
     lengths that never occur are absent.
 
-    Every occurrence (including overlapping ones) is counted once per
-    plan; duplicated sequences therefore contribute once per duplicate.
-    Plans come in non-empty blocks, such as the lists of ``generate_plans``,
-    and each run of a block's plans of one window looks its window up once.
-    An occurrence (start, n) is fully corrupted when the prefix sums ``cs``
-    of the plan's corrupted row give ``cs[start + n] - cs[start] == n``.
+    Every occurrence (including overlapping ones) is counted once per row;
+    duplicated sequences therefore contribute once per duplicate. Rows come
+    in non-empty blocks, such as those of ``generate_blocks``, and each run
+    of a block's rows of one window looks its window up once. An occurrence
+    (start, n) is fully corrupted when the prefix sums ``cs`` of the row's
+    ``corrupted`` flags give ``cs[start + n] - cs[start] == n``.
     """
     L = ds.seq_len
     occurring = np.zeros(L + 1, dtype=np.int64)   # by n-gram length
     covered = np.zeros(L + 1, dtype=np.int64)
     for block in blocks:
-        source = np.array([p.source_sequence for p in block], dtype=np.int64)
+        source = block.source_sequence
         outside = (source < 0) | (source >= len(ds))
         if outside.any():
             raise IntegrityError(
-                f"plan references sequence {source[outside.argmax()]} but dataset "
+                f"block references sequence {source[outside.argmax()]} but dataset "
                 f"has {len(ds)} windows")
-        # run r holds the consecutive plans of one window
+        # run r holds the consecutive rows of one window
         first = np.append(True, source[1:] != source[:-1])
         run = np.cumsum(first) - 1
         occ = _vocab_occurrences(ds.ids[source[first]], pmi_vocab)
-        cs = np.zeros((len(block), L + 1), dtype=np.int64)
-        np.cumsum(_corrupted_rows([p.corrupted_positions for p in block], L),
-                  axis=1, out=cs[:, 1:])
-        # pair each plan with every occurrence of its window; occurrences
+        cs = np.zeros((len(source), L + 1), dtype=np.int64)
+        np.cumsum(block.corrupted, axis=1, out=cs[:, 1:])
+        # pair each row with every occurrence of its window; occurrences
         # are sorted by run, and run r's start at first_occ[r]
         per_run = np.bincount(occ[:, 0], minlength=run[-1] + 1)
         first_occ = np.cumsum(per_run) - per_run
         take = per_run[run]
-        plan = np.repeat(np.arange(len(block)), take)
-        at = np.arange(len(plan)) + np.repeat(first_occ[run] - (np.cumsum(take) - take), take)
+        row = np.repeat(np.arange(len(source)), take)
+        at = np.arange(len(row)) + np.repeat(first_occ[run] - (np.cumsum(take) - take), take)
         start, n = occ[at, 1], occ[at, 2]
-        full = cs[plan, start + n] - cs[plan, start] == n
+        full = cs[row, start + n] - cs[row, start] == n
         occurring += np.bincount(n, minlength=L + 1)
         covered += np.bincount(n[full], minlength=L + 1)
     lengths = np.flatnonzero(occurring)
@@ -242,18 +230,16 @@ def pmi_coverage(blocks: Iterable[Sequence[MaskPlan]], pmi_vocab: PmiVocabulary,
         lengths.tolist(), covered[lengths].tolist(), occurring[lengths].tolist())}
 
 
-def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> Counter:
+def span_histogram(blocks: Iterable[MaskedBlock]) -> Counter:
     """Tally contiguous runs of corrupted positions: run length -> count.
 
-    Plans come in non-empty blocks, such as the lists of ``generate_plans``.
-    In a block's corrupted rows, each ending in an uncorrupted column,
-    ``np.diff`` is +1 where a run starts and -1 just past its end.
+    In a block's ``corrupted`` rows framed by zero columns, ``np.diff`` is
+    +1 where a run starts and -1 just past its end.
     """
     counts: Counter = Counter()
     for block in blocks:
-        corrupted = [p.corrupted_positions for p in block]
-        width = 2 + max(int(c.max(initial=-1)) for c in corrupted)
-        edges = np.diff(_corrupted_rows(corrupted, width), axis=1, prepend=0)
+        framed = np.pad(block.corrupted, ((0, 0), (1, 1))).view(np.int8)
+        edges = np.diff(framed, axis=1)
         tally = np.bincount(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
         lengths = np.flatnonzero(tally)
         counts.update(dict(zip(lengths.tolist(), tally[lengths].tolist())))
@@ -264,14 +250,21 @@ def span_histogram(blocks: Iterable[Sequence[MaskPlan]]) -> Counter:
 # scoring metrics
 
 
+def _log_probs(scorer: Scorer, block: MaskedBlock) -> list[float]:
+    """The scorer's values for a block; DataError on the first one above 0."""
+    values = scorer.log_probs(block)
+    positive = np.flatnonzero(values > 0.0)
+    if len(positive):
+        raise DataError(f"scorer returned log-probability {values[positive[0]]} > 0")
+    return values.tolist()
+
+
 def masked_perplexity(blocks: Iterable[MaskedBlock], scorer: Scorer) -> float:
     """exp(-mean log p) over every target of the blocks, such as one epoch of
     ``generate_blocks``."""
     total, count = 0.0, 0
     for block in blocks:
-        for v in scorer.log_probs(block).tolist():
-            if v > 0.0:
-                raise DataError(f"scorer returned log-probability {v} > 0")
+        for v in _log_probs(scorer, block):
             total += v
             count += 1
     if count == 0:
@@ -287,11 +280,12 @@ def pll_score(sentence: TokenSequence | Sequence[int], scorer: Scorer,
     total = 0.0
     for start in range(0, len(ids), BLOCK_EXAMPLES):
         at = np.arange(start, min(start + BLOCK_EXAMPLES, len(ids)))
-        rows = np.where(at[:, None] == np.arange(len(ids)), vocab.mask_id, ids)
-        block = MaskedBlock(rows, target_counts=np.ones_like(at), target_positions=at,
+        diagonal = at[:, None] == np.arange(len(ids))
+        block = MaskedBlock(np.where(diagonal, vocab.mask_id, ids), diagonal,
+                            target_counts=np.ones_like(at), target_positions=at,
                             target_originals=ids[at], duplicate_index=np.zeros_like(at),
                             source_sequence=np.zeros_like(at))
-        for v in scorer.log_probs(block).tolist():
+        for v in _log_probs(scorer, block):
             total += v
     return total
 

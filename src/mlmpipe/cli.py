@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import analysis, corpus, jsonl, masking, pmi
@@ -230,12 +231,21 @@ def _cmd_mask(args) -> int:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     pmi_vocab = _load_pmi_vocab(args, config)
     ds = corpus.load_packed(args.input)
-    with open(args.output, "wb") as out:
-        out.write(json.dumps({"_config": _resolved_config(args)},
-                             separators=(",", ":")).encode() + b"\n")
-        for epoch in range(args.epochs):
-            for block in masking.generate_blocks(ds, config, pmi_vocab, epoch):
-                out.write(jsonl.example_lines(block))
+    # a failed run removes the file it created, but never a path that was
+    # there before, such as /dev/null
+    created = not os.path.lexists(args.output)
+    out = open(args.output, "wb")
+    try:
+        with out:
+            out.write(json.dumps({"_config": _resolved_config(args)},
+                                 separators=(",", ":")).encode() + b"\n")
+            for epoch in range(args.epochs):
+                for block in masking.generate_blocks(ds, config, pmi_vocab, epoch):
+                    out.write(jsonl.example_lines(block))
+    except BaseException:
+        if created:
+            os.remove(args.output)
+        raise
     return 0
 
 
@@ -245,7 +255,7 @@ def _cmd_stats(args) -> int:
     if args.kind == "coverage" and pmi_vocab is None:
         raise ConfigError("stats coverage requires --pmi-vocab")
     ds = corpus.load_packed(args.input)
-    blocks = masking.generate_plans(ds, config, pmi_vocab)
+    blocks = masking.generate_blocks(ds, config, pmi_vocab)
     label = f"{config.strategy},{config.corruption_rate:g}"
     if args.kind == "coverage":
         by_length = analysis.pmi_coverage(blocks, pmi_vocab, ds)

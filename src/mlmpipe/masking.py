@@ -103,11 +103,13 @@ class MaskedExample:
 class MaskedBlock:
     """Consecutive materialized examples as arrays, one row per example.
 
-    ``target_positions`` and ``target_originals`` hold every row's targets
-    in row order, ``target_counts[i]`` of them for row i.
+    ``corrupted`` is True where a row's input identity was destroyed (MASK
+    or RANDOM). ``target_positions`` and ``target_originals`` hold every
+    row's targets in row order, ``target_counts[i]`` of them for row i.
     """
 
     corrupted_ids: np.ndarray      # (rows, L)
+    corrupted: np.ndarray          # (rows, L) bool
     target_counts: np.ndarray
     target_positions: np.ndarray
     target_originals: np.ndarray
@@ -518,7 +520,9 @@ def materialize_block(rows: np.ndarray, plans: Sequence[MaskPlan],
     values = np.where(kinds == MASK, vocab.mask_id, held)
     values[is_random] = replacements
     np.put(rows, flat, values)
-    return MaskedBlock(corrupted_ids=rows, target_counts=target_counts,
+    corrupted = np.zeros(rows.shape, dtype=bool)
+    np.put(corrupted, flat[kinds != SAME], True)
+    return MaskedBlock(corrupted_ids=rows, corrupted=corrupted, target_counts=target_counts,
                        target_positions=target_positions, target_originals=target_originals,
                        duplicate_index=np.array([p.duplicate_index for p in plans]),
                        source_sequence=np.array([p.source_sequence for p in plans]))
@@ -558,8 +562,8 @@ def generate_plans(ds: PackedDataset, config: MaskingConfig,
                    pmi_vocab: PmiVocabulary | None = None,
                    epoch: int = 0) -> Iterator[list[MaskPlan]]:
     """One epoch's MaskPlans in seeded stream order, one non-empty list per
-    block of BLOCK_EXAMPLES windows; `mask`, `stats` and `ppl` all read these
-    blocks. A window's duplicates are adjacent, and unit strategies segment a
+    block of BLOCK_EXAMPLES windows; ``generate_blocks`` materializes each
+    list. A window's duplicates are adjacent, and unit strategies segment a
     block's windows in one ``segment_block`` call."""
     stream = epoch_stream(ds, config.seed, epoch)
     while block := list(itertools.islice(stream, BLOCK_EXAMPLES)):
@@ -580,7 +584,8 @@ def generate_blocks(ds: PackedDataset, config: MaskingConfig,
                     pmi_vocab: PmiVocabulary | None = None,
                     epoch: int = 0) -> Iterator[MaskedBlock]:
     """One epoch's examples in stream order, each ``generate_plans`` list
-    materialized as one block; the CLI's `mask` and `ppl` both read them."""
+    materialized as one block; the CLI's `mask`, `stats` and `ppl` all read
+    them."""
     for plans in generate_plans(ds, config, pmi_vocab, epoch):
         yield materialize_block(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
 

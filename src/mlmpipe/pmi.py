@@ -29,7 +29,8 @@ class NgramCounts:
     """Exact contiguous n-gram counts plus per-length slot totals.
 
     ``counts`` may hold only the n-grams that reached a minimum count (see
-    ``count_ngrams``); ``slots`` always counts every slot.
+    ``count_ngrams``); ``slots`` always counts every slot, and a length
+    missing from it has no slots.
     """
 
     counts: Counter
@@ -255,9 +256,9 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
     ids, room = _flatten(data)
-    # at_least[n] positions have room for an n-gram; none past the longest run
+    # at_least[n] positions have room for an n-gram, for n up to the longest run
     at_least = np.cumsum(np.bincount(room)[::-1])[::-1].tolist()
-    slots = {n: at_least[n] if n < len(at_least) else 0 for n in range(1, n_max + 1)}
+    slots = dict(enumerate(at_least[1:n_max + 1], start=1))
     pos = np.flatnonzero(room >= 1)
     rank = np.zeros(len(ids), dtype=np.int64)  # rank of the n-gram at each position
     kept = np.zeros(len(ids) + 1, dtype=bool)  # one spare slot for kept[pos + 1]

@@ -171,7 +171,7 @@ def test_criterion_5_figure7_qualitative(desk_corpus):
     cov = {}
     for strategy, m in (("uniform", 0.15), ("uniform", 0.40), ("pmi", 0.15)):
         cfg = MaskingConfig(strategy=strategy, m=m, seed=13)
-        by_length = pmi_coverage(generate_plans(subset, cfg, pmi_vocab), pmi_vocab, subset)
+        by_length = pmi_coverage(generate_blocks(subset, cfg, pmi_vocab), pmi_vocab, subset)
         # overall: every occurrence of every length counts once
         cov[(strategy, m)] = (sum(c.fully_masked_count for c in by_length.values())
                               / sum(c.occurrence_count for c in by_length.values()))
@@ -189,7 +189,7 @@ def test_criterion_6_span_statistics():
     means = {}
     for m in (0.40, 0.80):
         cfg = MaskingConfig(strategy="span", m=m, mean_span=3.0, seed=17)
-        means[m] = mean_run_length(span_histogram(generate_plans(ds, cfg)))
+        means[m] = mean_run_length(span_histogram(generate_blocks(ds, cfg)))
     ok = 2.5 <= means[0.40] <= 3.5 and means[0.80] > 3.5
     report(6, "span strategy mean run length in [2.5, 3.5] at m=0.40 and "
               "> 3.5 at m=0.80",

@@ -20,7 +20,7 @@ from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingCon
                              generate_blocks, generate_examples, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, mask_plan, mean_run_length, packed_dataset
+from conftest import VOCAB, mean_run_length, packed_dataset
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size))
 
@@ -119,9 +119,11 @@ class TestMaskedPerplexity:
 
 
 def one_row_block(example):
-    """A per-plan example as a one-row block."""
+    """A per-plan example as a one-row block; scorers read no ``corrupted``
+    flags, so they are left all False."""
     positions, originals = zip(*example.targets) if example.targets else ((), ())
     return MaskedBlock(corrupted_ids=np.array([example.corrupted_ids], dtype=np.int64),
+                       corrupted=np.zeros((1, len(example.corrupted_ids)), dtype=bool),
                        target_counts=np.array([len(example.targets)]),
                        target_positions=np.array(positions, dtype=np.int64),
                        target_originals=np.array(originals, dtype=np.int64),
@@ -207,6 +209,10 @@ class TestPllScore:
     def test_empty_sentence_scores_nothing(self):
         spy = SpyScorer(ORACLE)
         assert pll_score([], spy, VOCAB) == 0.0 and spy.blocks == []
+
+    def test_positive_logprob_rejected(self):
+        with pytest.raises(DataError, match=r"^scorer returned log-probability 0\.5 > 0$"):
+            pll_score([5, 6, 7], TokenScorer(np.full(VOCAB.size, 0.5)), VOCAB)
 
     def test_sums_left_to_right(self):
         # -1 then many tiny values: adding one at a time drops every tiny
@@ -296,8 +302,18 @@ class TestMetrics:
             assert norm_a[k] == pytest.approx(norm_b[k], abs=1e-6)
 
 
-def plan_from_positions(positions, src=0):
-    return mask_plan(sorted(positions), src=src)
+def block_from_positions(position_sets, width, src=0):
+    """A block of window ``src`` whose row i is corrupted (all [MASK]) at
+    ``position_sets[i]`` and has no targets."""
+    rows = len(position_sets)
+    corrupted = np.zeros((rows, width), dtype=bool)
+    for row, positions in enumerate(position_sets):
+        corrupted[row, list(positions)] = True
+    no_ids = np.empty(0, dtype=np.int64)
+    return MaskedBlock(corrupted_ids=np.where(corrupted, VOCAB.mask_id, 5), corrupted=corrupted,
+                       target_counts=np.zeros(rows, dtype=np.int64), target_positions=no_ids,
+                       target_originals=no_ids, duplicate_index=np.zeros(rows, dtype=np.int64),
+                       source_sequence=np.full(rows, src, dtype=np.int64))
 
 
 class TestCoverage:
@@ -305,7 +321,7 @@ class TestCoverage:
         ds = packed_dataset(n_docs=5)
         pv = PmiVocabulary(entries={(7, 8): 1.0})
         cfg = MaskingConfig(m=0.0, seed=0)
-        report = pmi_coverage(generate_plans(ds, cfg), pv, ds)
+        report = pmi_coverage(generate_blocks(ds, cfg), pv, ds)
         for cell in report.values():
             assert cell.fully_masked_count == 0
 
@@ -321,12 +337,12 @@ class TestCoverage:
                 entries[(int(w.ids[i]), int(w.ids[i + 1]))] = 1.0
         pv = PmiVocabulary(entries=entries)
         cfg = MaskingConfig(m=0.40, seed=2)
-        report = pmi_coverage(generate_plans(ds, cfg), pv, ds)
+        report = pmi_coverage(generate_blocks(ds, cfg), pv, ds)
         expected = 51 * 50 / (128 * 127)
         assert report[2].probability == pytest.approx(expected, rel=0.05)
 
     def test_keeps_one_block_of_occurrences(self, monkeypatch):
-        # a generate_plans block's occurrences are dropped once the stream moves
+        # a generate_blocks block's occurrences are dropped once the stream moves
         # past it, and every window is looked up once, in stream order
         alive, looked_up = [], []
         real = analysis._vocab_occurrences
@@ -344,9 +360,9 @@ class TestCoverage:
         held, order = [], []
 
         def blocks():
-            for block in generate_plans(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
+            for block in generate_blocks(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
                 held.append(sum(ref() is not None for ref in alive))
-                order.extend(p.source_sequence for p in block if p.duplicate_index == 0)
+                order.extend(block.source_sequence[block.duplicate_index == 0].tolist())
                 yield block
 
         report = pmi_coverage(blocks(), pv, ds)
@@ -361,17 +377,17 @@ class TestCoverage:
         ds = packed_dataset(n_docs=2)
         pv = PmiVocabulary(entries={(7, 8): 1.0})
         with pytest.raises(IntegrityError):
-            pmi_coverage([[plan_from_positions([0], src=99)]], pv, ds)
+            pmi_coverage([block_from_positions([[0]], ds.seq_len, src=99)], pv, ds)
 
 
 class TestSpanHistogram:
     def test_single_fully_masked_window(self):
-        hist = span_histogram([[plan_from_positions(range(128))]])
+        hist = span_histogram([block_from_positions([range(128)], 128)])
         assert hist == Counter({128: 1})
         assert mean_run_length(hist) == 128.0
 
     def test_mean_is_count_weighted(self):
-        hist = span_histogram([[plan_from_positions([0, 1, 5])]])
+        hist = span_histogram([block_from_positions([[0, 1, 5]], 128)])
         assert hist == Counter({2: 1, 1: 1})
         assert mean_run_length(hist) == pytest.approx(1.5)
 
@@ -407,7 +423,7 @@ class TestSpanHistogram:
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(2000)]
         ds = packed(wins)
         cfg = MaskingConfig(strategy="span", m=0.40, mean_span=3.0, seed=8)
-        hist = span_histogram(generate_plans(ds, cfg))
+        hist = span_histogram(generate_blocks(ds, cfg))
         assert 2.5 <= mean_run_length(hist) <= 3.5
 
 
@@ -439,6 +455,7 @@ def extern(script, *args):
 
 # rows [5, 6, 7], [8, 9, 10] and [11, 12, 13]; the middle row has no target
 THREE_ROWS = MaskedBlock(corrupted_ids=np.arange(5, 14).reshape(3, 3),
+                         corrupted=np.zeros((3, 3), dtype=bool),
                          target_counts=np.array([2, 0, 1]),
                          target_positions=np.array([0, 2, 1]),
                          target_originals=np.array([5, 7, 12]),
@@ -555,7 +572,9 @@ class TestTokenScorer:
 
     def test_the_first_token_without_a_count_is_named(self):
         scorer = unigram([0, 1, 0, 0, 0, 1, 1, 0, 0, 0])
-        block = MaskedBlock(corrupted_ids=np.array([[5, 2, 6, 2]]), target_counts=np.array([3]),
+        block = MaskedBlock(corrupted_ids=np.array([[5, 2, 6, 2]]),
+                            corrupted=np.array([[False, True, False, True]]),
+                            target_counts=np.array([3]),
                             target_positions=np.array([2, 1, 3]),
                             target_originals=np.array([6, 7, 3]),
                             duplicate_index=np.zeros(1, dtype=np.int64),
@@ -577,7 +596,8 @@ def test_span_histogram_counts_runs(position_sets, block):
             elif run:
                 expected[run] += 1
                 run = 0
-    plans = [plan_from_positions(s) for s in position_sets]
-    hist = span_histogram(plans[i:i + block] for i in range(0, len(plans), block))
+    # width 41: a run may end in the last column
+    hist = span_histogram(block_from_positions(position_sets[i:i + block], 41)
+                          for i in range(0, len(position_sets), block))
     assert type(hist) is Counter and hist == expected
     assert all(type(n) is int and type(c) is int for n, c in hist.items())

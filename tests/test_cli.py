@@ -100,7 +100,7 @@ class TestMask:
     ], ids=["uniform", "span", "whole_word", "pmi-dup-80-10-10-extra"])
     def test_block_size_byte_identical(self, tmp_path, monkeypatch, capsys, flags):
         # several blocks at the default size, and blocks of 1 and 7 windows:
-        # `mask`, both `stats` CSVs and `ppl` read the same plan blocks
+        # `mask`, both `stats` CSVs and `ppl` read the same `generate_blocks` blocks
         corpus = tmp_path / "corpus.jsonl"
         serialize_tokens(random_docs(300, 80, seed=1), corpus)
         packed = tmp_path / "packed.jsonl"
@@ -175,11 +175,23 @@ class TestMask:
             assert rc == 1, flag
             assert len(err.splitlines()) == 1 and "Traceback" not in err, flag
 
-    def test_infeasible_decoupling_is_exit_3(self, tmp_path, packed_path):
-        rc = run(["mask", "--input", str(packed_path),
-                  "--output", str(tmp_path / "o"),
+    def test_infeasible_decoupling_is_exit_3(self, tmp_path, packed_path, capsys):
+        # the failed run removes the output file it created
+        out = tmp_path / "o"
+        rc = run(["mask", "--input", str(packed_path), "--output", str(out),
                   "--corruption-rate", "0.4", "--prediction-rate", "0.9"])
         assert rc == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_output_that_existed(self, tmp_path, packed_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("from an earlier run\n")
+        rc = run(["mask", "--input", str(packed_path), "--output", str(out),
+                  "--corruption-rate", "0.4", "--prediction-rate", "0.9"])
+        assert rc == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.exists()
 
     def test_decoupled_duplicates_adjacent(self, tmp_path, packed_path):
         out = tmp_path / "dup.jsonl"
@@ -716,6 +728,10 @@ def not_utf8_scorer(tmp_path):
     return f"extern:{sys.executable} {script}"
 
 
+def positive_scorer(tmp_path):
+    return extern_script(tmp_path, "{'qid': req['qid'], 'logp': [0.5] * n}")
+
+
 # id: ([subcommand, flag, value], expected exit code)
 MALFORMED_CLI = {
     "pack-seq-len-beyond-memory": (["pack", "--seq-len", "1000000000000"], 1),
@@ -741,6 +757,8 @@ MALFORMED_CLI = {
     "pll-extern-open-quote": (["pll", "--scorer", 'extern:"x'], 1),
     "ppl-extern-not-utf8": (["ppl", "--scorer", not_utf8_scorer], 2),
     "pll-extern-not-utf8": (["pll", "--scorer", not_utf8_scorer], 2),
+    "ppl-extern-positive": (["ppl", "--scorer", positive_scorer], 2),
+    "pll-extern-positive": (["pll", "--scorer", positive_scorer], 2),
 }
 
 

@@ -18,10 +18,16 @@ random replacements must skip ids in the middle of the vocabulary.
 
 import hashlib
 import json
+from itertools import chain
 
+import numpy as np
 import pytest
 
-from mlmpipe.cli import run
+from mlmpipe.analysis import pll_score
+from mlmpipe.cli import _masking_config, build_parser, run
+from mlmpipe.corpus import load_packed
+from mlmpipe.masking import generate_blocks, generate_plans
+from mlmpipe.pmi import PmiVocabulary
 
 SIZE, PAD, SEP, MASK = 120, 0, 57, 119
 VOCAB_FLAGS = ["--vocab-size", str(SIZE), "--mask-id", str(MASK),
@@ -115,6 +121,40 @@ def test_mask_output_digest(tmp_path, flags, digest):
     header, body = out.read_bytes().split(b"\n", 1)
     assert body.count(b"\n") > 100
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+class Recorder:
+    """A scorer that keeps every block it is given and scores each target 0."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def log_probs(self, block):
+        self.blocks.append(block)
+        return np.zeros(len(block.target_originals))
+
+
+@pytest.mark.parametrize("flags", [flags for flags, _ in GOLDEN.values()], ids=GOLDEN.keys())
+def test_corrupted_flags_are_the_plans_corrupted_positions(tmp_path, flags):
+    packed, tsv = write_inputs(tmp_path)
+    args = build_parser().parse_args(["--seed", "5", "mask", "--input", str(packed),
+                                      "--output", str(tmp_path / "unused")] + flags)
+    config, ds, pmi_vocab = _masking_config(args), load_packed(packed), PmiVocabulary.load_tsv(tsv)
+    for epoch in range(args.epochs):
+        plans = list(chain.from_iterable(generate_plans(ds, config, pmi_vocab, epoch)))
+        rows = [row for block in generate_blocks(ds, config, pmi_vocab, epoch)
+                for row in block.corrupted]
+        assert len(rows) == len(plans) >= len(ds)
+        for row, plan in zip(rows, plans):
+            assert row.dtype == bool
+            assert np.array_equal(row.nonzero()[0], plan.corrupted_positions)
+    # pll_score's row i is corrupted at position i and nowhere else
+    sentence = ds.ids[:3].ravel()
+    scorer = Recorder()
+    pll_score(sentence, scorer, ds.vocab)
+    assert len(scorer.blocks) > 1
+    assert np.array_equal(np.concatenate([b.corrupted for b in scorer.blocks]),
+                          np.eye(len(sentence), dtype=bool))
 
 
 # values file of the `metric` cases, keys out of rate order

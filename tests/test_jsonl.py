@@ -30,7 +30,9 @@ def blocks(draw):
 def make_block(seq, targets, dup, src):
     flat = [pair for row in targets for pair in row]
     L = len(seq[0]) if seq else 1
-    return MaskedBlock(corrupted_ids=np.array(seq, dtype=np.int64).reshape(len(seq), L),
+    corrupted_ids = np.array(seq, dtype=np.int64).reshape(len(seq), L)
+    # example_lines writes no corrupted flags
+    return MaskedBlock(corrupted_ids=corrupted_ids, corrupted=np.zeros(corrupted_ids.shape, bool),
                        target_counts=np.array([len(row) for row in targets], dtype=np.int64),
                        target_positions=np.array([p for p, _ in flat], dtype=np.int64),
                        target_originals=np.array([o for _, o in flat], dtype=np.int64),

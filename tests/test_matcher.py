@@ -26,7 +26,7 @@ from mlmpipe.analysis import LengthCoverage, _vocab_occurrences, pmi_coverage
 from mlmpipe.cli import run
 from mlmpipe.corpus import PackedDataset, load_packed, serialize_tokens
 from mlmpipe.errors import DataError, IntegrityError
-from mlmpipe.masking import MaskingConfig, generate_plans
+from mlmpipe.masking import MaskingConfig, generate_blocks, generate_plans, materialize_block
 from mlmpipe.pmi import PmiVocabulary, segment_block, segment_units
 
 from conftest import VOCAB, make_window, random_docs
@@ -338,30 +338,36 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
     want = oracle_coverage(chain.from_iterable(generate_plans(ds, cfg, pv)), pv, ds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masking, "BLOCK_EXAMPLES", block)
-        got = pmi_coverage(generate_plans(ds, cfg, pv), pv, ds)
+        got = pmi_coverage(generate_blocks(ds, cfg, pv), pv, ds)
     assert got == want
     assert all(type(c.fully_masked_count) is int and type(c.occurrence_count) is int
                for c in got.values())
 
 
+def materialized(plan_lists, ds):
+    """Each list of plans as one block, as ``generate_blocks`` materializes them."""
+    return [materialize_block(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
+            for plans in plan_lists]
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch):
-    # a window planned twice, far apart, is looked up once per run of plans;
-    # a window's disjoint duplicates share one generate_plans block, and blocks cut
-    # anywhere else give the same counts
+    # a window planned twice, far apart, is looked up once per run of rows;
+    # a window's disjoint duplicates share one generate_blocks block, and blocks
+    # cut anywhere else give the same counts
     ds = small_dataset(3, 30, 40)
     pv = PmiVocabulary(entries={(5, 6): 1.0, (6, 7, 8): 1.0, (7,): 1.0, (SEP, 5): 1.0})
     cfg = MaskingConfig(strategy="pmi", m_corr=0.2, m_pred=0.6, policy=(0.8, 0.1, 0.1),
                         extra_same=0.05, seed=9)
     monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
-    blocks = list(generate_plans(ds, cfg, pv))
-    plans = list(chain.from_iterable(blocks))
+    blocks = list(generate_blocks(ds, cfg, pv))
+    plans = list(chain.from_iterable(generate_plans(ds, cfg, pv)))
     assert [p.duplicate_index for p in plans[:3]] == [0, 1, 2]
-    assert [len(b) for b in blocks] == [3 * block] * (len(ds) // block) + \
+    assert [len(b.source_sequence) for b in blocks] == [3 * block] * (len(ds) // block) + \
         [3 * (len(ds) % block)] * (len(ds) % block > 0)
-    blocks, plans = blocks + [plans[:5]], plans + plans[:5]
+    blocks, plans = blocks + materialized([plans[:5]], ds), plans + plans[:5]
     want = oracle_coverage(plans, pv, ds)
     assert pmi_coverage(blocks, pv, ds) == want
-    cut = [plans[i:i + block] for i in range(0, len(plans), block)]
+    cut = materialized([plans[i:i + block] for i in range(0, len(plans), block)], ds)
     assert pmi_coverage(cut, pv, ds) == want
 

@@ -66,7 +66,8 @@ def assert_counts_match_oracle(data, n_max, min_count):
     got = count_ngrams(data, n_max, min_count=min_count)
     oracle = oracle_count_ngrams(data, n_max)
     assert dict(got.counts) == {g: c for g, c in oracle.counts.items() if c >= min_count}
-    assert got.slots == oracle.slots
+    # a length with no slot is missing from ``slots``
+    assert got.slots == {n: k for n, k in oracle.slots.items() if k}
     assert got.n_max == n_max
 
 
@@ -103,6 +104,10 @@ class TestCountNgrams:
         assert counts.counts.get((A, B), 0) == 0
         assert counts.counts[(A,)] == 1 and counts.counts[(B,)] == 1
 
+    def test_slots_stop_at_the_longest_run(self):
+        counts = count_ngrams([doc(list(range(3, 40)))], n_max=10 ** 7)
+        assert counts.slots == {n: 38 - n for n in range(1, 38)}
+
     def test_n_max_too_small(self):
         with pytest.raises(ConfigError):
             count_ngrams([], n_max=1)
@@ -112,7 +117,7 @@ class TestCountNgrams:
         counts = count_ngrams([doc(tokens)], n_max=4)
         oracle_counts, oracle_slots = brute_force_counts(tokens, 4)
         assert counts.counts == oracle_counts
-        assert counts.slots == oracle_slots
+        assert counts.slots == {n: k for n, k in oracle_slots.items() if k}
 
     @given(st.lists(st.lists(st.integers(min_value=3, max_value=8),
                              min_size=1, max_size=20),
