@@ -2,15 +2,15 @@
 
 from .corpus import (PackedDataset, TokenSequence, Vocab, Window, epoch_stream,
                      load_tokens, pack_sequences)
-from .masking import (MaskedBlock, MaskedExample, MaskingConfig, MaskPlan, effective_rates,
-                      generate_examples, generate_plans, materialize, materialize_block)
+from .masking import (MaskedBlock, MaskingConfig, MaskPlan, effective_rates, generate_blocks,
+                      generate_plans, materialize)
 from .pmi import NgramCounts, PmiVocabulary, build_vocab, count_ngrams, pmi_score
 
 __all__ = [
     "PackedDataset", "TokenSequence", "Vocab", "Window", "epoch_stream",
     "load_tokens", "pack_sequences",
-    "MaskedBlock", "MaskedExample", "MaskingConfig", "MaskPlan", "effective_rates",
-    "generate_examples", "generate_plans", "materialize", "materialize_block",
+    "MaskedBlock", "MaskingConfig", "MaskPlan", "effective_rates", "generate_blocks",
+    "generate_plans", "materialize",
     "NgramCounts", "PmiVocabulary", "build_vocab", "count_ngrams", "pmi_score",
 ]
 

@@ -208,6 +208,9 @@ def pmi_coverage(blocks: Iterable[MaskedBlock], pmi_vocab: PmiVocabulary,
             raise IntegrityError(
                 f"block references sequence {source[outside.argmax()]} but dataset "
                 f"has {len(ds)} windows")
+        if block.corrupted.shape[1] != L:
+            raise IntegrityError(f"block is {block.corrupted.shape[1]} positions wide but "
+                                 f"dataset seq_len is {L}")
         # run r holds the consecutive rows of one window
         first = np.append(True, source[1:] != source[:-1])
         run = np.cumsum(first) - 1

@@ -92,14 +92,6 @@ class MaskPlan:
 
 
 @dataclass
-class MaskedExample:
-    corrupted_ids: list[int]
-    targets: list[tuple[int, int]]
-    duplicate_index: int = 0
-    source_sequence: int = 0
-
-
-@dataclass
 class MaskedBlock:
     """Consecutive materialized examples as arrays, one row per example.
 
@@ -470,8 +462,7 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
                     source_sequence=plan.source_sequence)
 
 
-def materialize_block(rows: np.ndarray, plans: Sequence[MaskPlan],
-                      vocab: Vocab) -> MaskedBlock:
+def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> MaskedBlock:
     """Apply plans[i] to rows[i], a copy of its window's ids, in place.
 
     All plans of the block are checked and written at once. A position
@@ -528,16 +519,6 @@ def materialize_block(rows: np.ndarray, plans: Sequence[MaskPlan],
                        source_sequence=np.array([p.source_sequence for p in plans]))
 
 
-def materialize(window: TokenSequence, plan: MaskPlan, vocab: Vocab) -> MaskedExample:
-    """Apply a plan to its window, producing the corrupted example."""
-    block = materialize_block(window.ids[np.newaxis].copy(), [plan], vocab)
-    return MaskedExample(corrupted_ids=block.corrupted_ids[0].tolist(),
-                         targets=list(zip(block.target_positions.tolist(),
-                                          block.target_originals.tolist())),
-                         duplicate_index=plan.duplicate_index,
-                         source_sequence=plan.source_sequence)
-
-
 # ---------------------------------------------------------------------------
 # streaming drivers
 
@@ -587,14 +568,4 @@ def generate_blocks(ds: PackedDataset, config: MaskingConfig,
     materialized as one block; the CLI's `mask`, `stats` and `ppl` all read
     them."""
     for plans in generate_plans(ds, config, pmi_vocab, epoch):
-        yield materialize_block(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
-
-
-def generate_examples(ds: PackedDataset, config: MaskingConfig,
-                      pmi_vocab: PmiVocabulary | None = None,
-                      epoch: int = 0) -> Iterator[MaskedExample]:
-    """Materialized corrupted examples for one epoch in stream order, one plan
-    at a time: the reference for generate_blocks."""
-    for plans in generate_plans(ds, config, pmi_vocab, epoch):
-        for plan in plans:
-            yield materialize(ds[plan.source_sequence], plan, ds.vocab)
+        yield materialize(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)

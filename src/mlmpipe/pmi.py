@@ -171,6 +171,8 @@ class PmiVocabulary:
                 score = float(fields[1])
             except ValueError as exc:
                 raise DataError(f"PMI TSV line {lineno}: {exc}") from exc
+            if not math.isfinite(score):
+                raise DataError(f"PMI TSV line {lineno}: score {fields[1]} is not finite")
             if not gram:
                 raise DataError(f"PMI TSV line {lineno}: empty n-gram")
             if min(gram) < 0 or max(gram) not in _INT64:
@@ -355,10 +357,10 @@ def segment_units(window: TokenSequence, vocab: Vocab, mode: str,
                   pmi_vocab: PmiVocabulary | None = None) -> list[tuple[int, int]]:
     """Partition a window's maskable positions into atomic units.
 
-    Returns half-open (start, end) ranges. single_token: one unit per
-    position. whole_word: maximal runs starting at word boundaries. pmi:
-    greedy leftmost-longest match against the PMI vocabulary, falling back
-    to whole-word units. Pad/sep positions never appear in a unit.
+    Returns half-open (start, end) ranges. whole_word: maximal runs
+    starting at word boundaries. pmi: greedy leftmost-longest match against
+    the PMI vocabulary, falling back to whole-word units. Pad/sep positions
+    never appear in a unit.
     """
     units = segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis],
                           vocab, mode, pmi_vocab)[0]
@@ -398,7 +400,7 @@ def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: 
     from the run starts by following those ends; they are marked in
     ceil(log2 L) rounds of pointer doubling.
     """
-    if mode not in ("single_token", "whole_word", "pmi"):
+    if mode not in ("whole_word", "pmi"):
         raise ConfigError(f"unknown segmentation mode {mode!r}")
     if mode == "pmi" and pmi_vocab is None:
         raise ConfigError("pmi segmentation requires a PMI vocabulary")
@@ -407,30 +409,26 @@ def segment_block(ids: np.ndarray, word_starts: np.ndarray, vocab: Vocab, mode: 
     if size == 0:
         return [np.empty((0, 2), dtype=np.int64) for _ in range(rows)]
     room = _run_room(ids, vocab)
-    if mode == "single_token":
-        starts = np.flatnonzero(room)
-        ends = starts + 1
-    else:
-        # a unit runs to the next word start or run end strictly after it
-        ends = np.ones(size + 1, dtype=bool)
-        ends[:size] = word_starts.ravel()
-        ends = np.minimum(_next_at_or_after(ends)[1:], np.arange(size) + room)
-        if mode == "pmi":
-            occ = pmi_vocab.occurrences(ids, room.reshape(rows, L))
-            pos = occ[:, 0] * L + occ[:, 1]
-            # occurrences are sorted by position and length: the last is the longest
-            longest = np.ones(len(pos), dtype=bool)
-            longest[:-1] = pos[1:] != pos[:-1]
-            ends[pos[longest]] = pos[longest] + occ[longest, 2]
-        # sep/pad positions step to a sentinel past the end; a run starts
-        # where the position before it is sep/pad or ends its run
-        step = np.append(np.where(room > 0, ends, size), size)
-        reached = np.append((room > 0) & (np.append(0, room[:-1]) <= 1), False)
-        for _ in range((L - 1).bit_length()):
-            reached[step[reached]] = True
-            step = step[step]
-        starts = np.flatnonzero(reached[:size] & (room > 0))
-        ends = ends[starts]
+    # a unit runs to the next word start or run end strictly after it
+    ends = np.ones(size + 1, dtype=bool)
+    ends[:size] = word_starts.ravel()
+    ends = np.minimum(_next_at_or_after(ends)[1:], np.arange(size) + room)
+    if mode == "pmi":
+        occ = pmi_vocab.occurrences(ids, room.reshape(rows, L))
+        pos = occ[:, 0] * L + occ[:, 1]
+        # occurrences are sorted by position and length: the last is the longest
+        longest = np.ones(len(pos), dtype=bool)
+        longest[:-1] = pos[1:] != pos[:-1]
+        ends[pos[longest]] = pos[longest] + occ[longest, 2]
+    # sep/pad positions step to a sentinel past the end; a run starts
+    # where the position before it is sep/pad or ends its run
+    step = np.append(np.where(room > 0, ends, size), size)
+    reached = np.append((room > 0) & (np.append(0, room[:-1]) <= 1), False)
+    for _ in range((L - 1).bit_length()):
+        reached[step[reached]] = True
+        step = step[step]
+    starts = np.flatnonzero(reached[:size] & (room > 0))
+    ends = ends[starts]
     row = starts // L
     units = np.stack([starts, ends], axis=1) - (row * L)[:, np.newaxis]
     bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlmpipe.corpus import PackedDataset, TokenSequence, Vocab, Window, pack_sequences
-from mlmpipe.masking import MaskPlan
+from mlmpipe.masking import MaskPlan, materialize
 
 # specials: pad=0, sep=1, mask=2; ordinary tokens start at 3
 VOCAB = Vocab(size=100, mask_id=2, pad_id=0, sep_id=1)
@@ -53,6 +53,11 @@ def mean_run_length(counts):
     """The count-weighted mean of a run length -> count tally."""
     total = sum(counts.values())
     return sum(n * c for n, c in counts.items()) / total if total else 0.0
+
+
+def materialize_one(window, plan, vocab=VOCAB):
+    """One plan applied to a copy of its window, as a one-row block."""
+    return materialize(window.ids[np.newaxis].copy(), [plan], vocab)
 
 
 def mask_plan(positions, predictions=(), src=0):

@@ -22,13 +22,13 @@ from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream,
                             load_packed, pack_sequences, serialize_tokens)
 from mlmpipe.errors import InfeasibleError
 from mlmpipe.masking import (MaskingConfig, exact_count, effective_rates,
-                             generate_blocks, generate_plans, materialize, plan_decoupled,
+                             generate_blocks, generate_plans, plan_decoupled,
                              plan_window, sample_uniform)
 from mlmpipe.pmi import (build_vocab, count_ngrams, count_ngrams_sharded,
                          pmi_score)
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, mean_run_length
+from conftest import VOCAB, materialize_one, mean_run_length
 
 
 def report(num, desc, ok, detail=""):
@@ -313,11 +313,14 @@ def test_criterion_10_cli_determinism(desk_corpus, tmp_path):
         planned = list(pool.map(lambda idx: plan_window(
             ds[idx], ds.vocab, cfg, substream(23, 0, idx), source_sequence=idx),
             order))
-    lines = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
-                         "dup": e.duplicate_index, "src": e.source_sequence},
+    examples = [materialize_one(ds[plan.source_sequence], plan, ds.vocab)
+                for plans in planned for plan in plans]
+    lines = [json.dumps({"seq": e.corrupted_ids[0].tolist(),
+                         "targets": [[p, o] for p, o in zip(e.target_positions.tolist(),
+                                                            e.target_originals.tolist())],
+                         "dup": int(e.duplicate_index[0]), "src": int(e.source_sequence[0])},
                         separators=(",", ":"))
-             for plans in planned for plan in plans
-             for e in [materialize(ds[plan.source_sequence], plan, ds.vocab)]]
+             for e in examples]
     body = masked["m1.jsonl"].decode().splitlines()[1:]
     mask_ok = masked["m1.jsonl"] == masked["m2.jsonl"] and body == lines and len(lines) > 0
     report(10, "CLI pipeline byte-identical across repeat runs and equal to "

@@ -17,10 +17,10 @@ from mlmpipe.analysis import (ExternScorer, TokenScorer, make_scorer,
 from mlmpipe.corpus import TokenSequence
 from mlmpipe.errors import ConfigError, DataError, IntegrityError
 from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingConfig,
-                             generate_blocks, generate_examples, generate_plans)
+                             generate_blocks, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, mean_run_length, packed_dataset
+from conftest import VOCAB, materialize_one, mean_run_length, packed_dataset
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size))
 
@@ -118,25 +118,13 @@ class TestMaskedPerplexity:
             math.exp(-total / len(values))
 
 
-def one_row_block(example):
-    """A per-plan example as a one-row block; scorers read no ``corrupted``
-    flags, so they are left all False."""
-    positions, originals = zip(*example.targets) if example.targets else ((), ())
-    return MaskedBlock(corrupted_ids=np.array([example.corrupted_ids], dtype=np.int64),
-                       corrupted=np.zeros((1, len(example.corrupted_ids)), dtype=bool),
-                       target_counts=np.array([len(example.targets)]),
-                       target_positions=np.array(positions, dtype=np.int64),
-                       target_originals=np.array(originals, dtype=np.int64),
-                       duplicate_index=np.array([example.duplicate_index]),
-                       source_sequence=np.array([example.source_sequence]))
-
-
 def reference_perplexity(ds, cfg, scorer, pmi_vocab=None):
-    """masked_perplexity as one materialize and one one-row block per plan."""
+    """masked_perplexity with each plan materialized and scored as a one-row block."""
     total, count = 0.0, 0
-    for example in generate_examples(ds, cfg, pmi_vocab):
-        if example.targets:
-            for v in scorer.log_probs(one_row_block(example)).tolist():
+    for plan in chain.from_iterable(generate_plans(ds, cfg, pmi_vocab)):
+        block = materialize_one(ds[plan.source_sequence], plan, ds.vocab)
+        if len(block.target_positions):
+            for v in scorer.log_probs(block).tolist():
                 total += v
                 count += 1
     return math.exp(-total / count)
@@ -378,6 +366,13 @@ class TestCoverage:
         pv = PmiVocabulary(entries={(7, 8): 1.0})
         with pytest.raises(IntegrityError):
             pmi_coverage([block_from_positions([[0]], ds.seq_len, src=99)], pv, ds)
+
+    @pytest.mark.parametrize("width", [10, 200])
+    def test_block_of_the_wrong_width(self, width):
+        ds = packed_dataset(n_docs=2)
+        pv = PmiVocabulary(entries={(7, 8): 1.0})
+        with pytest.raises(IntegrityError, match=f"{width} positions wide .* seq_len is 128"):
+            pmi_coverage([block_from_positions([[0]], width)], pv, ds)
 
 
 class TestSpanHistogram:

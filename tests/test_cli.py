@@ -9,10 +9,10 @@ import pytest
 from mlmpipe import masking
 from mlmpipe.cli import run
 from mlmpipe.corpus import PackedDataset, Vocab, load_packed, save_packed, serialize_tokens
-from mlmpipe.masking import MaskingConfig, generate_examples
+from mlmpipe.masking import MaskingConfig, generate_plans
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, random_docs
+from conftest import VOCAB, materialize_one, random_docs
 
 VOCAB_FLAGS = ["--vocab-size", str(VOCAB.size), "--mask-id", str(VOCAB.mask_id),
                "--pad-id", str(VOCAB.pad_id), "--sep-id", str(VOCAB.sep_id)]
@@ -160,10 +160,16 @@ class TestMask:
         ds = load_packed(packed)
         assert len(ds) > 2 * masking.BLOCK_EXAMPLES
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=9)
-        expected = [json.dumps({"seq": e.corrupted_ids, "targets": [[p, o] for p, o in e.targets],
-                                "dup": e.duplicate_index, "src": e.source_sequence},
+        examples = [materialize_one(ds[plan.source_sequence], plan, ds.vocab)
+                    for epoch in (0, 1) for plans in generate_plans(ds, cfg, epoch=epoch)
+                    for plan in plans]
+        expected = [json.dumps({"seq": e.corrupted_ids[0].tolist(),
+                                "targets": [[p, o] for p, o in zip(e.target_positions.tolist(),
+                                                                   e.target_originals.tolist())],
+                                "dup": int(e.duplicate_index[0]),
+                                "src": int(e.source_sequence[0])},
                                separators=(",", ":"))
-                    for epoch in (0, 1) for e in generate_examples(ds, cfg, epoch=epoch)]
+                    for e in examples]
         assert out.read_text().splitlines()[1:] == expected
 
     def test_bad_rate_is_usage_error(self, tmp_path, packed_path, capsys):
@@ -732,6 +738,12 @@ def positive_scorer(tmp_path):
     return extern_script(tmp_path, "{'qid': req['qid'], 'logp': [0.5] * n}")
 
 
+def nan_score_tsv(tmp_path):
+    path = tmp_path / "pmi.tsv"
+    path.write_text("5 6\tnan\n7 8\tinf\n")
+    return str(path)
+
+
 # id: ([subcommand, flag, value], expected exit code)
 MALFORMED_CLI = {
     "pack-seq-len-beyond-memory": (["pack", "--seq-len", "1000000000000"], 1),
@@ -759,6 +771,7 @@ MALFORMED_CLI = {
     "pll-extern-not-utf8": (["pll", "--scorer", not_utf8_scorer], 2),
     "ppl-extern-positive": (["ppl", "--scorer", positive_scorer], 2),
     "pll-extern-positive": (["pll", "--scorer", positive_scorer], 2),
+    "pmi-tsv-nan-score": (["mask", "--pmi-vocab", nan_score_tsv], 2),
 }
 
 
@@ -782,6 +795,9 @@ def test_malformed_input_is_one_line(tmp_path, corpus_path, packed_path, capsys,
         argv = ["metric", "normalize", "--baseline", "0.15", "--values", str(values)]
     elif subcommand == "ppl":
         argv = ["ppl", "--input", str(packed_path), flag, value]
+    elif subcommand == "mask":
+        argv = ["mask", "--input", str(packed_path), "--output", str(out),
+                "--strategy", "pmi", flag, value]
     else:
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import chain
 
@@ -11,15 +12,15 @@ from mlmpipe.corpus import Vocab, epoch_stream
 from mlmpipe.errors import ConfigError, DataError, InfeasibleError, IntegrityError
 from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, MaskingConfig,
                              MaskPlan, apply_policy, effective_rates, exact_count,
-                             generate_blocks, generate_examples, generate_plans,
-                             largest_remainder,
-                             make_sampler, materialize, materialize_block,
+                             generate_blocks, generate_plans, largest_remainder,
+                             make_sampler, materialize,
                              plan_decoupled, plan_window, sample_span,
                              sample_uniform, sample_units)
 from mlmpipe.pmi import PmiVocabulary, segment_units
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, full_window, make_window, mask_plan, packed_dataset
+from conftest import (VOCAB, full_window, make_window, mask_plan, materialize_one, packed,
+                      packed_dataset)
 
 
 def rng_for(i=0):
@@ -477,6 +478,10 @@ def plan_fields(plan):
             plan.duplicate_index, plan.source_sequence)
 
 
+def block_fields(block):
+    return tuple(getattr(block, f.name).tolist() for f in dataclasses.fields(block))
+
+
 class AllDraws:
     """A stand-in generator whose ``integers`` returns every value of its
     range once, in order."""
@@ -552,50 +557,48 @@ class TestEffectiveRates:
 class TestMaterialize:
     def test_empty_plan_identity(self):
         win = full_window()
-        ex = materialize(win, mask_plan([]), VOCAB)
-        assert ex.corrupted_ids == win.ids.tolist()
-        assert ex.targets == []
+        block = materialize_one(win, mask_plan([]))
+        assert block.corrupted_ids[0].tolist() == win.ids.tolist()
+        assert block.target_counts.tolist() == [0] and len(block.target_positions) == 0
 
     def test_mask_actions_write_mask_id(self):
         win = full_window()
         plan = plan_decoupled(win, VOCAB, sample_uniform, 0.15, 0.15, rng_for())[0]
-        ex = materialize(win, plan, VOCAB)
+        block = materialize_one(win, plan)
         positions = set(plan.positions.tolist())
-        for i, (orig, got) in enumerate(zip(win.ids.tolist(), ex.corrupted_ids)):
+        for i, (orig, got) in enumerate(zip(win.ids.tolist(), block.corrupted_ids[0].tolist())):
             if i in positions:
                 assert got == VOCAB.mask_id
             else:
                 assert got == orig
-        assert [(p, o) for p, o in ex.targets] == \
+        assert list(zip(block.target_positions.tolist(), block.target_originals.tolist())) == \
             list(zip(plan.pred_positions.tolist(), plan.pred_originals.tolist()))
 
     def test_position_out_of_range(self):
         win = full_window(L=8)
         plan = mask_plan([9])
         with pytest.raises(IntegrityError):
-            materialize(win, plan, VOCAB)
+            materialize_one(win, plan)
 
     def test_wrong_original_id(self):
         win = full_window()
         plan = mask_plan([], predictions=[(0, int(win.ids[0]) + 1)])
         with pytest.raises(IntegrityError):
-            materialize(win, plan, VOCAB)
+            materialize_one(win, plan)
 
     def test_never_touches_special_positions(self):
         plan = mask_plan([1])
         win = make_window([5, VOCAB.sep_id, 6])
         with pytest.raises(IntegrityError):
-            materialize(win, plan, VOCAB)
+            materialize_one(win, plan)
 
 
 class TestStreamDeterminism:
     def test_identical_runs(self):
         ds = packed_dataset(n_docs=30)
         cfg = MaskingConfig(m=0.4, policy=(0.8, 0.1, 0.1), extra_same=0.02, seed=9)
-        a = [(e.source_sequence, e.corrupted_ids, e.targets)
-             for e in generate_examples(ds, cfg)]
-        b = [(e.source_sequence, e.corrupted_ids, e.targets)
-             for e in generate_examples(ds, cfg)]
+        a = [block_fields(block) for block in generate_blocks(ds, cfg)]
+        b = [block_fields(block) for block in generate_blocks(ds, cfg)]
         assert a == b
 
     def test_parallel_equals_serial(self):
@@ -787,11 +790,13 @@ def policy_plan(win):
 class TestArrayPlans:
     def test_materialize_writes_each_kind(self):
         win = full_window(L=8)
-        ex = materialize(win, policy_plan(win), VOCAB)
+        block = materialize_one(win, policy_plan(win))
         ids = win.ids.tolist()
-        assert ex.corrupted_ids == [VOCAB.mask_id, VOCAB.mask_id, 50, 60] + ids[4:]
-        assert ex.targets == list(zip(range(5), ids[:5]))
-        assert (ex.duplicate_index, ex.source_sequence) == (1, 7)
+        assert block.corrupted_ids[0].tolist() == [VOCAB.mask_id, VOCAB.mask_id, 50, 60] + ids[4:]
+        assert block.corrupted[0].tolist() == [True] * 4 + [False] * 4
+        assert list(zip(block.target_positions.tolist(), block.target_originals.tolist())) == \
+            list(zip(range(5), ids[:5]))
+        assert (block.duplicate_index.tolist(), block.source_sequence.tolist()) == ([1], [7])
 
     def test_actions_view(self):
         win = full_window(L=8)
@@ -808,35 +813,38 @@ class TestArrayPlans:
         plan = policy_plan(win)
         plan.replacements = np.array([50])
         with pytest.raises(IntegrityError):
-            materialize(win, plan, VOCAB)
+            materialize_one(win, plan)
 
     def test_unknown_kind_code(self):
         win = full_window(L=8)
         plan = mask_plan([1])
         plan.kinds = np.array([3], dtype=np.uint8)
         with pytest.raises(IntegrityError):
-            materialize(win, plan, VOCAB)
+            materialize_one(win, plan)
 
     def test_prediction_outside_window(self):
         win = full_window(L=8)
         with pytest.raises(IntegrityError):
-            materialize(win, mask_plan([], predictions=[(8, 5)]), VOCAB)
+            materialize_one(win, mask_plan([], predictions=[(8, 5)]))
 
     def test_block_equals_one_plan_at_a_time(self):
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=2)
         plans = list(chain.from_iterable(generate_plans(ds, cfg)))
         rows = ds.ids[[p.source_sequence for p in plans]]
-        block = materialize_block(rows, plans, VOCAB)
+        block = materialize(rows, plans, VOCAB)
         offset = 0
         for i, plan in enumerate(plans):
-            ex = materialize(ds[plan.source_sequence], plan, VOCAB)
+            one = materialize_one(ds[plan.source_sequence], plan)
             n = int(block.target_counts[i])
-            assert block.corrupted_ids[i].tolist() == ex.corrupted_ids
-            assert list(zip(block.target_positions[offset:offset + n].tolist(),
-                            block.target_originals[offset:offset + n].tolist())) == ex.targets
+            assert block.corrupted_ids[i].tolist() == one.corrupted_ids[0].tolist()
+            assert block.corrupted[i].tolist() == one.corrupted[0].tolist()
+            assert block.target_positions[offset:offset + n].tolist() == \
+                one.target_positions.tolist()
+            assert block.target_originals[offset:offset + n].tolist() == \
+                one.target_originals.tolist()
             assert (block.duplicate_index[i], block.source_sequence[i]) == \
-                (ex.duplicate_index, ex.source_sequence)
+                (one.duplicate_index[0], one.source_sequence[0])
             offset += n
         assert offset == len(block.target_positions)
 
@@ -846,8 +854,26 @@ class TestArrayPlans:
         before = rows.copy()
         bad = mask_plan([], predictions=[(0, int(win.ids[0]) + 1)])
         with pytest.raises(IntegrityError):
-            materialize_block(rows, [mask_plan([1, 2]), bad], VOCAB)
+            materialize(rows, [mask_plan([1, 2]), bad], VOCAB)
         assert np.array_equal(rows, before)
+
+    def test_driver_calls_materialize_through_the_module(self, monkeypatch):
+        # a wrapper bound to masking.materialize, as a tracer binds one, sees
+        # one call per block, and the blocks do not change
+        ds = packed([full_window(rng=np.random.default_rng(i))
+                     for i in range(2 * masking.BLOCK_EXAMPLES)])
+        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=3)
+        want = [block_fields(block) for block in generate_blocks(ds, cfg)]
+        calls = []
+
+        def counting(rows, plans, vocab):
+            calls.append(len(plans))
+            return materialize(rows, plans, vocab)
+
+        monkeypatch.setattr(masking, "materialize", counting)
+        got = [block_fields(block) for block in generate_blocks(ds, cfg)]
+        assert calls == [2 * masking.BLOCK_EXAMPLES] * 2
+        assert got == want
 
     @pytest.mark.parametrize("strategy", ["uniform", "span", "whole_word", "pmi"])
     def test_own_substreams_in_reverse(self, strategy):

@@ -26,7 +26,7 @@ from mlmpipe.analysis import LengthCoverage, _vocab_occurrences, pmi_coverage
 from mlmpipe.cli import run
 from mlmpipe.corpus import PackedDataset, load_packed, serialize_tokens
 from mlmpipe.errors import DataError, IntegrityError
-from mlmpipe.masking import MaskingConfig, generate_blocks, generate_plans, materialize_block
+from mlmpipe.masking import MaskingConfig, generate_blocks, generate_plans, materialize
 from mlmpipe.pmi import PmiVocabulary, segment_block, segment_units
 
 from conftest import VOCAB, make_window, random_docs
@@ -51,9 +51,6 @@ def oracle_segment_units(window, vocab, mode, pmi_vocab=None):
             continue
         end, pos = i, seg_start
         seg_start = None
-        if mode == "single_token":
-            units.extend((p, p + 1) for p in range(pos, end))
-            continue
         while pos < end:
             if mode == "pmi" and max_n >= 2:
                 matched = False
@@ -218,9 +215,8 @@ def test_matcher_equals_tuple_scan(ids, starts, rows, grams, prefix_cuts):
     assert want_units == [matcher.segment_units(w, VOCAB) for w in windows]
     assert block_units(segment_block(matrix, word_starts, VOCAB, "pmi", pv)) == want_units
     assert [segment_units(w, VOCAB, "pmi", pv) for w in windows] == want_units
-    for mode in ("single_token", "whole_word"):
-        assert block_units(segment_block(matrix, word_starts, VOCAB, mode)) == \
-            [oracle_segment_units(w, VOCAB, mode) for w in windows]
+    assert block_units(segment_block(matrix, word_starts, VOCAB, "whole_word")) == \
+        [oracle_segment_units(w, VOCAB, "whole_word") for w in windows]
     want_occ = [(r, s, n) for r, w in enumerate(windows) for s, n in oracle_occurrences(w, pv)]
     assert want_occ == [(r, s, n) for r, w in enumerate(windows)
                         for s, n in sorted(matcher.occurrences(w))]
@@ -346,7 +342,7 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
 
 def materialized(plan_lists, ds):
     """Each list of plans as one block, as ``generate_blocks`` materializes them."""
-    return [materialize_block(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
+    return [materialize(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
             for plans in plan_lists]
 
 

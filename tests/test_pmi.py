@@ -293,7 +293,7 @@ class TestBuildVocab:
             assert back.entries[g] == pytest.approx(vocab.entries[g], rel=1e-8)
 
     @pytest.mark.parametrize("bad", ["5 6\tabc", "5 6 0.5", "5 6\t0.5\t1", "5 x\t0.5",
-                                     "\t0.5"])
+                                     "\t0.5", "5 6\tnan", "5 6\tinf", "5 6\t-inf"])
     def test_malformed_tsv_names_line(self, tmp_path, bad):
         path = tmp_path / "pmi.tsv"
         path.write_text(f"# header\n7 8\t1.0\n{bad}\n")
@@ -302,11 +302,6 @@ class TestBuildVocab:
 
 
 class TestSegmentUnits:
-    def test_single_token_mode(self):
-        win = make_window([5, 6, VOCAB.sep_id, 7, VOCAB.pad_id])
-        units = segment_units(win, VOCAB, "single_token")
-        assert units == [(0, 1), (1, 2), (3, 4)]
-
     def test_whole_word_mode(self):
         win = make_window([5, 6, 7, 8], word_starts=[True, False, True, False])
         units = segment_units(win, VOCAB, "whole_word")
@@ -334,8 +329,13 @@ class TestSegmentUnits:
         with pytest.raises(ConfigError):
             segment_units(make_window([5]), VOCAB, "pmi")
 
+    @pytest.mark.parametrize("mode", ["single_token", "span", "uniform"])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ConfigError, match="unknown segmentation mode"):
+            segment_units(make_window([5, 6]), VOCAB, mode)
+
     @given(st.lists(st.sampled_from([0, 1, 5, 6, 7, 8, 9]), min_size=1, max_size=40),
-           st.sampled_from(["single_token", "whole_word", "pmi"]))
+           st.sampled_from(["whole_word", "pmi"]))
     @settings(max_examples=60, deadline=None)
     def test_units_partition_maskable_positions(self, ids, mode):
         import numpy as np
