@@ -31,12 +31,13 @@ import numpy as np
 
 from . import jsonl
 from .errors import ConfigError, ParseError, RangeError
-from .rng import substream
+from .rng import substream, substreams
 
 BINARY_MAGIC = b"MLMC"
 BINARY_VERSION = 1
 CHUNK_BYTES = 1 << 16   # bytes of whole lines a reader decodes at once
 WRITE_ROWS = 512        # windows save_packed encodes at once
+KEY_WINDOWS = 1024      # windows epoch_stream keys at once
 _NO_IDS, _NO_FLAGS = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
 
 
@@ -344,10 +345,13 @@ def epoch_stream(ds: PackedDataset, seed: int,
     The permutation depends only on (seed, epoch); each sequence's
     substream depends only on (seed, epoch, index), so planning the
     windows in any order or partition produces the same masks as
-    consuming the stream serially.
+    consuming the stream serially. The windows' substreams are keyed
+    KEY_WINDOWS at a time (``substreams``), so memory stays bounded.
     """
-    for idx in substream(seed, epoch).permutation(len(ds)).tolist():
-        yield idx, substream(seed, epoch, idx)
+    order = substream(seed, epoch).permutation(len(ds))
+    for start in range(0, len(order), KEY_WINDOWS):
+        chunk = order[start:start + KEY_WINDOWS]
+        yield from zip(chunk.tolist(), substreams(seed, (epoch,), chunk))
 
 
 def save_packed(ds: PackedDataset, path: str | os.PathLike, header: dict | None = None) -> None:

@@ -329,8 +329,9 @@ def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
     p = exact_count(m_pred, n)
     ids = window.ids
 
+    # every sampler returns ascending positions, so only a subset drawn by
+    # rng.choice needs sorting
     def make_plan(positions: np.ndarray, predictions: np.ndarray, dup: int) -> MaskPlan:
-        predictions = np.sort(predictions)
         return MaskPlan(positions=positions, kinds=np.zeros(len(positions), dtype=np.uint8),
                         replacements=_NO_IDS, pred_positions=predictions,
                         pred_originals=ids[predictions], duplicate_index=dup,
@@ -341,7 +342,7 @@ def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
         return [make_plan(positions, positions, 0)]
     if m_pred < m_corr:
         positions = sampler(maskable, c, rng)
-        subset = (rng.choice(positions, size=p, replace=False)
+        subset = (np.sort(rng.choice(positions, size=p, replace=False))
                   if p < len(positions) else positions)
         return [make_plan(positions, subset, 0)]
     if m_corr == 0.0:
@@ -462,6 +463,10 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
                     source_sequence=plan.source_sequence)
 
 
+_EMPTY_PLAN = MaskPlan(positions=_NO_IDS, kinds=np.empty(0, dtype=np.uint8),
+                       replacements=_NO_IDS, pred_positions=_NO_IDS, pred_originals=_NO_IDS)
+
+
 def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> MaskedBlock:
     """Apply plans[i] to rows[i], a copy of its window's ids, in place.
 
@@ -469,13 +474,18 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
     outside the window, a special token under a plan position, a
     replacement count that does not match the RANDOM kinds, or a target
     whose original id differs from the window raises IntegrityError before
-    anything is written.
+    anything is written, as does a plan count that differs from the row count.
     """
     n_rows, L = rows.shape
+    if len(plans) != n_rows:
+        raise IntegrityError(f"block has {n_rows} rows but {len(plans)} plans")
+    # a block without plans concatenates one empty plan, so that its arrays
+    # keep their dtypes
+    parts = plans or [_EMPTY_PLAN]
     row_of = np.arange(n_rows)
     counts = np.fromiter(map(len, (p.positions for p in plans)), dtype=np.int64, count=n_rows)
-    positions = np.concatenate([p.positions for p in plans])
-    kinds = np.concatenate([p.kinds for p in plans])
+    positions = np.concatenate([p.positions for p in parts])
+    kinds = np.concatenate([p.kinds for p in parts])
     outside = (positions < 0) | (positions >= L)
     if outside.any():
         raise IntegrityError(f"plan position {positions[outside.argmax()]} outside window "
@@ -488,15 +498,15 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
                              f"{positions[special.argmax()]}")
     is_random = kinds == RANDOM
     n_random = np.bincount(np.repeat(row_of, counts)[is_random], minlength=n_rows)
-    replacements = np.concatenate([p.replacements for p in plans])
+    replacements = np.concatenate([p.replacements for p in parts])
     if (kinds > SAME).any() or not np.array_equal(
             n_random, [len(p.replacements) for p in plans]):
         raise IntegrityError("plan kinds and replacements do not line up")
 
     target_counts = np.fromiter(map(len, (p.pred_positions for p in plans)),
                                 dtype=np.int64, count=n_rows)
-    target_positions = np.concatenate([p.pred_positions for p in plans])
-    target_originals = np.concatenate([p.pred_originals for p in plans])
+    target_positions = np.concatenate([p.pred_positions for p in parts])
+    target_originals = np.concatenate([p.pred_originals for p in parts])
     outside = (target_positions < 0) | (target_positions >= L)
     if outside.any():
         raise IntegrityError(f"prediction position {target_positions[outside.argmax()]} "
@@ -515,8 +525,10 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
     np.put(corrupted, flat[kinds != SAME], True)
     return MaskedBlock(corrupted_ids=rows, corrupted=corrupted, target_counts=target_counts,
                        target_positions=target_positions, target_originals=target_originals,
-                       duplicate_index=np.array([p.duplicate_index for p in plans]),
-                       source_sequence=np.array([p.source_sequence for p in plans]))
+                       duplicate_index=np.fromiter((p.duplicate_index for p in plans),
+                                                   dtype=np.int64, count=n_rows),
+                       source_sequence=np.fromiter((p.source_sequence for p in plans),
+                                                   dtype=np.int64, count=n_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmpipe.corpus import (TokenSequence, Vocab, epoch_stream, load_packed,
+from mlmpipe.corpus import (KEY_WINDOWS, TokenSequence, Vocab, epoch_stream, load_packed,
                             load_tokens, pack_sequences, save_packed,
                             serialize_tokens, write_binary)
 from mlmpipe.errors import ConfigError, ParseError, RangeError
+from mlmpipe.rng import substream
 
 from conftest import VOCAB, make_window, packed, random_docs
 
@@ -179,6 +180,16 @@ class TestEpochStream:
         a = [i for i, _ in epoch_stream(ds, 42, 0)]
         b = [i for i, _ in epoch_stream(ds, 42, 1)]
         assert a != b
+
+    def test_generators_stay_independent(self):
+        # a whole epoch's generators held at once (more than one keyed chunk)
+        # and drawn in reverse give each window its own substream's draws
+        ds = packed([make_window([5] * 4)] * (KEY_WINDOWS + 37))
+        pairs = list(epoch_stream(ds, 42, 3))
+        got = {idx: rng.integers(0, 1 << 30, size=4).tolist() for idx, rng in reversed(pairs)}
+        assert sorted(got) == list(range(len(ds)))
+        assert got == {idx: substream(42, 3, idx).integers(0, 1 << 30, size=4).tolist()
+                       for idx in got}
 
     def test_singleton(self):
         ds = pack_sequences(random_docs(1, 10), 64, VOCAB)

@@ -857,6 +857,24 @@ class TestArrayPlans:
             materialize(rows, [mask_plan([1, 2]), bad], VOCAB)
         assert np.array_equal(rows, before)
 
+    def test_block_rejects_plan_count_mismatch(self):
+        win = full_window(L=8)
+        rows = np.stack([win.ids, win.ids])
+        before = rows.copy()
+        with pytest.raises(IntegrityError, match="block has 2 rows but 1 plans"):
+            materialize(rows, [mask_plan([1, 2])], VOCAB)
+        with pytest.raises(IntegrityError, match="block has 0 rows but 1 plans"):
+            materialize(rows[:0], [mask_plan([])], VOCAB)
+        assert np.array_equal(rows, before)
+
+    def test_empty_block(self):
+        win = full_window(L=8)
+        full = materialize_one(win, mask_plan([1], predictions=[(1, int(win.ids[1]))]))
+        empty = materialize(np.empty((0, 8), dtype=np.int64), [], VOCAB)
+        for field in dataclasses.fields(empty):
+            got, want = getattr(empty, field.name), getattr(full, field.name)
+            assert got.dtype == want.dtype and got.shape == (0,) + want.shape[1:], field.name
+
     def test_driver_calls_materialize_through_the_module(self, monkeypatch):
         # a wrapper bound to masking.materialize, as a tracer binds one, sees
         # one call per block, and the blocks do not change
