@@ -186,36 +186,34 @@ def _vocab_occurrences(ids: np.ndarray, pmi_vocab: PmiVocabulary) -> np.ndarray:
     return pmi_vocab.occurrences(ids)
 
 
-def pmi_coverage(blocks: Iterable[MaskedBlock], pmi_vocab: PmiVocabulary,
-                 ds: PackedDataset) -> dict[int, LengthCoverage]:
+def _tally(counts: Counter, values: np.ndarray) -> None:
+    """Add the number of times each non-negative int in `values` occurs."""
+    tally = np.bincount(values)
+    present = np.flatnonzero(tally)
+    counts.update(dict(zip(present.tolist(), tally[present].tolist())))
+
+
+def pmi_coverage(blocks: Iterable[MaskedBlock],
+                 pmi_vocab: PmiVocabulary) -> dict[int, LengthCoverage]:
     """How often vocabulary n-grams are fully corrupted, by n-gram length;
     lengths that never occur are absent.
 
-    Every occurrence (including overlapping ones) is counted once per row;
-    duplicated sequences therefore contribute once per duplicate. Rows come
-    in non-empty blocks, such as those of ``generate_blocks``, and each run
-    of a block's rows of one window looks its window up once. An occurrence
-    (start, n) is fully corrupted when the prefix sums ``cs`` of the row's
-    ``corrupted`` flags give ``cs[start + n] - cs[start] == n``.
+    Every occurrence (including overlapping ones) in a row's
+    ``original_ids`` is counted once per row; duplicated sequences therefore
+    contribute once per duplicate. Rows come in non-empty blocks, such as
+    those of ``generate_blocks``, and each run of a block's rows of one
+    window looks its window up once. An occurrence (start, n) is fully
+    corrupted when the prefix sums ``cs`` of the row's ``corrupted`` flags
+    give ``cs[start + n] - cs[start] == n``.
     """
-    L = ds.seq_len
-    occurring = np.zeros(L + 1, dtype=np.int64)   # by n-gram length
-    covered = np.zeros(L + 1, dtype=np.int64)
+    occurring, covered = Counter(), Counter()   # by n-gram length
     for block in blocks:
         source = block.source_sequence
-        outside = (source < 0) | (source >= len(ds))
-        if outside.any():
-            raise IntegrityError(
-                f"block references sequence {source[outside.argmax()]} but dataset "
-                f"has {len(ds)} windows")
-        if block.corrupted.shape[1] != L:
-            raise IntegrityError(f"block is {block.corrupted.shape[1]} positions wide but "
-                                 f"dataset seq_len is {L}")
         # run r holds the consecutive rows of one window
         first = np.append(True, source[1:] != source[:-1])
         run = np.cumsum(first) - 1
-        occ = _vocab_occurrences(ds.ids[source[first]], pmi_vocab)
-        cs = np.zeros((len(source), L + 1), dtype=np.int64)
+        occ = _vocab_occurrences(block.original_ids[first], pmi_vocab)
+        cs = np.zeros((len(source), block.corrupted.shape[1] + 1), dtype=np.int64)
         np.cumsum(block.corrupted, axis=1, out=cs[:, 1:])
         # pair each row with every occurrence of its window; occurrences
         # are sorted by run, and run r's start at first_occ[r]
@@ -226,11 +224,9 @@ def pmi_coverage(blocks: Iterable[MaskedBlock], pmi_vocab: PmiVocabulary,
         at = np.arange(len(row)) + np.repeat(first_occ[run] - (np.cumsum(take) - take), take)
         start, n = occ[at, 1], occ[at, 2]
         full = cs[row, start + n] - cs[row, start] == n
-        occurring += np.bincount(n, minlength=L + 1)
-        covered += np.bincount(n[full], minlength=L + 1)
-    lengths = np.flatnonzero(occurring)
-    return {n: LengthCoverage(c, o) for n, c, o in zip(
-        lengths.tolist(), covered[lengths].tolist(), occurring[lengths].tolist())}
+        _tally(occurring, n)
+        _tally(covered, n[full])
+    return {n: LengthCoverage(covered[n], occurring[n]) for n in sorted(occurring)}
 
 
 def span_histogram(blocks: Iterable[MaskedBlock]) -> Counter:
@@ -243,9 +239,7 @@ def span_histogram(blocks: Iterable[MaskedBlock]) -> Counter:
     for block in blocks:
         framed = np.pad(block.corrupted, ((0, 0), (1, 1))).view(np.int8)
         edges = np.diff(framed, axis=1)
-        tally = np.bincount(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
-        lengths = np.flatnonzero(tally)
-        counts.update(dict(zip(lengths.tolist(), tally[lengths].tolist())))
+        _tally(counts, np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
     return counts
 
 
@@ -284,7 +278,8 @@ def pll_score(sentence: TokenSequence | Sequence[int], scorer: Scorer,
     for start in range(0, len(ids), BLOCK_EXAMPLES):
         at = np.arange(start, min(start + BLOCK_EXAMPLES, len(ids)))
         diagonal = at[:, None] == np.arange(len(ids))
-        block = MaskedBlock(np.where(diagonal, vocab.mask_id, ids), diagonal,
+        block = MaskedBlock(np.broadcast_to(ids, diagonal.shape),
+                            np.where(diagonal, vocab.mask_id, ids), diagonal,
                             target_counts=np.ones_like(at), target_positions=at,
                             target_originals=ids[at], duplicate_index=np.zeros_like(at),
                             source_sequence=np.zeros_like(at))

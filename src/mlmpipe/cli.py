@@ -258,7 +258,7 @@ def _cmd_stats(args) -> int:
     blocks = masking.generate_blocks(ds, config, pmi_vocab)
     label = f"{config.strategy},{config.corruption_rate:g}"
     if args.kind == "coverage":
-        by_length = analysis.pmi_coverage(blocks, pmi_vocab, ds)
+        by_length = analysis.pmi_coverage(blocks, pmi_vocab)
         _write_csv(args, "strategy,masking_rate,ngram_len,coverage",
                    [f"{label},{n},{by_length[n].probability:.9g}" for n in sorted(by_length)])
     else:

@@ -30,7 +30,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from . import jsonl
-from .errors import ConfigError, ParseError, RangeError
+from .errors import ConfigError, DataError, ParseError, RangeError
 from .rng import substream, substreams
 
 BINARY_MAGIC = b"MLMC"
@@ -39,6 +39,15 @@ CHUNK_BYTES = 1 << 16   # bytes of whole lines a reader decodes at once
 WRITE_ROWS = 512        # windows save_packed encodes at once
 KEY_WINDOWS = 1024      # windows epoch_stream keys at once
 _NO_IDS, _NO_FLAGS = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+
+
+def _check_size(size: int) -> int:
+    """A vocabulary size: positive, and small enough that every id is an int64."""
+    if size <= 0:
+        raise ConfigError(f"vocab size must be positive, got {size}")
+    if size > np.iinfo(np.int64).max:
+        raise ConfigError(f"vocab size {size} is beyond int64")
+    return size
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,7 @@ class Vocab:
 
     def __post_init__(self) -> None:
         specials = (self.mask_id, self.pad_id, self.sep_id)
-        if self.size <= 0:
-            raise ConfigError(f"vocab size must be positive, got {self.size}")
+        _check_size(self.size)
         if len(set(specials)) != 3:
             raise ConfigError(f"mask/pad/sep ids must be distinct, got {specials}")
         for name, tid in zip(("mask_id", "pad_id", "sep_id"), specials):
@@ -114,7 +122,8 @@ class PackedDataset:
 
 
 def _vocab_size(vocab: Vocab | int) -> int:
-    return vocab if isinstance(vocab, int) else vocab.size
+    """The vocabulary's size; a bare int is checked as ``Vocab`` checks it."""
+    return vocab.size if isinstance(vocab, Vocab) else _check_size(vocab)
 
 
 def _range_error(ids: Iterable[int], size: int, where: str) -> RangeError:
@@ -215,8 +224,7 @@ def _check_starts_word(doc: TokenSequence, where: str) -> TokenSequence:
     return doc
 
 
-def _load_jsonl(lines: Iterable[tuple[int, str]], vocab: Vocab | int) -> list[TokenSequence]:
-    size = _vocab_size(vocab)
+def _load_jsonl(lines: Iterable[tuple[int, str]], size: int) -> list[TokenSequence]:
     docs: list[TokenSequence] = []
     for lineno, line in lines:
         if line.strip():
@@ -225,14 +233,13 @@ def _load_jsonl(lines: Iterable[tuple[int, str]], vocab: Vocab | int) -> list[To
     return docs
 
 
-def _load_binary(fh: BinaryIO, vocab: Vocab | int) -> list[TokenSequence]:
+def _load_binary(fh: BinaryIO, size: int) -> list[TokenSequence]:
     header = fh.read(10)
     if len(header) < 10 or header[:4] != BINARY_MAGIC:
         raise ParseError("binary corpus: bad magic")
     version, declared_size = struct.unpack("<HI", header[4:10])
     if version != BINARY_VERSION:
         raise ParseError(f"binary corpus: unsupported version {version}")
-    size = _vocab_size(vocab)
     if declared_size != size:
         raise ParseError(f"binary corpus: vocab size {declared_size} != configured {size}")
     docs: list[TokenSequence] = []
@@ -283,14 +290,15 @@ def load_tokens(source: str | os.PathLike | Iterable[str],
     A file is read as the binary format when it starts with its magic
     bytes, and as canonical JSONL otherwise.
     """
+    size = _vocab_size(vocab)
     if not isinstance(source, (str, os.PathLike)):
-        return _load_jsonl(enumerate(source, start=1), vocab)
+        return _load_jsonl(enumerate(source, start=1), size)
     with open(source, "rb") as fh:
         magic = fh.read(4)
         fh.seek(0)
         if magic == BINARY_MAGIC:
-            return _load_binary(fh, vocab)
-        return _read_documents(fh, source, _vocab_size(vocab))
+            return _load_binary(fh, size)
+        return _read_documents(fh, source, size)
 
 
 def serialize_tokens(docs: Iterable[TokenSequence], path: str | os.PathLike) -> None:
@@ -312,20 +320,35 @@ def write_binary(docs: Iterable[TokenSequence], vocab: Vocab | int,
             fh.write(np.packbits(doc.word_starts, bitorder="little").tobytes())
 
 
+def _check_no_mask_id(ids: np.ndarray, ends: np.ndarray, vocab: Vocab, what: str) -> None:
+    """DataError naming the first of the sequences ending at ``ends`` in ``ids``
+    that holds the mask id, and its position there: ``maskable_positions``
+    counts that position, but no plan may touch it."""
+    held = ids == vocab.mask_id
+    if held.any():
+        at = int(held.argmax())
+        k = int(ends.searchsorted(at, "right"))
+        start = int(ends[k - 1]) if k else 0
+        raise DataError(f"{what} {k}: position {at - start} holds the mask id {vocab.mask_id}")
+
+
 def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> PackedDataset:
     """Concatenate documents (sep-separated) and chunk into L-sized windows.
 
     The final partial window is right-padded with pad_id; sep and pad
-    positions count as word starts.
+    positions count as word starts. A document that holds the mask id
+    raises DataError naming it and the position.
     """
     if seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {seq_len}")
-    # a sep before every document but the first; the empty arrays give no
-    # documents no windows
-    seps = np.cumsum([len(doc) for doc in docs[:-1]], dtype=np.int64)
-    ids = np.insert(np.concatenate([_NO_IDS] + [doc.ids for doc in docs]), seps, vocab.sep_id)
+    # the empty arrays give no documents no windows
+    ids = np.concatenate([_NO_IDS] + [doc.ids for doc in docs])
+    ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
+    _check_no_mask_id(ids, ends, vocab, "document")
+    # a sep before every document but the first
+    ids = np.insert(ids, ends[:-1], vocab.sep_id)
     word_starts = np.insert(np.concatenate([_NO_FLAGS] + [doc.word_starts for doc in docs]),
-                            seps, True)
+                            ends[:-1], True)
     pad = -len(ids) % seq_len
     too_large = ConfigError(f"seq_len {seq_len} is too large")
     if len(ids) + pad > np.iinfo(np.intp).max:   # beyond any numpy array
@@ -420,4 +443,6 @@ def load_packed(path: str | os.PathLike) -> PackedDataset:
                     raise ParseError(f"{where}: window is not length {seq_len}")
                 ids[n], word_starts[n] = win.ids, win.word_starts
                 n += 1
+    _check_no_mask_id(ids[:n].ravel(), np.arange(1, n + 1) * seq_len, vocab,
+                      "packed dataset window")
     return PackedDataset(ids=ids[:n], word_starts=word_starts[:n], vocab=vocab)

@@ -95,11 +95,13 @@ class MaskPlan:
 class MaskedBlock:
     """Consecutive materialized examples as arrays, one row per example.
 
-    ``corrupted`` is True where a row's input identity was destroyed (MASK
+    ``original_ids`` holds each row's window before corruption, and
+    ``corrupted`` is True where ``corrupted_ids`` destroyed its identity (MASK
     or RANDOM). ``target_positions`` and ``target_originals`` hold every
     row's targets in row order, ``target_counts[i]`` of them for row i.
     """
 
+    original_ids: np.ndarray       # (rows, L)
     corrupted_ids: np.ndarray      # (rows, L)
     corrupted: np.ndarray          # (rows, L) bool
     target_counts: np.ndarray
@@ -468,13 +470,12 @@ _EMPTY_PLAN = MaskPlan(positions=_NO_IDS, kinds=np.empty(0, dtype=np.uint8),
 
 
 def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> MaskedBlock:
-    """Apply plans[i] to rows[i], a copy of its window's ids, in place.
-
-    All plans of the block are checked and written at once. A position
-    outside the window, a special token under a plan position, a
-    replacement count that does not match the RANDOM kinds, or a target
-    whose original id differs from the window raises IntegrityError before
-    anything is written, as does a plan count that differs from the row count.
+    """Apply plans[i] to a copy of rows[i], its window's ids, all at once.
+    ``rows`` becomes the block's ``original_ids`` and is never written (it
+    may be read-only). A position outside the window, a special token under
+    a plan position, a replacement count that does not match the RANDOM
+    kinds, a target whose original id differs from the window, or a plan
+    count that differs from the row count raises IntegrityError.
     """
     n_rows, L = rows.shape
     if len(plans) != n_rows:
@@ -520,10 +521,12 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
 
     values = np.where(kinds == MASK, vocab.mask_id, held)
     values[is_random] = replacements
-    np.put(rows, flat, values)
+    corrupted_ids = rows.copy()
+    np.put(corrupted_ids, flat, values)
     corrupted = np.zeros(rows.shape, dtype=bool)
     np.put(corrupted, flat[kinds != SAME], True)
-    return MaskedBlock(corrupted_ids=rows, corrupted=corrupted, target_counts=target_counts,
+    return MaskedBlock(original_ids=rows, corrupted_ids=corrupted_ids, corrupted=corrupted,
+                       target_counts=target_counts,
                        target_positions=target_positions, target_originals=target_originals,
                        duplicate_index=np.fromiter((p.duplicate_index for p in plans),
                                                    dtype=np.int64, count=n_rows),

@@ -56,8 +56,8 @@ def mean_run_length(counts):
 
 
 def materialize_one(window, plan, vocab=VOCAB):
-    """One plan applied to a copy of its window, as a one-row block."""
-    return materialize(window.ids[np.newaxis].copy(), [plan], vocab)
+    """One plan applied to its window, as a one-row block."""
+    return materialize(window.ids[np.newaxis], [plan], vocab)
 
 
 def mask_plan(positions, predictions=(), src=0):

@@ -171,7 +171,7 @@ def test_criterion_5_figure7_qualitative(desk_corpus):
     cov = {}
     for strategy, m in (("uniform", 0.15), ("uniform", 0.40), ("pmi", 0.15)):
         cfg = MaskingConfig(strategy=strategy, m=m, seed=13)
-        by_length = pmi_coverage(generate_blocks(subset, cfg, pmi_vocab), pmi_vocab, subset)
+        by_length = pmi_coverage(generate_blocks(subset, cfg, pmi_vocab), pmi_vocab)
         # overall: every occurrence of every length counts once
         cov[(strategy, m)] = (sum(c.fully_masked_count for c in by_length.values())
                               / sum(c.occurrence_count for c in by_length.values()))

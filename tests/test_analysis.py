@@ -15,7 +15,7 @@ from mlmpipe.analysis import (ExternScorer, TokenScorer, make_scorer,
                               normalized_performance, pll_score, pmi_coverage,
                               relative_metric, span_histogram, uniform, unigram)
 from mlmpipe.corpus import TokenSequence
-from mlmpipe.errors import ConfigError, DataError, IntegrityError
+from mlmpipe.errors import ConfigError, DataError
 from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingConfig,
                              generate_blocks, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
@@ -298,7 +298,8 @@ def block_from_positions(position_sets, width, src=0):
     for row, positions in enumerate(position_sets):
         corrupted[row, list(positions)] = True
     no_ids = np.empty(0, dtype=np.int64)
-    return MaskedBlock(corrupted_ids=np.where(corrupted, VOCAB.mask_id, 5), corrupted=corrupted,
+    return MaskedBlock(original_ids=np.full((rows, width), 5),
+                       corrupted_ids=np.where(corrupted, VOCAB.mask_id, 5), corrupted=corrupted,
                        target_counts=np.zeros(rows, dtype=np.int64), target_positions=no_ids,
                        target_originals=no_ids, duplicate_index=np.zeros(rows, dtype=np.int64),
                        source_sequence=np.full(rows, src, dtype=np.int64))
@@ -309,7 +310,7 @@ class TestCoverage:
         ds = packed_dataset(n_docs=5)
         pv = PmiVocabulary(entries={(7, 8): 1.0})
         cfg = MaskingConfig(m=0.0, seed=0)
-        report = pmi_coverage(generate_blocks(ds, cfg), pv, ds)
+        report = pmi_coverage(generate_blocks(ds, cfg), pv)
         for cell in report.values():
             assert cell.fully_masked_count == 0
 
@@ -325,7 +326,7 @@ class TestCoverage:
                 entries[(int(w.ids[i]), int(w.ids[i + 1]))] = 1.0
         pv = PmiVocabulary(entries=entries)
         cfg = MaskingConfig(m=0.40, seed=2)
-        report = pmi_coverage(generate_blocks(ds, cfg), pv, ds)
+        report = pmi_coverage(generate_blocks(ds, cfg), pv)
         expected = 51 * 50 / (128 * 127)
         assert report[2].probability == pytest.approx(expected, rel=0.05)
 
@@ -353,26 +354,13 @@ class TestCoverage:
                 order.extend(block.source_sequence[block.duplicate_index == 0].tolist())
                 yield block
 
-        report = pmi_coverage(blocks(), pv, ds)
+        report = pmi_coverage(blocks(), pv)
         # one lookup per block of 3 windows, each window with two duplicates
         assert len(held) == len(alive) == math.ceil(len(ds) / 3) > 1
         assert max(held) == 1
         assert sorted(order) == list(range(len(ds)))
         assert np.array_equal(np.concatenate(looked_up), ds.ids[order])
         assert report[2].occurrence_count >= 2 * len(ds)
-
-    def test_misaligned_stream(self):
-        ds = packed_dataset(n_docs=2)
-        pv = PmiVocabulary(entries={(7, 8): 1.0})
-        with pytest.raises(IntegrityError):
-            pmi_coverage([block_from_positions([[0]], ds.seq_len, src=99)], pv, ds)
-
-    @pytest.mark.parametrize("width", [10, 200])
-    def test_block_of_the_wrong_width(self, width):
-        ds = packed_dataset(n_docs=2)
-        pv = PmiVocabulary(entries={(7, 8): 1.0})
-        with pytest.raises(IntegrityError, match=f"{width} positions wide .* seq_len is 128"):
-            pmi_coverage([block_from_positions([[0]], width)], pv, ds)
 
 
 class TestSpanHistogram:
@@ -449,7 +437,8 @@ def extern(script, *args):
 
 
 # rows [5, 6, 7], [8, 9, 10] and [11, 12, 13]; the middle row has no target
-THREE_ROWS = MaskedBlock(corrupted_ids=np.arange(5, 14).reshape(3, 3),
+THREE_ROWS = MaskedBlock(original_ids=np.arange(5, 14).reshape(3, 3),
+                         corrupted_ids=np.arange(5, 14).reshape(3, 3),
                          corrupted=np.zeros((3, 3), dtype=bool),
                          target_counts=np.array([2, 0, 1]),
                          target_positions=np.array([0, 2, 1]),
@@ -567,7 +556,8 @@ class TestTokenScorer:
 
     def test_the_first_token_without_a_count_is_named(self):
         scorer = unigram([0, 1, 0, 0, 0, 1, 1, 0, 0, 0])
-        block = MaskedBlock(corrupted_ids=np.array([[5, 2, 6, 2]]),
+        block = MaskedBlock(original_ids=np.array([[5, 7, 6, 3]]),
+                            corrupted_ids=np.array([[5, 2, 6, 2]]),
                             corrupted=np.array([[False, True, False, True]]),
                             target_counts=np.array([3]),
                             target_positions=np.array([2, 1, 3]),

@@ -8,7 +8,8 @@ import pytest
 
 from mlmpipe import masking
 from mlmpipe.cli import run
-from mlmpipe.corpus import PackedDataset, Vocab, load_packed, save_packed, serialize_tokens
+from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, load_packed, save_packed,
+                            serialize_tokens)
 from mlmpipe.masking import MaskingConfig, generate_plans
 from mlmpipe.pmi import PmiVocabulary
 
@@ -738,14 +739,51 @@ def positive_scorer(tmp_path):
     return extern_script(tmp_path, "{'qid': req['qid'], 'logp': [0.5] * n}")
 
 
+def mask_id_corpus(tmp_path):
+    path = tmp_path / "mask_id.jsonl"
+    serialize_tokens(random_docs(3, 20) + [TokenSequence(
+        ids=np.array([5, VOCAB.mask_id, 7, 8, 9, 10, 11, 12]), word_starts=np.ones(8, bool))],
+        path)
+    return str(path)
+
+
+def mask_id_packed(tmp_path):
+    path = tmp_path / "mask_id_packed.jsonl"
+    ids = np.array([[5, 6, 7, 8, 9, 10, 11, 12], [5, VOCAB.mask_id, 7, 8, 9, 10, 11, 12]])
+    save_packed(PackedDataset(ids=ids, word_starts=np.ones(ids.shape, bool), vocab=VOCAB), path)
+    return str(path)
+
+
+def huge_vocab_packed(tmp_path):
+    path = tmp_path / "huge_vocab.jsonl"
+    path.write_text('{"seq_len": 2, "vocab": {"size": %d, "mask_id": 2, "pad_id": 0, '
+                    '"sep_id": 1}}\n{"ids": [5, 6], "word_starts": [1, 1]}\n' % 10 ** 20)
+    return str(path)
+
+
+def empty_corpus(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    return str(path)
+
+
 def nan_score_tsv(tmp_path):
     path = tmp_path / "pmi.tsv"
     path.write_text("5 6\tnan\n7 8\tinf\n")
     return str(path)
 
 
-# id: ([subcommand, flag, value], expected exit code)
+# id: ([subcommand, flag, value, ...], expected exit code); a callable value
+# makes its file in the test's directory
 MALFORMED_CLI = {
+    "pack-mask-id-in-corpus": (["pack", "--input", mask_id_corpus], 2),
+    "pmi-build-vocab-size-0": (["pmi-build", "--vocab-size", "0"], 1),
+    "pmi-build-vocab-size-negative": (["pmi-build", "--vocab-size", "-3"], 1),
+    "pmi-build-vocab-size-0-empty-corpus": (["pmi-build", "--vocab-size", "0",
+                                             "--input", empty_corpus], 1),
+    "mask-mask-id-in-window": (["mask", "--input", mask_id_packed], 2),
+    "mask-vocab-size-beyond-int64": (["mask", "--input", huge_vocab_packed, "--p-mask", "0.5",
+                                      "--p-rand", "0.5", "--mask-rate", "1.0"], 2),
     "pack-seq-len-beyond-memory": (["pack", "--seq-len", "1000000000000"], 1),
     "pack-seq-len-beyond-int64": (["pack", "--seq-len", "1" + "0" * 30], 1),
     "pmi-build-min-count-0": (["pmi-build", "--min-count", "0"], 1),
@@ -771,7 +809,7 @@ MALFORMED_CLI = {
     "pll-extern-not-utf8": (["pll", "--scorer", not_utf8_scorer], 2),
     "ppl-extern-positive": (["ppl", "--scorer", positive_scorer], 2),
     "pll-extern-positive": (["pll", "--scorer", positive_scorer], 2),
-    "pmi-tsv-nan-score": (["mask", "--pmi-vocab", nan_score_tsv], 2),
+    "pmi-tsv-nan-score": (["mask", "--strategy", "pmi", "--pmi-vocab", nan_score_tsv], 2),
 }
 
 
@@ -779,35 +817,48 @@ MALFORMED_CLI = {
 def test_malformed_input_is_one_line(tmp_path, corpus_path, packed_path, capsys, argv,
                                     code):
     # the documented exit code and one stderr line, never a traceback
-    subcommand, flag, value = argv
-    if callable(value):
-        value = value(tmp_path)
+    # the row's flags follow the defaults below, so they win
+    subcommand, *flags = argv
+    flags = [value(tmp_path) if callable(value) else value for value in flags]
     out = tmp_path / "out"
     if subcommand == "pack":
-        argv = ["pack", "--input", str(corpus_path), "--output", str(out), flag, value] \
+        argv = ["pack", "--input", str(corpus_path), "--output", str(out), *flags] \
             + VOCAB_FLAGS
     elif subcommand == "pmi-build":
         argv = ["pmi-build", "--input", str(corpus_path), "--output", str(out),
-                "--vocab-size", str(VOCAB.size), flag, value]
+                "--vocab-size", str(VOCAB.size), *flags]
     elif subcommand == "metric":
         values = tmp_path / "values.json"
-        values.write_text(value)
+        values.write_text(flags[1])
         argv = ["metric", "normalize", "--baseline", "0.15", "--values", str(values)]
     elif subcommand == "ppl":
-        argv = ["ppl", "--input", str(packed_path), flag, value]
+        argv = ["ppl", "--input", str(packed_path), *flags]
     elif subcommand == "mask":
-        argv = ["mask", "--input", str(packed_path), "--output", str(out),
-                "--strategy", "pmi", flag, value]
+        argv = ["mask", "--input", str(packed_path), "--output", str(out), *flags]
     else:
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n")
-        argv = ["pll", "--pairs", str(pairs), flag, value] + VOCAB_FLAGS
+        argv = ["pll", "--pairs", str(pairs), *flags] + VOCAB_FLAGS
     rc = run(argv)
     err = capsys.readouterr().err
     assert rc == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("mlmpipe: error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", [["mask", "--output"], ["stats", "spans", "--output"],
+                                        ["ppl", "--scorer"]])
+def test_mask_id_in_a_window_exits_2_at_any_rate_and_seed(tmp_path, capsys, subcommand):
+    packed = mask_id_packed(tmp_path)
+    for seed in ("0", "3"):
+        for rate in ("0.15", "0.5", "1.0"):
+            value = "uniform" if subcommand[0] == "ppl" else str(tmp_path / "out")
+            rc = run(["--seed", seed, *subcommand, value, "--input", packed,
+                      "--mask-rate", rate])
+            assert_one_line_error(capsys, rc, "packed dataset window 1: position 1 holds the "
+                                              f"mask id {VOCAB.mask_id}")
+            assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mlmpipe.corpus import (KEY_WINDOWS, TokenSequence, Vocab, epoch_stream, load_packed,
                             load_tokens, pack_sequences, save_packed,
                             serialize_tokens, write_binary)
-from mlmpipe.errors import ConfigError, ParseError, RangeError
+from mlmpipe.errors import ConfigError, DataError, ParseError, RangeError
 from mlmpipe.rng import substream
 
 from conftest import VOCAB, make_window, packed, random_docs
@@ -29,6 +29,14 @@ class TestVocab:
         with pytest.raises(ConfigError):
             Vocab(size=10, mask_id=10, pad_id=0, sep_id=1)
 
+    def test_rejects_size_beyond_int64(self):
+        # random replacements draw int64 ids below the size
+        Vocab(size=2 ** 63 - 1, mask_id=2, pad_id=0, sep_id=1)
+        with pytest.raises(ConfigError, match=f"^vocab size {2 ** 63} is beyond int64$"):
+            Vocab(size=2 ** 63, mask_id=2, pad_id=0, sep_id=1)
+        with pytest.raises(ConfigError, match="beyond int64"):
+            load_tokens([], 2 ** 63)
+
 
 class TestLoadTokens:
     def test_empty_stream(self):
@@ -40,6 +48,15 @@ class TestLoadTokens:
         assert len(docs) == 1
         assert docs[0].ids.tolist() == [5, 6, 7]
         assert docs[0].word_starts.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_bare_size_must_be_positive(self, tmp_path, size):
+        # before any line is read, so an empty corpus is rejected too
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        for source in ([], ['{"ids":[5],"word_starts":[true]}'], path):
+            with pytest.raises(ConfigError, match=f"^vocab size must be positive, got {size}$"):
+                load_tokens(source, size)
 
     def test_id_at_vocab_size_is_range_error(self):
         line = json.dumps({"ids": [VOCAB.size], "word_starts": [True]})
@@ -146,6 +163,16 @@ class TestPackSequences:
         assert len(ds) == 1
         assert int((ds[0].ids == VOCAB.pad_id).sum()) == 0
 
+    @pytest.mark.parametrize("seq_len", [2, 8, 128])
+    def test_mask_id_in_a_document_is_named(self, seq_len):
+        # whatever the windows, the document and its position are named
+        docs = [doc([5, 6]), doc([]), doc([5, 6, 7, VOCAB.mask_id, 8])]
+        with pytest.raises(DataError, match=f"^document 2: position 3 holds the mask id "
+                                            f"{VOCAB.mask_id}$"):
+            pack_sequences(docs, seq_len, VOCAB)
+        with pytest.raises(DataError, match="^document 0: position 0 "):
+            pack_sequences([doc([VOCAB.mask_id])], seq_len, VOCAB)
+
     def test_short_seq_len_rejected(self):
         with pytest.raises(ConfigError):
             pack_sequences([], 1, VOCAB)
@@ -214,6 +241,15 @@ class TestPackedIO:
         assert back.vocab == VOCAB
         assert np.array_equal(back.ids, ds.ids)
         assert np.array_equal(back.word_starts, ds.word_starts)
+
+    def test_mask_id_in_a_window_is_named(self, tmp_path):
+        ids = np.full((3, 4), 5)
+        ids[2, 1] = VOCAB.mask_id
+        path = tmp_path / "packed.jsonl"
+        save_packed(packed([make_window(row) for row in ids]), path)
+        with pytest.raises(DataError, match=f"^packed dataset window 2: position 1 holds the "
+                                            f"mask id {VOCAB.mask_id}$"):
+            load_packed(path)
 
     @pytest.mark.parametrize("seq_len", ['"abc"', "1", "0"])
     def test_bad_header_seq_len(self, tmp_path, seq_len):

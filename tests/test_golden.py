@@ -157,6 +157,22 @@ def test_corrupted_flags_are_the_plans_corrupted_positions(tmp_path, flags):
                           np.eye(len(sentence), dtype=bool))
 
 
+@pytest.mark.parametrize("flags", [flags for flags, _ in GOLDEN.values()], ids=GOLDEN.keys())
+def test_original_ids_are_the_source_windows(tmp_path, flags):
+    packed, tsv = write_inputs(tmp_path)
+    args = build_parser().parse_args(["--seed", "5", "mask", "--input", str(packed),
+                                      "--output", str(tmp_path / "unused")] + flags)
+    config, ds, pmi_vocab = _masking_config(args), load_packed(packed), PmiVocabulary.load_tsv(tsv)
+    for epoch in range(args.epochs):
+        for block in generate_blocks(ds, config, pmi_vocab, epoch):
+            assert np.array_equal(block.original_ids, ds.ids[block.source_sequence])
+    # each of pll_score's rows holds the whole sentence
+    sentence = ds.ids[:3].ravel()
+    scorer = Recorder()
+    pll_score(sentence, scorer, ds.vocab)
+    assert all((b.original_ids == sentence).all() for b in scorer.blocks)
+
+
 # values file of the `metric` cases, keys out of rate order
 METRIC_VALUES = '{"0.4": 85.1, "0.15": 84.2, "0.8": 83.3, "0.2": 84.9}'
 DECOUPLED = ["--corruption-rate", "0.2", "--prediction-rate", "0.4"]

@@ -32,7 +32,8 @@ def make_block(seq, targets, dup, src):
     L = len(seq[0]) if seq else 1
     corrupted_ids = np.array(seq, dtype=np.int64).reshape(len(seq), L)
     # example_lines writes no corrupted flags
-    return MaskedBlock(corrupted_ids=corrupted_ids, corrupted=np.zeros(corrupted_ids.shape, bool),
+    return MaskedBlock(original_ids=corrupted_ids, corrupted_ids=corrupted_ids,
+                       corrupted=np.zeros(corrupted_ids.shape, bool),
                        target_counts=np.array([len(row) for row in targets], dtype=np.int64),
                        target_positions=np.array([p for p, _ in flat], dtype=np.int64),
                        target_originals=np.array([o for _, o in flat], dtype=np.int64),

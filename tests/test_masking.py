@@ -798,6 +798,18 @@ class TestArrayPlans:
             list(zip(range(5), ids[:5]))
         assert (block.duplicate_index.tolist(), block.source_sequence.tolist()) == ([1], [7])
 
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_materialize_leaves_rows_unwritten(self, writable):
+        # a read-only view of the dataset is taken as it is, and writable rows
+        # come back unchanged; either way they are the block's original_ids
+        ds = packed([full_window(L=8), full_window(L=8, rng=np.random.default_rng(1))])
+        rows = ds.ids[1:2].copy() if writable else ds.ids[1:2]
+        before = rows.copy()
+        block = materialize(rows, [policy_plan(ds[1])], VOCAB)
+        assert block.original_ids is rows and np.array_equal(rows, before)
+        assert block.corrupted_ids[0].tolist() == \
+            [VOCAB.mask_id, VOCAB.mask_id, 50, 60] + before[0, 4:].tolist()
+
     def test_actions_view(self):
         win = full_window(L=8)
         plan = policy_plan(win)

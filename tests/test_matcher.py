@@ -334,7 +334,7 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
     want = oracle_coverage(chain.from_iterable(generate_plans(ds, cfg, pv)), pv, ds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masking, "BLOCK_EXAMPLES", block)
-        got = pmi_coverage(generate_blocks(ds, cfg, pv), pv, ds)
+        got = pmi_coverage(generate_blocks(ds, cfg, pv), pv)
     assert got == want
     assert all(type(c.fully_masked_count) is int and type(c.occurrence_count) is int
                for c in got.values())
@@ -363,7 +363,7 @@ def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch
         [3 * (len(ds) % block)] * (len(ds) % block > 0)
     blocks, plans = blocks + materialized([plans[:5]], ds), plans + plans[:5]
     want = oracle_coverage(plans, pv, ds)
-    assert pmi_coverage(blocks, pv, ds) == want
+    assert pmi_coverage(blocks, pv) == want
     cut = materialized([plans[i:i + block] for i in range(0, len(plans), block)], ds)
-    assert pmi_coverage(cut, pv, ds) == want
+    assert pmi_coverage(cut, pv) == want
 
