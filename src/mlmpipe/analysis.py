@@ -19,7 +19,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import PackedDataset, TokenSequence, Vocab
+from .corpus import PackedDataset, Vocab
 from .errors import ConfigError, DataError, IntegrityError
 from .masking import BLOCK_EXAMPLES, MaskedBlock
 from .pmi import PmiVocabulary
@@ -33,24 +33,38 @@ class Scorer(Protocol):
 
 @dataclass
 class TokenScorer:
-    """Context-free scoring: a target with original id t scores ``logp[t]``,
-    and a NaN entry is an id without a count. A table of zeros is the oracle."""
+    """Context-free scoring: a target with original id t scores ``logp[t]``.
+    An id beyond the table or with a NaN entry has no count. A table of
+    zeros is the oracle."""
 
     logp: np.ndarray    # float64, indexed by token id
 
     def log_probs(self, block: MaskedBlock) -> np.ndarray:
-        values = self.logp[block.target_originals]
-        if np.isnan(values).any():
-            missing = block.target_originals[np.isnan(values)][0]
-            raise DataError(f"scorer has no count for token {missing}")
+        targets = block.target_originals
+        inside = targets < len(self.logp)
+        values = np.full(len(targets), math.nan)
+        values[inside] = self.logp[targets[inside]]
+        missing = np.isnan(values)
+        if missing.any():
+            raise DataError(f"scorer has no count for token {targets[missing][0]}")
         return values
 
 
-def uniform(vocab_size: int) -> TokenScorer:
-    """Probability 1/V for every token; perplexity equals V."""
+@dataclass
+class UniformScorer:
+    """Probability 1/V for every target, with no table; perplexity equals V."""
+
+    vocab_size: int
+
+    def log_probs(self, block: MaskedBlock) -> np.ndarray:
+        return np.full(len(block.target_originals), -math.log(self.vocab_size))
+
+
+def uniform(vocab_size: int) -> UniformScorer:
+    """Probability 1/V for every token, for any V."""
     if vocab_size < 1:
         raise ConfigError(f"vocab_size must be positive, got {vocab_size}")
-    return TokenScorer(np.full(vocab_size, -math.log(vocab_size)))
+    return UniformScorer(vocab_size)
 
 
 def unigram(counts: Sequence[int]) -> TokenScorer:
@@ -148,9 +162,9 @@ def make_scorer(spec: str, ds: PackedDataset | None = None,
     if spec == "unigram":
         if ds is None:
             raise ConfigError("unigram scorer needs a corpus")
-        counts = np.bincount(ds.ids.ravel(), minlength=max(ds.vocab.size, vocab_size or 0))
-        counts[[ds.vocab.pad_id, ds.vocab.sep_id]] = 0
-        return unigram(counts)
+        # a table as long as the corpus's largest id, not the vocabulary
+        ids = ds.ids.ravel()
+        return unigram(np.bincount(ids[(ids != ds.vocab.pad_id) & (ids != ds.vocab.sep_id)]))
     if spec.startswith("extern:"):
         try:
             argv = shlex.split(spec[len("extern:"):])
@@ -269,11 +283,11 @@ def masked_perplexity(blocks: Iterable[MaskedBlock], scorer: Scorer) -> float:
     return math.exp(-total / count)
 
 
-def pll_score(sentence: TokenSequence | Sequence[int], scorer: Scorer,
-              vocab: Vocab) -> float:
-    """Pseudo log-likelihood: mask each position individually and sum. Row
-    i masks position i and predicts it; rows go BLOCK_EXAMPLES at a time."""
-    ids = np.asarray(getattr(sentence, "ids", sentence), dtype=np.int64)
+def pll_score(sentence: Sequence[int] | np.ndarray, scorer: Scorer, vocab: Vocab) -> float:
+    """Pseudo log-likelihood of a sentence of token ids: mask each position
+    individually and sum. Row i masks position i and predicts it; rows go
+    BLOCK_EXAMPLES at a time."""
+    ids = np.asarray(sentence, dtype=np.int64)
     total = 0.0
     for start in range(0, len(ids), BLOCK_EXAMPLES):
         at = np.arange(start, min(start + BLOCK_EXAMPLES, len(ids)))

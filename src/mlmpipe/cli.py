@@ -216,9 +216,7 @@ def _cmd_pack(args) -> int:
 
 def _cmd_pmi_build(args) -> int:
     docs = corpus.load_tokens(args.input, args.vocab_size)
-    # no n-gram is longer than the longest document; n_max 1 stays an error
-    n_max = min(args.n_max, max(2, max(map(len, docs), default=0)))
-    counts = pmi.count_ngrams(docs, n_max, min_count=args.min_count)
+    counts = pmi.count_ngrams(docs, args.n_max, min_count=args.min_count)
     vocab = pmi.build_vocab(counts, size_cap=args.size_cap, min_count=args.min_count)
     vocab.save_tsv(args.output,
                    header=json.dumps(_resolved_config(args), separators=(",", ":")))

@@ -224,15 +224,6 @@ def _check_starts_word(doc: TokenSequence, where: str) -> TokenSequence:
     return doc
 
 
-def _load_jsonl(lines: Iterable[tuple[int, str]], size: int) -> list[TokenSequence]:
-    docs: list[TokenSequence] = []
-    for lineno, line in lines:
-        if line.strip():
-            where = f"line {lineno}"
-            docs.append(_check_starts_word(_parse_record(line, size, where), where))
-    return docs
-
-
 def _load_binary(fh: BinaryIO, size: int) -> list[TokenSequence]:
     header = fh.read(10)
     if len(header) < 10 or header[:4] != BINARY_MAGIC:
@@ -270,7 +261,7 @@ def _read_documents(fh: BinaryIO, path: str | os.PathLike, size: int) -> list[To
     """The documents of a JSONL file: each block of canonical lines in one
     bulk pass, and any other block line by line."""
     docs: list[TokenSequence] = []
-    for lineno, block, decoded in _blocks(fh, 1, jsonl.BOOL_FLAGS, size):
+    for first, block, decoded in _blocks(fh, 1, jsonl.BOOL_FLAGS, size):
         if decoded is not None:
             ids, word_starts, lengths = decoded
             ends = np.cumsum(lengths)
@@ -279,20 +270,18 @@ def _read_documents(fh: BinaryIO, path: str | os.PathLike, size: int) -> list[To
                 docs += (TokenSequence(ids[a:b], word_starts[a:b])
                          for a, b in zip([0] + bounds, bounds))
                 continue
-        docs += _load_jsonl(_decoded_lines(io.BytesIO(block), lineno, path), size)
+        for lineno, line in _decoded_lines(io.BytesIO(block), first, path):
+            if line.strip():
+                where = f"line {lineno}"
+                docs.append(_check_starts_word(_parse_record(line, size, where), where))
     return docs
 
 
-def load_tokens(source: str | os.PathLike | Iterable[str],
-                vocab: Vocab | int) -> list[TokenSequence]:
-    """Load a corpus from a path, or from an iterable of JSONL lines.
-
-    A file is read as the binary format when it starts with its magic
-    bytes, and as canonical JSONL otherwise.
+def load_tokens(source: str | os.PathLike, vocab: Vocab | int) -> list[TokenSequence]:
+    """Load a corpus file: the binary format when it starts with its magic
+    bytes, and JSONL otherwise.
     """
     size = _vocab_size(vocab)
-    if not isinstance(source, (str, os.PathLike)):
-        return _load_jsonl(enumerate(source, start=1), size)
     with open(source, "rb") as fh:
         magic = fh.read(4)
         fh.seek(0)
@@ -320,31 +309,41 @@ def write_binary(docs: Iterable[TokenSequence], vocab: Vocab | int,
             fh.write(np.packbits(doc.word_starts, bitorder="little").tobytes())
 
 
-def _check_no_mask_id(ids: np.ndarray, ends: np.ndarray, vocab: Vocab, what: str) -> None:
+def _check_no_special_id(ids: np.ndarray, ends: np.ndarray, vocab: Vocab, what: str,
+                         names: tuple[str, ...] = ("mask", "pad", "sep")) -> None:
     """DataError naming the first of the sequences ending at ``ends`` in ``ids``
-    that holds the mask id, and its position there: ``maskable_positions``
-    counts that position, but no plan may touch it."""
-    held = ids == vocab.mask_id
+    that holds one of the named special ids, the position there and the id.
+    A document may hold none of them. A window holds pad and sep by
+    construction but never the mask id: ``maskable_positions`` counts that
+    position, but no plan may touch it."""
+    tids = [getattr(vocab, f"{name}_id") for name in names]
+    # one bool array at a time; np.isin would build int64 temporaries
+    held = ids == tids[0]
+    for tid in tids[1:]:
+        held |= ids == tid
     if held.any():
         at = int(held.argmax())
         k = int(ends.searchsorted(at, "right"))
         start = int(ends[k - 1]) if k else 0
-        raise DataError(f"{what} {k}: position {at - start} holds the mask id {vocab.mask_id}")
+        tid = int(ids[at])
+        raise DataError(f"{what} {k}: position {at - start} holds the "
+                        f"{names[tids.index(tid)]} id {tid}")
 
 
 def pack_sequences(docs: list[TokenSequence], seq_len: int, vocab: Vocab) -> PackedDataset:
     """Concatenate documents (sep-separated) and chunk into L-sized windows.
 
     The final partial window is right-padded with pad_id; sep and pad
-    positions count as word starts. A document that holds the mask id
-    raises DataError naming it and the position.
+    positions count as word starts. A document that holds the mask, pad or
+    sep id raises DataError naming it, the position and the id, so every
+    pad and sep in a window is one that packing put there.
     """
     if seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {seq_len}")
     # the empty arrays give no documents no windows
     ids = np.concatenate([_NO_IDS] + [doc.ids for doc in docs])
     ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
-    _check_no_mask_id(ids, ends, vocab, "document")
+    _check_no_special_id(ids, ends, vocab, "document")
     # a sep before every document but the first
     ids = np.insert(ids, ends[:-1], vocab.sep_id)
     word_starts = np.insert(np.concatenate([_NO_FLAGS] + [doc.word_starts for doc in docs]),
@@ -443,6 +442,6 @@ def load_packed(path: str | os.PathLike) -> PackedDataset:
                     raise ParseError(f"{where}: window is not length {seq_len}")
                 ids[n], word_starts[n] = win.ids, win.word_starts
                 n += 1
-    _check_no_mask_id(ids[:n].ravel(), np.arange(1, n + 1) * seq_len, vocab,
-                      "packed dataset window")
+    _check_no_special_id(ids[:n].ravel(), np.arange(1, n + 1) * seq_len, vocab,
+                         "packed dataset window", ("mask",))
     return PackedDataset(ids=ids[:n], word_starts=word_starts[:n], vocab=vocab)

@@ -37,10 +37,6 @@ class NgramCounts:
     slots: dict[int, int]
     n_max: int
 
-    @property
-    def total_unigrams(self) -> int:
-        return self.slots.get(1, 0)
-
     def merge(self, other: "NgramCounts") -> "NgramCounts":
         """Combine shard counts; associative and commutative."""
         if self.n_max != other.n_max:
@@ -238,7 +234,9 @@ def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
                  min_count: int = 1) -> NgramCounts:
     """Exact counts of the contiguous n-grams of length 1..n_max that occur at
-    least ``min_count`` times; ``slots`` always counts every slot.
+    least ``min_count`` times; ``slots`` always counts every slot. No
+    n-gram is longer than the longest run, so counting stops there whatever
+    ``n_max`` is.
 
     Each level ranks the n-grams starting at every position by chaining the
     rank of the (n-1)-gram there with the rank of the token that extends it.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mlmpipe.corpus import PackedDataset, TokenSequence, Vocab, Window, pack_sequences
+from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, Window, load_tokens,
+                            pack_sequences)
 from mlmpipe.masking import MaskPlan, materialize
 
 # specials: pad=0, sep=1, mask=2; ordinary tokens start at 3
@@ -37,6 +38,13 @@ def random_docs(n_docs, doc_len, vocab=VOCAB, seed=0):
         ws[0] = True
         docs.append(TokenSequence(ids=ids, word_starts=ws))
     return docs
+
+
+def load_lines(tmp_path, lines, vocab=VOCAB):
+    """``load_tokens`` on a file in `tmp_path` holding `lines`, one per line."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return load_tokens(path, vocab)
 
 
 def packed(windows, vocab=VOCAB):

@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe import analysis, masking
-from mlmpipe.analysis import (ExternScorer, TokenScorer, make_scorer,
+from mlmpipe.analysis import (ExternScorer, TokenScorer, UniformScorer, make_scorer,
                               masked_perplexity, minimal_pair_accuracy,
                               normalized_performance, pll_score, pmi_coverage,
                               relative_metric, span_histogram, uniform, unigram)
-from mlmpipe.corpus import TokenSequence
+from mlmpipe.corpus import PackedDataset, TokenSequence, Vocab
 from mlmpipe.errors import ConfigError, DataError
 from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingConfig,
                              generate_blocks, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, materialize_one, mean_run_length, packed_dataset
+from conftest import (VOCAB, make_window, mask_plan, materialize_one, mean_run_length,
+                      packed_dataset)
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size))
 
@@ -165,7 +166,7 @@ def test_block_driver_perplexity_equals_per_plan_reference(strategy, rates, poli
 class TestPllScore:
     def test_oracle_is_zero(self):
         sent = TokenSequence(np.array([5, 6, 7]), np.ones(3, dtype=bool))
-        assert pll_score(sent, ORACLE, VOCAB) == 0.0
+        assert pll_score(sent.ids, ORACLE, VOCAB) == 0.0
 
     def test_unigram_is_sum_of_unigram_logs(self):
         counts = {5: 3, 6: 1, 7: 6}
@@ -531,7 +532,7 @@ class TestExternScorer:
             b'{"qid":3,"seq":[5,6,2],"queries":[[2,7]]}\n')
 
     def test_make_scorer_dispatch(self, tmp_path):
-        assert isinstance(make_scorer("uniform", vocab_size=10), TokenScorer)
+        assert isinstance(make_scorer("uniform", vocab_size=10), UniformScorer)
         ds = packed_dataset(n_docs=2)
         assert isinstance(make_scorer("unigram", ds=ds), TokenScorer)
         with pytest.raises(ConfigError):
@@ -545,6 +546,23 @@ class TestTokenScorer:
         total = sum(counts)
         assert np.isnan(table[[0, 2]]).all()
         assert [table[i] for i in (1, 3, 4, 5)] == [math.log(c / total) for c in (3, 7, 1, 10 ** 6)]
+
+    @pytest.mark.parametrize("size", [10 ** 18, 2 ** 63 - 1])
+    def test_uniform_holds_no_table(self, size):
+        # any size a Vocab accepts, with no entry per id
+        block = materialize_one(make_window([5, 6, 7, 8, 9]), mask_plan([1, 4], [(1, 6), (4, 9)]))
+        assert uniform(size).log_probs(block).tolist() == [-math.log(size)] * 2
+
+    def test_unigram_table_is_sized_by_the_corpus(self):
+        # the header declares a huge vocabulary; the table reaches the largest
+        # id of the corpus, and pad and sep get no count
+        vocab = Vocab(size=10 ** 18, mask_id=2, pad_id=0, sep_id=1)
+        ds = PackedDataset(ids=np.array([[5, 6, 5, 1], [6, 5, 0, 0]]),
+                           word_starts=np.ones((2, 4), dtype=bool), vocab=vocab)
+        table = make_scorer("unigram", ds=ds, vocab_size=vocab.size).logp
+        assert len(table) == 7
+        assert table[5] == math.log(3 / 5) and table[6] == math.log(2 / 5)
+        assert np.isnan(table[[0, 1, 2, 3, 4]]).all()
 
     def test_uniform_needs_a_positive_size(self):
         with pytest.raises(ConfigError):

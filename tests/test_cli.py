@@ -655,6 +655,50 @@ class TestScoring:
                   "--corpus", str(packed_path)] + flags)
         assert_one_line_error(capsys, rc, f"scorer has no count for token {VOCAB.size + 7}")
 
+    # sizes a Vocab accepts, far beyond any table of one entry per id
+    HUGE_SIZES = [10 ** 18, 2 ** 63 - 1]
+
+    @pytest.mark.parametrize("size", HUGE_SIZES)
+    def test_pll_uniform_needs_no_vocabulary_sized_table(self, tmp_path, capsys, size):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 6, 7]}) + "\n")
+        rc = run(["pll", "--pairs", str(pairs), "--scorer", "uniform", "--vocab-size", str(size),
+                  "--mask-id", "2", "--pad-id", "0", "--sep-id", "1"])
+        assert rc == 0
+        # -2 log V beats -3 log V
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("size", HUGE_SIZES)
+    def test_ppl_unigram_table_is_sized_by_the_corpus(self, tmp_path, packed_path, capsys,
+                                                      size):
+        # the same windows under a header that declares a huge vocabulary
+        header, body = packed_path.read_text().split("\n", 1)
+        meta = json.loads(header)
+        meta["vocab"]["size"] = size
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text(json.dumps(meta) + "\n" + body)
+        for seed in ("0", "3"):
+            for rate in ("0.15", "1.0"):
+                values = []
+                for path in (packed_path, huge):
+                    assert run(["--seed", seed, "ppl", "--input", str(path), "--scorer",
+                                "unigram", "--mask-rate", rate]) == 0
+                    values.append(json.loads(capsys.readouterr().out)["perplexity"])
+                assert values[0] == values[1]
+
+    @pytest.mark.parametrize("size", HUGE_SIZES)
+    def test_pll_unigram_table_is_sized_by_the_corpus(self, tmp_path, packed_path, capsys,
+                                                      size):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 7]}) + "\n")
+        values = []
+        for flag in (VOCAB.size, size):
+            rc = run(["pll", "--pairs", str(pairs), "--scorer", "unigram", "--corpus",
+                      str(packed_path), "--vocab-size", str(flag), *VOCAB_FLAGS[2:]])
+            assert rc == 0
+            values.append(json.loads(capsys.readouterr().out)["accuracy"])
+        assert values[0] == values[1]
+
     def test_pll_accuracy(self, tmp_path, packed_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"good": [5, 6], "bad": [5, 6]}) + "\n")
@@ -747,6 +791,20 @@ def mask_id_corpus(tmp_path):
     return str(path)
 
 
+def pad_id_corpus(tmp_path):
+    path = tmp_path / "pad_id.jsonl"
+    serialize_tokens([TokenSequence(ids=np.array([5, VOCAB.pad_id, 7, VOCAB.sep_id, 9]),
+                                    word_starts=np.ones(5, bool))], path)
+    return str(path)
+
+
+def sep_id_corpus(tmp_path):
+    path = tmp_path / "sep_id.jsonl"
+    serialize_tokens(random_docs(3, 20) + [TokenSequence(
+        ids=np.array([5, 6, VOCAB.sep_id, 8]), word_starts=np.ones(4, bool))], path)
+    return str(path)
+
+
 def mask_id_packed(tmp_path):
     path = tmp_path / "mask_id_packed.jsonl"
     ids = np.array([[5, 6, 7, 8, 9, 10, 11, 12], [5, VOCAB.mask_id, 7, 8, 9, 10, 11, 12]])
@@ -777,6 +835,8 @@ def nan_score_tsv(tmp_path):
 # makes its file in the test's directory
 MALFORMED_CLI = {
     "pack-mask-id-in-corpus": (["pack", "--input", mask_id_corpus], 2),
+    "pack-pad-id-in-corpus": (["pack", "--input", pad_id_corpus, "--seq-len", "4"], 2),
+    "pack-sep-id-in-corpus": (["pack", "--input", sep_id_corpus], 2),
     "pmi-build-vocab-size-0": (["pmi-build", "--vocab-size", "0"], 1),
     "pmi-build-vocab-size-negative": (["pmi-build", "--vocab-size", "-3"], 1),
     "pmi-build-vocab-size-0-empty-corpus": (["pmi-build", "--vocab-size", "0",

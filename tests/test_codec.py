@@ -91,12 +91,13 @@ def docs_strategy():
 
 def canonical_file(layout, docs, path):
     """The documents as a canonical corpus, or packed into windows of 4. The
-    ids may include the mask id, which ``pack_sequences`` rejects, so it is
-    packed here without that check; ``load_packed`` still makes it."""
+    ids may include the special ids, which ``pack_sequences`` rejects, so it
+    is packed here without that check; ``load_packed`` still checks for the
+    mask id."""
     if layout == "documents":
         serialize_tokens(docs, path)
     else:
-        with mock.patch.object(corpus, "_check_no_mask_id", lambda *args: None):
+        with mock.patch.object(corpus, "_check_no_special_id", lambda *args: None):
             save_packed(pack_sequences(docs, 4, VOCAB), path)
     return path.read_bytes()
 

@@ -11,7 +11,7 @@ from mlmpipe.corpus import (KEY_WINDOWS, TokenSequence, Vocab, epoch_stream, loa
 from mlmpipe.errors import ConfigError, DataError, ParseError, RangeError
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, make_window, packed, random_docs
+from conftest import VOCAB, load_lines, make_window, packed, random_docs
 
 
 def doc(ids, word_starts=None):
@@ -29,22 +29,22 @@ class TestVocab:
         with pytest.raises(ConfigError):
             Vocab(size=10, mask_id=10, pad_id=0, sep_id=1)
 
-    def test_rejects_size_beyond_int64(self):
+    def test_rejects_size_beyond_int64(self, tmp_path):
         # random replacements draw int64 ids below the size
         Vocab(size=2 ** 63 - 1, mask_id=2, pad_id=0, sep_id=1)
         with pytest.raises(ConfigError, match=f"^vocab size {2 ** 63} is beyond int64$"):
             Vocab(size=2 ** 63, mask_id=2, pad_id=0, sep_id=1)
         with pytest.raises(ConfigError, match="beyond int64"):
-            load_tokens([], 2 ** 63)
+            load_lines(tmp_path, [], 2 ** 63)
 
 
 class TestLoadTokens:
-    def test_empty_stream(self):
-        assert load_tokens([], VOCAB) == []
+    def test_empty_stream(self, tmp_path):
+        assert load_lines(tmp_path, [], VOCAB) == []
 
-    def test_single_record_roundtrip(self):
+    def test_single_record_roundtrip(self, tmp_path):
         line = '{"ids":[5,6,7],"word_starts":[true,true,false]}'
-        docs = load_tokens([line], VOCAB)
+        docs = load_lines(tmp_path, [line], VOCAB)
         assert len(docs) == 1
         assert docs[0].ids.tolist() == [5, 6, 7]
         assert docs[0].word_starts.tolist() == [True, True, False]
@@ -54,58 +54,57 @@ class TestLoadTokens:
         # before any line is read, so an empty corpus is rejected too
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        for source in ([], ['{"ids":[5],"word_starts":[true]}'], path):
-            with pytest.raises(ConfigError, match=f"^vocab size must be positive, got {size}$"):
-                load_tokens(source, size)
+        with pytest.raises(ConfigError, match=f"^vocab size must be positive, got {size}$"):
+            load_tokens(path, size)
 
-    def test_id_at_vocab_size_is_range_error(self):
+    def test_id_at_vocab_size_is_range_error(self, tmp_path):
         line = json.dumps({"ids": [VOCAB.size], "word_starts": [True]})
         with pytest.raises(RangeError, match="line 1"):
-            load_tokens([line], VOCAB)
+            load_lines(tmp_path, [line], VOCAB)
 
     @pytest.mark.parametrize("field,values", [
         ("ids", [5.7]), ("ids", ["6"]), ("ids", [True]), ("ids", [None]), ("ids", "56"),
         ("word_starts", ["false"]), ("word_starts", [2]), ("word_starts", [1.0]),
         ("word_starts", [None]), ("word_starts", True)])
-    def test_wrong_json_type_is_parse_error(self, field, values):
+    def test_wrong_json_type_is_parse_error(self, tmp_path, field, values):
         rec = {"ids": [5], "word_starts": [True], field: values}
         good = json.dumps({"ids": [5], "word_starts": [True]})
         with pytest.raises(ParseError, match=f"line 2: '{field}'"):
-            load_tokens([good, json.dumps(rec)], VOCAB)
+            load_lines(tmp_path, [good, json.dumps(rec)], VOCAB)
 
-    def test_coercible_values_rejected(self):
+    def test_coercible_values_rejected(self, tmp_path):
         line = '{"ids":[5.7,"6",true],"word_starts":["false",0,"no"]}'
         with pytest.raises(ParseError, match="line 1"):
-            load_tokens([line], 10)
+            load_lines(tmp_path, [line], 10)
 
-    def test_zero_one_word_starts_accepted(self):
-        docs = load_tokens(['{"ids":[5,6,7],"word_starts":[1,0,true]}'], VOCAB)
+    def test_zero_one_word_starts_accepted(self, tmp_path):
+        docs = load_lines(tmp_path, ['{"ids":[5,6,7],"word_starts":[1,0,true]}'], VOCAB)
         assert docs[0].word_starts.tolist() == [True, False, True]
 
-    def test_negative_id_is_range_error(self):
+    def test_negative_id_is_range_error(self, tmp_path):
         line = json.dumps({"ids": [5, -4], "word_starts": [True, True]})
         with pytest.raises(RangeError, match="token id -4"):
-            load_tokens([line], VOCAB)
+            load_lines(tmp_path, [line], VOCAB)
 
-    def test_malformed_json_names_line(self):
+    def test_malformed_json_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
-            load_tokens(['{"ids":[5],"word_starts":[true]}', "{oops"], VOCAB)
+            load_lines(tmp_path, ['{"ids":[5],"word_starts":[true]}', "{oops"], VOCAB)
 
-    def test_length_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self, tmp_path):
         line = '{"ids":[5,6],"word_starts":[true]}'
         with pytest.raises(ParseError):
-            load_tokens([line], VOCAB)
+            load_lines(tmp_path, [line], VOCAB)
 
-    def test_first_position_must_start_word(self):
+    def test_first_position_must_start_word(self, tmp_path):
         line = '{"ids":[5],"word_starts":[false]}'
         with pytest.raises(ParseError):
-            load_tokens([line], VOCAB)
+            load_lines(tmp_path, [line], VOCAB)
 
     def test_jsonl_roundtrip_identity(self, tmp_path):
         docs = random_docs(10, 30)
         path = tmp_path / "corpus.jsonl"
         serialize_tokens(docs, path)
-        reloaded = load_tokens(path.read_text().splitlines(), VOCAB)
+        reloaded = load_tokens(path, VOCAB)
         assert [(d.ids.tolist(), d.word_starts.tolist()) for d in reloaded] == \
                [(d.ids.tolist(), d.word_starts.tolist()) for d in docs]
 
@@ -172,6 +171,22 @@ class TestPackSequences:
             pack_sequences(docs, seq_len, VOCAB)
         with pytest.raises(DataError, match="^document 0: position 0 "):
             pack_sequences([doc([VOCAB.mask_id])], seq_len, VOCAB)
+
+    @pytest.mark.parametrize("name", ["pad", "sep"])
+    def test_pad_or_sep_id_in_a_document_is_named(self, name):
+        # a corpus token that equals pad or sep could never be masked, and it
+        # would split whole-word and PMI units
+        tid = getattr(VOCAB, f"{name}_id")
+        docs = [doc([5, 6]), doc([]), doc([5, 6, 7, tid, 8])]
+        with pytest.raises(DataError, match=f"^document 2: position 3 holds the {name} id "
+                                            f"{tid}$"):
+            pack_sequences(docs, 4, VOCAB)
+
+    def test_first_special_id_is_named(self):
+        docs = [doc([5, VOCAB.pad_id, 7, VOCAB.sep_id, 9])]
+        with pytest.raises(DataError, match=f"^document 0: position 1 holds the pad id "
+                                            f"{VOCAB.pad_id}$"):
+            pack_sequences(docs, 4, VOCAB)
 
     def test_short_seq_len_rejected(self):
         with pytest.raises(ConfigError):
@@ -241,6 +256,13 @@ class TestPackedIO:
         assert back.vocab == VOCAB
         assert np.array_equal(back.ids, ds.ids)
         assert np.array_equal(back.word_starts, ds.word_starts)
+
+    def test_windows_may_hold_pad_and_sep(self, tmp_path):
+        # packing puts them there, so a packed file is refused only the mask id
+        ds = pack_sequences([doc([5, 6, 7]), doc([8])], 4, VOCAB)
+        assert ds.ids.tolist() == [[5, 6, 7, VOCAB.sep_id], [8] + [VOCAB.pad_id] * 3]
+        save_packed(ds, tmp_path / "packed.jsonl")
+        assert np.array_equal(load_packed(tmp_path / "packed.jsonl").ids, ds.ids)
 
     def test_mask_id_in_a_window_is_named(self, tmp_path):
         ids = np.full((3, 4), 5)
@@ -362,7 +384,7 @@ class TestReadersAgree:
                              ids=MALFORMED_RECORDS.keys())
     def test_same_error_for_document_and_window(self, tmp_path, line, error):
         with pytest.raises(error, match="^line 2: ") as as_doc:
-            load_tokens([json.dumps(GOOD_RECORD), line], VOCAB)
+            load_lines(tmp_path, [json.dumps(GOOD_RECORD), line], VOCAB)
         path = tmp_path / "packed.jsonl"
         good = doc(GOOD_RECORD["ids"], GOOD_RECORD["word_starts"])
         save_packed(packed([good]), path)

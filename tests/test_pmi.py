@@ -89,13 +89,13 @@ class TestCountNgrams:
         assert counts.counts[(B,)] == 2
         assert counts.counts[(A, B)] == 2
         assert counts.counts[(B, A)] == 1
-        assert counts.total_unigrams == 4
+        assert counts.slots.get(1, 0) == 4
         assert counts.slots[2] == 3
 
     def test_empty_corpus(self):
         counts = count_ngrams([], n_max=2)
         assert not counts.counts
-        assert counts.total_unigrams == 0
+        assert counts.slots.get(1, 0) == 0
 
     def test_separator_blocks_ngrams(self):
         docs = [doc([A]), doc([B])]
