@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import PackedDataset, Vocab
 from .errors import ConfigError, DataError, IntegrityError
 from .masking import BLOCK_EXAMPLES, MaskedBlock
-from .pmi import PmiVocabulary
+from .pmi import PmiVocabulary, sorted_lookup
 
 
 class Scorer(Protocol):
@@ -33,17 +33,23 @@ class Scorer(Protocol):
 
 @dataclass
 class TokenScorer:
-    """Context-free scoring: a target with original id t scores ``logp[t]``.
-    An id beyond the table or with a NaN entry has no count. A table of
-    zeros is the oracle."""
+    """Context-free scoring: a target with original id t scores the entry of
+    ``logp`` at t's place in the ascending ``ids``, or ``logp[t]`` when
+    ``ids`` is None. An id the table lacks or with a NaN entry has no count.
+    A table of zeros is the oracle."""
 
-    logp: np.ndarray    # float64, indexed by token id
+    logp: np.ndarray    # float64, one entry per id of ``ids``
+    ids: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.ids is None:
+            self.ids = np.arange(len(self.logp))
 
     def log_probs(self, block: MaskedBlock) -> np.ndarray:
         targets = block.target_originals
-        inside = targets < len(self.logp)
+        at, known = sorted_lookup(self.ids, targets)
         values = np.full(len(targets), math.nan)
-        values[inside] = self.logp[targets[inside]]
+        values[known] = self.logp[at[known]]
         missing = np.isnan(values)
         if missing.any():
             raise DataError(f"scorer has no count for token {targets[missing][0]}")
@@ -67,15 +73,16 @@ def uniform(vocab_size: int) -> UniformScorer:
     return UniformScorer(vocab_size)
 
 
-def unigram(counts: Sequence[int]) -> TokenScorer:
-    """Maximum-likelihood unigram model from counts indexed by token id."""
+def unigram(counts: Sequence[int], ids: np.ndarray | None = None) -> TokenScorer:
+    """Maximum-likelihood unigram model from the counts of the ascending
+    token ids ``ids``, or of ids 0, 1, ... when ``ids`` is None."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         raise DataError("unigram scorer needs a non-empty corpus")
     # one math.log per id, as np.log may differ in the last place
     return TokenScorer(np.array([math.log(c / total) if c else math.nan
-                                 for c in counts.tolist()]))
+                                 for c in counts.tolist()]), ids)
 
 
 class ExternScorer:
@@ -162,9 +169,11 @@ def make_scorer(spec: str, ds: PackedDataset | None = None,
     if spec == "unigram":
         if ds is None:
             raise ConfigError("unigram scorer needs a corpus")
-        # a table as long as the corpus's largest id, not the vocabulary
+        # one entry per distinct id of the corpus, whatever the ids' values
         ids = ds.ids.ravel()
-        return unigram(np.bincount(ids[(ids != ds.vocab.pad_id) & (ids != ds.vocab.sep_id)]))
+        kept, counts = np.unique(ids[(ids != ds.vocab.pad_id) & (ids != ds.vocab.sep_id)],
+                                 return_counts=True)
+        return unigram(counts, kept)
     if spec.startswith("extern:"):
         try:
             argv = shlex.split(spec[len("extern:"):])

@@ -10,6 +10,7 @@ configuration so it can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -182,18 +183,23 @@ def _vocab_from_args(args) -> corpus.Vocab:
 
 
 def _masking_config(args) -> masking.MaskingConfig:
-    # MaskingConfig validates every rate and proportion
-    return masking.MaskingConfig(
+    # MaskingConfig checks every value, --mask-rate even when the pair replaces it
+    config = masking.MaskingConfig(
         strategy=_STRATEGY_ALIASES[args.strategy],
-        m=args.mask_rate,
-        m_corr=args.corruption_rate,
-        m_pred=args.prediction_rate,
+        corruption_rate=args.mask_rate,
+        prediction_rate=args.mask_rate,
         policy=(args.p_mask, args.p_rand, args.p_same),
         extra_same=args.extra_same,
         mean_span=args.mean_span,
         seed=args.seed,
         policy_sampling=args.policy_sampling,
     )
+    pair = (args.corruption_rate, args.prediction_rate)
+    if pair == (None, None):
+        return config
+    if None in pair:
+        raise ConfigError("--corruption-rate and --prediction-rate must be given together")
+    return dataclasses.replace(config, corruption_rate=pair[0], prediction_rate=pair[1])
 
 
 def _load_pmi_vocab(args, config: masking.MaskingConfig) -> pmi.PmiVocabulary | None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import PackedDataset, TokenSequence, Vocab, epoch_stream
 from .errors import ConfigError, DataError, InfeasibleError, IntegrityError
-from .pmi import PmiVocabulary, segment_block, segment_units
+from .pmi import PmiVocabulary, segment_block
 
 _EPS = 1e-9
 
@@ -113,10 +113,11 @@ class MaskedBlock:
 
 @dataclass
 class MaskingConfig:
+    """The checked masking configuration; the planner reads no other copy."""
+
     strategy: str = "uniform"
-    m: float = 0.15
-    m_corr: float | None = None
-    m_pred: float | None = None
+    corruption_rate: float = 0.15
+    prediction_rate: float = 0.15
     policy: tuple[float, float, float] = (1.0, 0.0, 0.0)
     extra_same: float = 0.0
     mean_span: float = 3.0
@@ -126,16 +127,10 @@ class MaskingConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        for name in ("m", "extra_same"):
+        for name in ("corruption_rate", "prediction_rate", "extra_same"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name}={v} outside [0, 1]")
-        for name in ("m_corr", "m_pred"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v} outside [0, 1]")
-        if (self.m_corr is None) != (self.m_pred is None):
-            raise ConfigError("m_corr and m_pred must be given together")
         # negated comparisons, so that NaN fails them too
         if len(self.policy) != 3 or not all(p >= 0 for p in self.policy):
             raise ConfigError(f"policy must be 3 non-negative proportions, got {self.policy}")
@@ -146,17 +141,9 @@ class MaskingConfig:
         if self.policy_sampling not in ("exact", "bernoulli"):
             raise ConfigError(f"unknown policy_sampling {self.policy_sampling!r}")
         if self.corruption_rate == 0.0 and self.prediction_rate > 0.0:
-            raise ConfigError("m_pred > 0 requires m_corr > 0")
+            raise ConfigError("prediction_rate > 0 requires corruption_rate > 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def corruption_rate(self) -> float:
-        return self.m if self.m_corr is None else self.m_corr
-
-    @property
-    def prediction_rate(self) -> float:
-        return self.m if self.m_pred is None else self.m_pred
 
 
 def exact_count(rate: float, n: int) -> int:
@@ -293,21 +280,14 @@ def sample_units(units: np.ndarray | Sequence[tuple[int, int]], allowed: np.ndar
 Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 
-def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
-                 pmi_vocab: PmiVocabulary | None = None,
-                 units: np.ndarray | None = None) -> Sampler:
-    """Bind a strategy to a window, returning f(allowed, budget, rng).
-
-    Unit strategies take the window's ``segment_block`` unit array as
-    ``units``, or segment the window themselves.
-    """
+def make_sampler(config: MaskingConfig, units: np.ndarray | None = None) -> Sampler:
+    """Bind a strategy to a window, returning f(allowed, budget, rng). Unit
+    strategies take the window's ``segment_block`` unit array as ``units``."""
     if config.strategy == "uniform":
         return sample_uniform
     if config.strategy == "span":
         return lambda allowed, budget, rng: sample_span(
             allowed, budget, config.mean_span, rng)
-    if units is None:
-        units = segment_units(window, vocab, config.strategy, pmi_vocab)
     return lambda allowed, budget, rng: sample_units(units, allowed, budget, rng)
 
 
@@ -316,15 +296,19 @@ def make_sampler(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
 
 
 def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
-                   m_corr: float, m_pred: float, rng: np.random.Generator,
+                   config: MaskingConfig, rng: np.random.Generator,
                    source_sequence: int = 0) -> list[MaskPlan]:
     """Plans for one window under decoupled corruption/prediction rates.
 
-    Equal rates: one plan predicting all corrupted positions. Lower
-    prediction rate: one plan predicting a uniform subset. Higher
-    prediction rate: ceil(m_pred/m_corr) duplicate plans with pairwise
-    disjoint corruption sets, each predicting everything it corrupts.
+    With c = floor(m_corr * n) and p = floor(m_pred * n), m_corr and m_pred
+    the config's rates and n the maskable positions: equal rates give one
+    plan predicting all c corrupted positions; a lower prediction rate one
+    plan predicting a uniform subset of p of them. A higher prediction rate
+    gives k = ceil(m_pred/m_corr) duplicate plans with pairwise disjoint
+    corruption sets; each predicts everything it corrupts, except the last,
+    which predicts a uniform subset of min(c, p - (k-1)*c) of its positions.
     """
+    m_corr, m_pred = config.corruption_rate, config.prediction_rate
     maskable = window.maskable_positions(vocab)
     n = len(maskable)
     c = exact_count(m_corr, n)
@@ -333,22 +317,16 @@ def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
 
     # every sampler returns ascending positions, so only a subset drawn by
     # rng.choice needs sorting
-    def make_plan(positions: np.ndarray, predictions: np.ndarray, dup: int) -> MaskPlan:
+    def make_plan(positions: np.ndarray, budget: int, dup: int) -> MaskPlan:
+        predictions = (np.sort(rng.choice(positions, size=budget, replace=False))
+                       if budget < len(positions) else positions)
         return MaskPlan(positions=positions, kinds=np.zeros(len(positions), dtype=np.uint8),
                         replacements=_NO_IDS, pred_positions=predictions,
                         pred_originals=ids[predictions], duplicate_index=dup,
                         source_sequence=source_sequence)
 
-    if m_pred == m_corr:
-        positions = sampler(maskable, c, rng)
-        return [make_plan(positions, positions, 0)]
-    if m_pred < m_corr:
-        positions = sampler(maskable, c, rng)
-        subset = (np.sort(rng.choice(positions, size=p, replace=False))
-                  if p < len(positions) else positions)
-        return [make_plan(positions, subset, 0)]
-    if m_corr == 0.0:
-        raise ConfigError("m_pred > 0 requires m_corr > 0")
+    if m_pred <= m_corr:
+        return [make_plan(sampler(maskable, c, rng), p, 0)]
     k = int(math.ceil(m_pred / m_corr - _EPS))
     if k * c > n:
         raise InfeasibleError(
@@ -360,7 +338,7 @@ def plan_decoupled(window: TokenSequence, vocab: Vocab, sampler: Sampler,
     remaining = maskable
     for d in range(k):
         positions = sampler(remaining, c, rng)
-        plans.append(make_plan(positions, positions, d))
+        plans.append(make_plan(positions, c if d < k - 1 else p - d * c, d))
         free[positions] = False
         remaining = np.flatnonzero(free)
     return plans
@@ -407,26 +385,26 @@ def _random_replacements(count: int, vocab: Vocab, rng: np.random.Generator) -> 
     return draws + _special_thresholds(vocab.special_ids).searchsorted(draws, "right")
 
 
-def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same: float,
-                 vocab: Vocab, rng: np.random.Generator, window: TokenSequence,
-                 sampling: str = "exact") -> MaskPlan:
+def apply_policy(plan: MaskPlan, config: MaskingConfig, vocab: Vocab,
+                 rng: np.random.Generator, window: TokenSequence) -> MaskPlan:
     """Partition a plan's mask actions into mask/random/same replacements.
 
-    Counts follow exact largest-remainder apportionment (or per-token
-    draws when sampling="bernoulli"). The drawn kinds go to the plan's
-    positions in a random permutation order, and random replacements are
-    handed out in that same order. extra_same adds same-token predictions
-    on previously untouched maskable positions; those join the prediction
-    set but are never corrupted. The plan's positions and predictions must
-    be ascending, as ``plan_decoupled`` makes them.
+    Counts follow exact largest-remainder apportionment of config.policy
+    (or per-token draws under policy_sampling="bernoulli"). The drawn kinds
+    go to the plan's positions in a random permutation order, and random
+    replacements are handed out in that same order. extra_same adds
+    same-token predictions on previously untouched maskable positions; those
+    join the prediction set but are never corrupted. The plan's positions
+    and predictions must be ascending, as ``plan_decoupled`` makes them.
     """
     if plan.kinds.any():
         raise DataError("apply_policy requires an all-mask plan")
     n_act = len(plan.positions)
-    if sampling == "exact":
-        drawn = _exact_kinds(n_act, tuple(policy))
+    if config.policy_sampling == "exact":
+        drawn = _exact_kinds(n_act, tuple(config.policy))
     else:
-        drawn = rng.choice(3, size=n_act, p=np.asarray(policy) / sum(policy)).astype(np.uint8)
+        drawn = rng.choice(3, size=n_act,
+                           p=np.asarray(config.policy) / sum(config.policy)).astype(np.uint8)
     perm = rng.permutation(n_act)
     positions = plan.positions
     kinds = np.empty(n_act, dtype=np.uint8)
@@ -439,8 +417,8 @@ def apply_policy(plan: MaskPlan, policy: tuple[float, float, float], extra_same:
     # positions keep their relative order under the sort below
     replacements = draws[np.argsort(random_at)]
     pred_positions, pred_originals = plan.pred_positions, plan.pred_originals
-    maskable = window.maskable_positions(vocab) if extra_same > 0 else _NO_IDS
-    e = exact_count(extra_same, len(maskable))
+    maskable = window.maskable_positions(vocab) if config.extra_same > 0 else _NO_IDS
+    e = exact_count(config.extra_same, len(maskable))
     if e:
         free = np.zeros(len(window.ids), dtype=bool)
         free[maskable] = True
@@ -539,18 +517,15 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
 
 
 def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
-                rng: np.random.Generator, pmi_vocab: PmiVocabulary | None = None,
-                source_sequence: int = 0,
-                units: np.ndarray | None = None) -> list[MaskPlan]:
+                rng: np.random.Generator, units: np.ndarray | None = None,
+                source_sequence: int = 0) -> list[MaskPlan]:
     """All plans for one window: strategy sampling, decoupling, policy.
     ``units`` is as for ``make_sampler``."""
-    sampler = make_sampler(window, vocab, config, pmi_vocab, units)
-    plans = plan_decoupled(window, vocab, sampler, config.corruption_rate,
-                           config.prediction_rate, rng, source_sequence)
+    plans = plan_decoupled(window, vocab, make_sampler(config, units), config, rng,
+                           source_sequence)
     if config.policy != (1.0, 0.0, 0.0) or config.extra_same > 0.0 \
             or config.policy_sampling == "bernoulli":
-        plans = [apply_policy(p, config.policy, config.extra_same, vocab, rng,
-                              window, config.policy_sampling) for p in plans]
+        plans = [apply_policy(p, config, vocab, rng, window) for p in plans]
     return plans
 
 
@@ -570,8 +545,8 @@ def generate_plans(ds: PackedDataset, config: MaskingConfig,
         else:
             units = [None] * len(block)
         plans = [plan for (idx, rng), window_units in zip(block, units)
-                 for plan in plan_window(ds[idx], ds.vocab, config, rng, pmi_vocab,
-                                         source_sequence=idx, units=window_units)]
+                 for plan in plan_window(ds[idx], ds.vocab, config, rng, window_units,
+                                         source_sequence=idx)]
         if plans:
             yield plans
 

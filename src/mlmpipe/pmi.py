@@ -121,7 +121,7 @@ class PmiVocabulary:
         flat = ids.ravel()
         room = (np.broadcast_to(np.arange(L, 0, -1), ids.shape) if room is None
                 else room).ravel()
-        code, known = _lookup(tokens, flat)
+        code, known = sorted_lookup(tokens, flat)
         pos = np.flatnonzero(known & (room >= 2))
         rank = code[pos]
         found_pos, found_len = [_NO_POS], [_NO_POS]
@@ -131,7 +131,7 @@ class PmiVocabulary:
             last = pos + n - 1
             fits = known[last]
             pos, rank, last = pos[fits], rank[fits], last[fits]
-            at, hit = _lookup(keys, rank * len(tokens) + code[last])
+            at, hit = sorted_lookup(keys, rank * len(tokens) + code[last])
             pos, rank = pos[hit], at[hit]
             entry = is_entry[rank]
             found_pos.append(pos[entry])
@@ -219,7 +219,7 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranks, np.diff(starts, append=len(keys)), order[starts]
 
 
-def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sorted_lookup(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each needle's index in the sorted array ``keys`` (clipped to its last
     element) and whether the needle is there. The needles are searched in
     sorted order, for which ``searchsorted`` runs several times faster."""

@@ -3,7 +3,8 @@ import pytest
 
 from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, Window, load_tokens,
                             pack_sequences)
-from mlmpipe.masking import MaskPlan, materialize
+from mlmpipe.masking import UNIT_STRATEGIES, MaskPlan, materialize
+from mlmpipe.pmi import segment_block
 
 # specials: pad=0, sep=1, mask=2; ordinary tokens start at 3
 VOCAB = Vocab(size=100, mask_id=2, pad_id=0, sep_id=1)
@@ -26,6 +27,20 @@ def full_window(L=128, vocab=VOCAB, rng=None):
     rng = rng or np.random.default_rng(0)
     ids = rng.integers(3, vocab.size, size=L)
     return make_window(ids)
+
+
+def rates(corruption, prediction=None):
+    """MaskingConfig keywords for the two rates; one rate sets both."""
+    return {"corruption_rate": corruption,
+            "prediction_rate": corruption if prediction is None else prediction}
+
+
+def window_units(window, config, pmi_vocab=None, vocab=VOCAB):
+    """The window's ``segment_block`` unit array under a unit strategy, else None."""
+    if config.strategy not in UNIT_STRATEGIES:
+        return None
+    return segment_block(window.ids[np.newaxis], window.word_starts[np.newaxis], vocab,
+                         config.strategy, pmi_vocab)[0]
 
 
 def random_docs(n_docs, doc_len, vocab=VOCAB, seed=0):

@@ -28,7 +28,7 @@ from mlmpipe.pmi import (build_vocab, count_ngrams, count_ngrams_sharded,
                          pmi_score)
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, materialize_one, mean_run_length
+from conftest import VOCAB, materialize_one, mean_run_length, rates
 
 
 def report(num, desc, ok, detail=""):
@@ -50,7 +50,7 @@ def test_criterion_1_count_exactness():
     start = time.perf_counter()
     ok = True
     for m in (0.15, 0.20, 0.40, 0.80):
-        cfg = MaskingConfig(m=m, seed=11)
+        cfg = MaskingConfig(**rates(m), seed=11)
         expected = exact_count(m, L)
         for idx in range(n_windows):
             rng = substream(cfg.seed, 0, idx)
@@ -64,11 +64,11 @@ def test_criterion_1_count_exactness():
 
 
 def test_criterion_2_effective_rate_arithmetic():
-    corr, pred = effective_rates(MaskingConfig(m=0.40, policy=(0.8, 0.1, 0.1)))
+    corr, pred = effective_rates(MaskingConfig(**rates(0.40), policy=(0.8, 0.1, 0.1)))
     ok = abs(corr - 0.36) < 1e-12 and abs(pred - 0.36) < 1e-12
 
     ds = full_windows(1, 128, seed=2)
-    cfg = MaskingConfig(m=0.40, extra_same=0.05, seed=3)
+    cfg = MaskingConfig(**rates(0.40), extra_same=0.05, seed=3)
     [plan] = next(generate_plans(ds, cfg))     # one window: one block of one plan
     n_pred = len(plan.pred_positions)
     ok = ok and n_pred == 57 and len(plan.corrupted_positions) == 51
@@ -82,14 +82,14 @@ def test_criterion_3_decoupling():
     for idx in range(1000):
         rng = substream(21, 0, idx)
         plans = plan_decoupled(ds[idx], VOCAB, sample_uniform,
-                               0.20, 0.40, rng, source_sequence=idx)
+                               MaskingConfig(**rates(0.20, 0.40)), rng, source_sequence=idx)
         sets = [set(p.positions.tolist()) for p in plans]
         if len(plans) != 2 or any(len(s) != 25 for s in sets) or (sets[0] & sets[1]):
             ok = False
             break
     raised = False
     try:
-        plan_decoupled(ds[0], VOCAB, sample_uniform, 0.40, 0.90,
+        plan_decoupled(ds[0], VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.90)),
                        substream(21, 0, 0))
     except InfeasibleError:
         raised = True
@@ -170,7 +170,7 @@ def test_criterion_5_figure7_qualitative(desk_corpus):
     subset = PackedDataset(ids=ds.ids[:4000], word_starts=ds.word_starts[:4000], vocab=VOCAB)
     cov = {}
     for strategy, m in (("uniform", 0.15), ("uniform", 0.40), ("pmi", 0.15)):
-        cfg = MaskingConfig(strategy=strategy, m=m, seed=13)
+        cfg = MaskingConfig(strategy=strategy, **rates(m), seed=13)
         by_length = pmi_coverage(generate_blocks(subset, cfg, pmi_vocab), pmi_vocab)
         # overall: every occurrence of every length counts once
         cov[(strategy, m)] = (sum(c.fully_masked_count for c in by_length.values())
@@ -188,7 +188,7 @@ def test_criterion_6_span_statistics():
     ds = full_windows(10_000, 128, seed=6)
     means = {}
     for m in (0.40, 0.80):
-        cfg = MaskingConfig(strategy="span", m=m, mean_span=3.0, seed=17)
+        cfg = MaskingConfig(strategy="span", **rates(m), mean_span=3.0, seed=17)
         means[m] = mean_run_length(span_histogram(generate_blocks(ds, cfg)))
     ok = 2.5 <= means[0.40] <= 3.5 and means[0.80] > 3.5
     report(6, "span strategy mean run length in [2.5, 3.5] at m=0.40 and "
@@ -198,7 +198,7 @@ def test_criterion_6_span_statistics():
 
 def test_criterion_7_perplexity_contracts():
     ds = full_windows(20, 128, seed=7)  # 2560 tokens <= 10k
-    cfg = MaskingConfig(m=0.15, seed=19)
+    cfg = MaskingConfig(**rates(0.15), seed=19)
     ppl_uniform = masked_perplexity(generate_blocks(ds, cfg),
                                     make_scorer("uniform", vocab_size=VOCAB.size))
     uniform_ok = abs(ppl_uniform - VOCAB.size) / VOCAB.size < 1e-12
@@ -307,7 +307,7 @@ def test_criterion_10_cli_determinism(desk_corpus, tmp_path):
     # the same lines from plans made by an 8-worker pool, one window per
     # task, each from its own (seed, epoch, index) substream
     ds = load_packed(tmp_path / "p1.jsonl")
-    cfg = MaskingConfig(m=0.4, policy=(0.8, 0.1, 0.1), seed=23)
+    cfg = MaskingConfig(**rates(0.4), policy=(0.8, 0.1, 0.1), seed=23)
     order = [idx for idx, _ in epoch_stream(ds, 23, 0)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         planned = list(pool.map(lambda idx: plan_window(

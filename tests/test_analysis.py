@@ -21,7 +21,7 @@ from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingCon
 from mlmpipe.pmi import PmiVocabulary
 
 from conftest import (VOCAB, make_window, mask_plan, materialize_one, mean_run_length,
-                      packed_dataset)
+                      packed_dataset, rates)
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size))
 
@@ -64,19 +64,19 @@ class SpyScorer:
 class TestMaskedPerplexity:
     def test_uniform_scorer_gives_vocab_size(self):
         ds = packed_dataset(n_docs=10)
-        cfg = MaskingConfig(m=0.15, seed=1)
+        cfg = MaskingConfig(**rates(0.15), seed=1)
         ppl = masked_perplexity(generate_blocks(ds, cfg), uniform(100))
         assert ppl == pytest.approx(100.0, rel=1e-12)
 
     def test_oracle_scorer_gives_one(self):
         ds = packed_dataset(n_docs=5)
-        cfg = MaskingConfig(m=0.15, seed=1)
+        cfg = MaskingConfig(**rates(0.15), seed=1)
         assert masked_perplexity(generate_blocks(ds, cfg), ORACLE) == pytest.approx(1.0, rel=1e-12)
 
     def test_unigram_matches_brute_force(self):
         # independent oracle: recompute -mean log p from the same plan stream
         ds = packed_dataset(n_docs=12)
-        cfg = MaskingConfig(m=0.15, seed=4)
+        cfg = MaskingConfig(**rates(0.15), seed=4)
         scorer = make_scorer("unigram", ds=ds)
         ppl = masked_perplexity(generate_blocks(ds, cfg), scorer)
 
@@ -99,14 +99,14 @@ class TestMaskedPerplexity:
 
         ds = packed_dataset(n_docs=3)
         with pytest.raises(DataError, match="log-probability 0.1 > 0"):
-            masked_perplexity(generate_blocks(ds, MaskingConfig(m=0.15)), Broken())
+            masked_perplexity(generate_blocks(ds, MaskingConfig(**rates(0.15))), Broken())
 
     def test_sums_left_to_right(self):
         # a case where a compensated (math.fsum, builtin sum on Python >= 3.12)
         # or a pairwise (np.sum) sum gives other bits than adding one value
         # at a time
         ds = packed_dataset(n_docs=12)
-        cfg = MaskingConfig(m=0.4, seed=2)
+        cfg = MaskingConfig(**rates(0.4), seed=2)
         table = -np.log1p(np.arange(VOCAB.size)) / 3
         values = [table[orig] for plan in chain.from_iterable(generate_plans(ds, cfg))
                   for orig in plan.pred_originals.tolist()]
@@ -137,8 +137,8 @@ BLOCK_PMI = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
 
 
 @given(strategy=st.sampled_from(STRATEGIES),
-       rates=st.sampled_from([{"m": 0.15}, {"m_corr": 0.2, "m_pred": 0.4},
-                              {"m_corr": 0.4, "m_pred": 0.2}, {"m_corr": 0.1, "m_pred": 0.3}]),
+       rates=st.sampled_from([rates(0.15), rates(0.2, 0.4),
+                              rates(0.4, 0.2), rates(0.1, 0.3)]),
        policy=st.sampled_from([(1.0, 0.0, 0.0), (0.8, 0.1, 0.1), (0.5, 0.5, 0.0)]),
        policy_sampling=st.sampled_from(["exact", "bernoulli"]),
        extra_same=st.sampled_from([0.0, 0.05]),
@@ -310,7 +310,7 @@ class TestCoverage:
     def test_zero_rate_zero_coverage(self):
         ds = packed_dataset(n_docs=5)
         pv = PmiVocabulary(entries={(7, 8): 1.0})
-        cfg = MaskingConfig(m=0.0, seed=0)
+        cfg = MaskingConfig(**rates(0.0), seed=0)
         report = pmi_coverage(generate_blocks(ds, cfg), pv)
         for cell in report.values():
             assert cell.fully_masked_count == 0
@@ -326,7 +326,7 @@ class TestCoverage:
             for i in range(127):
                 entries[(int(w.ids[i]), int(w.ids[i + 1]))] = 1.0
         pv = PmiVocabulary(entries=entries)
-        cfg = MaskingConfig(m=0.40, seed=2)
+        cfg = MaskingConfig(**rates(0.40), seed=2)
         report = pmi_coverage(generate_blocks(ds, cfg), pv)
         expected = 51 * 50 / (128 * 127)
         assert report[2].probability == pytest.approx(expected, rel=0.05)
@@ -350,7 +350,7 @@ class TestCoverage:
         held, order = [], []
 
         def blocks():
-            for block in generate_blocks(ds, MaskingConfig(m_corr=0.2, m_pred=0.4, seed=1)):
+            for block in generate_blocks(ds, MaskingConfig(**rates(0.2, 0.4), seed=1)):
                 held.append(sum(ref() is not None for ref in alive))
                 order.extend(block.source_sequence[block.duplicate_index == 0].tolist())
                 yield block
@@ -380,7 +380,7 @@ class TestSpanHistogram:
         from conftest import full_window, packed
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(10_000)]
         ds = packed(wins)
-        cfg = MaskingConfig(m=0.15, seed=8)
+        cfg = MaskingConfig(**rates(0.15), seed=8)
         total = 0
         n_runs = 0
         for plan in chain.from_iterable(generate_plans(ds, cfg)):
@@ -406,7 +406,7 @@ class TestSpanHistogram:
         from conftest import full_window, packed
         wins = [full_window(rng=np.random.default_rng(i)) for i in range(2000)]
         ds = packed(wins)
-        cfg = MaskingConfig(strategy="span", m=0.40, mean_span=3.0, seed=8)
+        cfg = MaskingConfig(strategy="span", **rates(0.40), mean_span=3.0, seed=8)
         hist = span_histogram(generate_blocks(ds, cfg))
         assert 2.5 <= mean_run_length(hist) <= 3.5
 
@@ -506,7 +506,7 @@ class TestExternScorer:
         # one-row blocks of the per-plan reference send the same bytes
         script = tmp_path / "echo.py"
         script.write_text(ECHO_SCRIPT)
-        cfg = MaskingConfig(strategy="span", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1),
+        cfg = MaskingConfig(strategy="span", **rates(0.2, 0.4), policy=(0.8, 0.1, 0.1),
                             extra_same=0.05, seed=5)
         results, logs = [], []
         for name, perplexity in (
@@ -554,15 +554,29 @@ class TestTokenScorer:
         assert uniform(size).log_probs(block).tolist() == [-math.log(size)] * 2
 
     def test_unigram_table_is_sized_by_the_corpus(self):
-        # the header declares a huge vocabulary; the table reaches the largest
-        # id of the corpus, and pad and sep get no count
+        # the header declares a huge vocabulary; the table holds one entry per
+        # distinct id of the corpus, and pad and sep get none
         vocab = Vocab(size=10 ** 18, mask_id=2, pad_id=0, sep_id=1)
         ds = PackedDataset(ids=np.array([[5, 6, 5, 1], [6, 5, 0, 0]]),
                            word_starts=np.ones((2, 4), dtype=bool), vocab=vocab)
-        table = make_scorer("unigram", ds=ds, vocab_size=vocab.size).logp
-        assert len(table) == 7
-        assert table[5] == math.log(3 / 5) and table[6] == math.log(2 / 5)
-        assert np.isnan(table[[0, 1, 2, 3, 4]]).all()
+        scorer = make_scorer("unigram", ds=ds, vocab_size=vocab.size)
+        assert scorer.ids.tolist() == [5, 6]
+        assert scorer.logp.tolist() == [math.log(3 / 5), math.log(2 / 5)]
+
+    def test_unigram_table_does_not_follow_the_largest_id(self):
+        # an id near the declared size costs one entry, like any other; a
+        # target the corpus lacks still has no count
+        big = 10 ** 17
+        vocab = Vocab(size=10 ** 18, mask_id=2, pad_id=0, sep_id=1)
+        ds = PackedDataset(ids=np.array([[5, big, 5, 1], [big, 7, 0, 0]]),
+                           word_starts=np.ones((2, 4), dtype=bool), vocab=vocab)
+        scorer = make_scorer("unigram", ds=ds, vocab_size=vocab.size)
+        assert scorer.ids.tolist() == [5, 7, big]
+        block = materialize_one(make_window([5, big, 7]), mask_plan([1, 2], [(1, big), (2, 7)]))
+        assert scorer.log_probs(block).tolist() == [math.log(2 / 5), math.log(1 / 5)]
+        block = materialize_one(make_window([5, big - 1]), mask_plan([1], [(1, big - 1)]))
+        with pytest.raises(DataError, match=f"^scorer has no count for token {big - 1}$"):
+            scorer.log_probs(block)
 
     def test_uniform_needs_a_positive_size(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, load_packed, sa
 from mlmpipe.masking import MaskingConfig, generate_plans
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, materialize_one, random_docs
+from conftest import VOCAB, materialize_one, random_docs, rates
 
 VOCAB_FLAGS = ["--vocab-size", str(VOCAB.size), "--mask-id", str(VOCAB.mask_id),
                "--pad-id", str(VOCAB.pad_id), "--sep-id", str(VOCAB.sep_id)]
@@ -160,7 +160,7 @@ class TestMask:
                     "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"]) == 0
         ds = load_packed(packed)
         assert len(ds) > 2 * masking.BLOCK_EXAMPLES
-        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=9)
+        cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), seed=9)
         examples = [materialize_one(ds[plan.source_sequence], plan, ds.vocab)
                     for epoch in (0, 1) for plans in generate_plans(ds, cfg, epoch=epoch)
                     for plan in plans]
@@ -175,7 +175,9 @@ class TestMask:
 
     def test_bad_rate_is_usage_error(self, tmp_path, packed_path, capsys):
         for flag in (["--mask-rate", "1.5"], ["--p-mask", "1.5"], ["--p-rand", "-0.1"],
-                     ["--p-same", "nan"], ["--mean-span", "nan"]):
+                     ["--p-same", "nan"], ["--mean-span", "nan"],
+                     ["--mask-rate", "1.5", "--corruption-rate", "0.2",
+                      "--prediction-rate", "0.3"]):
             rc = run(["mask", "--input", str(packed_path),
                       "--output", str(tmp_path / "o"), "--strategy", "span"] + flag)
             err = capsys.readouterr().err
@@ -270,6 +272,94 @@ class TestMask:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "unrecognized arguments: --mask-r" in err
         assert not out.exists()
+
+
+class TestRealizedRates:
+    """The counts read back from `mask` output against the exact per-window
+    budgets, and their totals against ``effective_rates``."""
+
+    # a random replacement equal to the original id would read as SAME; over
+    # a million ids none occurs at these seeds, so every kind can be counted
+    WIDE = ["--vocab-size", "1000000", *VOCAB_FLAGS[2:]]
+
+    @pytest.fixture
+    def wide_packed(self, tmp_path, corpus_path):
+        out = tmp_path / "wide.jsonl"
+        assert run(["pack", "--input", str(corpus_path), "--output", str(out)]
+                   + self.WIDE) == 0
+        return out
+
+    @staticmethod
+    def expected(n, config, dup, k):
+        """(mask, random, same, predicted) for duplicate `dup` of `k` of a
+        window with n maskable positions, under exact apportionment."""
+        c = masking.exact_count(config.corruption_rate, n)
+        p = masking.exact_count(config.prediction_rate, n)
+        e = masking.exact_count(config.extra_same, n)
+        n_mask, n_random, n_same = masking.largest_remainder(c, config.policy)
+        predicted = min(c, p - dup * c)
+        return n_mask, n_random, n_same + e, predicted + e
+
+    @pytest.mark.parametrize("flags, k", [
+        (["--mask-rate", "0.4", "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"], 1),
+        (["--strategy", "whole_word", "--mask-rate", "0.3", "--p-mask", "0.8",
+          "--p-rand", "0.1", "--p-same", "0.1", "--extra-same", "0.05"], 1),
+        (["--mask-rate", "0.4", "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1",
+          "--policy-sampling", "bernoulli"], 1),
+        (["--strategy", "span", "--corruption-rate", "0.45", "--prediction-rate", "0.3"], 1),
+        (["--strategy", "whole_word", "--corruption-rate", "0.2", "--prediction-rate", "0.4",
+          "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"], 2),
+        (["--strategy", "span", "--corruption-rate", "0.2", "--prediction-rate", "0.3"], 2),
+    ], ids=["80-10-10", "extra-same", "bernoulli", "0.45-0.3", "0.2-0.4", "0.2-0.3"])
+    def test_counts_match_the_budgets(self, tmp_path, wide_packed, flags, k):
+        out = tmp_path / "masked.jsonl"
+        assert run(["--seed", "5", "mask", "--input", str(wide_packed), "--output", str(out),
+                    *flags]) == 0
+        header, *lines = out.read_text().splitlines()
+        args = json.loads(header)["_config"]
+        corr, pred = (args["mask_rate"] if args[f"{which}_rate"] is None
+                      else args[f"{which}_rate"] for which in ("corruption", "prediction"))
+        config = MaskingConfig(**rates(corr, pred),
+                               policy=(args["p_mask"], args["p_rand"], args["p_same"]),
+                               extra_same=args["extra_same"],
+                               policy_sampling=args["policy_sampling"])
+        bernoulli = config.policy_sampling == "bernoulli"
+        ds = load_packed(wide_packed)
+        special = (ds.ids == VOCAB.pad_id) | (ds.ids == VOCAB.sep_id)
+        maskable = (~special).sum(axis=1)
+        corrupted = predicted = examples_n = windows_n = 0
+        dups = {}
+        for line in lines:
+            rec = json.loads(line)
+            src, dup = rec["src"], rec["dup"]
+            dups.setdefault(src, []).append(dup)
+            ids, seq = ds.ids[src], np.array(rec["seq"])
+            targets = [q for q, _ in rec["targets"]]
+            n = int(maskable[src])
+            n_mask = int((seq == VOCAB.mask_id).sum())
+            n_random = int(((seq != ids) & (seq != VOCAB.mask_id)).sum())
+            n_same = int((seq[targets] == ids[targets]).sum())
+            want = self.expected(n, config, dup, k)
+            if bernoulli:
+                # per-token kinds: only their total is fixed
+                assert (n_mask + n_random + n_same, len(targets)) == (sum(want[:3]), want[3])
+            else:
+                assert (n_mask, n_random, n_same, len(targets)) == want, (src, dup)
+            corrupted += n_mask + n_random
+            predicted += int((seq[targets] != ids[targets]).sum())
+            examples_n += n
+            windows_n += n * (dup == 0)
+        assert sorted(dups) == list(range(len(ds)))
+        assert all(d == list(range(k)) for d in dups.values())
+        # floor and largest-remainder rounding move each example's corrupted
+        # count, and each window's predicted count, by less than 2 per duplicate
+        want_corr, want_pred = masking.effective_rates(config)
+        slack = 2 * len(lines)
+        if bernoulli:
+            q = config.policy[0] + config.policy[1]
+            slack += 4 * math.sqrt(corrupted * (1 - q))     # 4 sigma of a binomial total
+        assert abs(corrupted - want_corr * examples_n) <= slack
+        assert abs(predicted - want_pred * windows_n) <= slack
 
 
 class TestSeedAndEpochs:
@@ -685,6 +775,21 @@ class TestScoring:
                                 "unigram", "--mask-rate", rate]) == 0
                     values.append(json.loads(capsys.readouterr().out)["perplexity"])
                 assert values[0] == values[1]
+
+    def test_ppl_unigram_scores_an_id_near_the_declared_size(self, tmp_path, packed_path,
+                                                             capsys):
+        # a header allowing 10**18 and a window holding 10**17: the table holds
+        # one entry per distinct id, not one per id up to the largest
+        header, *rows = packed_path.read_text().splitlines()
+        meta = json.loads(header)
+        meta["vocab"]["size"] = 10 ** 18
+        window = json.loads(rows[0])
+        window["ids"][0] = 10 ** 17
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text("\n".join([json.dumps(meta), json.dumps(window), *rows[1:]]) + "\n")
+        assert run(["ppl", "--input", str(huge), "--scorer", "unigram",
+                    "--mask-rate", "1.0"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["perplexity"])
 
     @pytest.mark.parametrize("size", HUGE_SIZES)
     def test_pll_unigram_table_is_sized_by_the_corpus(self, tmp_path, packed_path, capsys,

@@ -20,7 +20,7 @@ from mlmpipe.pmi import PmiVocabulary, segment_units
 from mlmpipe.rng import substream
 
 from conftest import (VOCAB, full_window, make_window, mask_plan, materialize_one, packed,
-                      packed_dataset)
+                      packed_dataset, rates, window_units)
 
 
 def rng_for(i=0):
@@ -34,7 +34,7 @@ class TestConfig:
 
     def test_rate_range(self):
         with pytest.raises(ConfigError):
-            MaskingConfig(m=1.5)
+            MaskingConfig(**rates(1.5))
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -42,11 +42,11 @@ class TestConfig:
 
     def test_zero_corruption_with_prediction(self):
         with pytest.raises(ConfigError):
-            MaskingConfig(m_corr=0.0, m_pred=0.2)
+            MaskingConfig(**rates(0.0, 0.2))
 
     def test_coupled_rates_default(self):
-        cfg = MaskingConfig(m=0.3)
-        assert cfg.corruption_rate == cfg.prediction_rate == 0.3
+        cfg = MaskingConfig()
+        assert cfg.corruption_rate == cfg.prediction_rate == 0.15
 
 
 class TestSampleUniform:
@@ -295,7 +295,8 @@ class TestSampleUnits:
 class TestPlanDecoupled:
     def test_coupled_predicts_all(self):
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, 0.15, 0.15, rng_for())
+        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.15)),
+                               rng_for())
         assert len(plans) == 1
         assert len(plans[0].positions) == 19
         assert plans[0].pred_positions.tolist() == plans[0].positions.tolist()
@@ -303,7 +304,8 @@ class TestPlanDecoupled:
     def test_lower_prediction_rate(self):
         # mask 40% (51), predict on 20% (25)
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, 0.40, 0.20, rng_for())
+        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.20)),
+                               rng_for())
         assert len(plans) == 1
         assert len(plans[0].positions) == 51
         assert len(plans[0].pred_positions) == 25
@@ -311,9 +313,10 @@ class TestPlanDecoupled:
         assert all(p in positions for p in plans[0].pred_positions.tolist())
 
     def test_duplicates_disjoint(self):
-        # m_corr=0.20, m_pred=0.40 -> 2 plans of 25, disjoint
+        # corruption 0.20, prediction 0.40 -> 2 plans of 25, disjoint
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, 0.20, 0.40, rng_for())
+        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.20, 0.40)),
+                               rng_for())
         assert len(plans) == 2
         sets = [set(p.positions.tolist()) for p in plans]
         assert all(len(s) == 25 for s in sets)
@@ -325,14 +328,16 @@ class TestPlanDecoupled:
     def test_ceil_of_exact_ratio(self):
         # 0.40 / 0.20 must give k=2, not 3 (float division artifact)
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, 0.20, 0.40, rng_for())
+        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.20, 0.40)),
+                               rng_for())
         assert len(plans) == 2
 
     def test_infeasible_disjointness(self):
         # 0.40, 0.90 -> k=3, 3*51=153 > 128
         win = full_window()
         with pytest.raises(InfeasibleError):
-            plan_decoupled(win, VOCAB, sample_uniform, 0.40, 0.90, rng_for())
+            plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.90)),
+                           rng_for())
 
 
 class TestLargestRemainder:
@@ -353,14 +358,18 @@ class TestLargestRemainder:
         assert all(c >= 0 for c in counts)
 
 
+def policy_config(policy, extra_same=0.0, sampling="exact"):
+    return MaskingConfig(policy=policy, extra_same=extra_same, policy_sampling=sampling)
+
+
 class TestApplyPolicy:
     def _plan(self, win, budget=51):
-        return plan_decoupled(win, VOCAB, sample_uniform, budget / 128, budget / 128,
+        return plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(budget / 128)),
                               rng_for())[0]
 
     def test_exact_apportionment(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), (0.8, 0.1, 0.1), 0.0, VOCAB,
+        plan = apply_policy(self._plan(win), policy_config((0.8, 0.1, 0.1)), VOCAB,
                             rng_for(1), win)
         kinds = plan.kinds.tolist()
         assert kinds.count(MASK) == 41
@@ -370,21 +379,21 @@ class TestApplyPolicy:
     def test_identity_policy(self):
         win = full_window()
         before = self._plan(win)
-        after = apply_policy(before, (1.0, 0.0, 0.0), 0.0, VOCAB, rng_for(1), win)
+        after = apply_policy(before, policy_config((1.0, 0.0, 0.0)), VOCAB, rng_for(1), win)
         assert after.positions.tolist() == before.positions.tolist()
         assert all(k == MASK for k in after.kinds.tolist())
 
     def test_extra_same_predictions(self):
         # m=0.40 with extra_same=0.05 -> 51 corrupted + 6 same = 57 predictions
         win = full_window()
-        plan = apply_policy(self._plan(win), (1.0, 0.0, 0.0), 0.05, VOCAB,
+        plan = apply_policy(self._plan(win), policy_config((1.0, 0.0, 0.0), 0.05), VOCAB,
                             rng_for(1), win)
         assert len(plan.pred_positions) == 57
         assert len(plan.corrupted_positions) == 51
 
     def test_random_replacements_avoid_specials(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), (0.0, 1.0, 0.0), 0.0, VOCAB,
+        plan = apply_policy(self._plan(win), policy_config((0.0, 1.0, 0.0)), VOCAB,
                             rng_for(1), win)
         assert len(plan.replacements) == len(plan.positions)
         for kind, replacement in zip(plan.kinds.tolist(), plan.replacements.tolist()):
@@ -397,30 +406,31 @@ class TestApplyPolicy:
         win = full_window()
         seen = set()
         for i in range(200):
-            plan = apply_policy(self._plan(win), (0.0, 1.0, 0.0), 0.0, VOCAB,
+            plan = apply_policy(self._plan(win), policy_config((0.0, 1.0, 0.0)), VOCAB,
                                 rng_for(i), win)
             seen.update(plan.replacements.tolist())
         assert seen == set(range(VOCAB.size)) - set(VOCAB.special_ids)
 
     def test_requires_all_mask_plan(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), (0.8, 0.1, 0.1), 0.0, VOCAB,
+        plan = apply_policy(self._plan(win), policy_config((0.8, 0.1, 0.1)), VOCAB,
                             rng_for(1), win)
         with pytest.raises(DataError):
-            apply_policy(plan, (0.8, 0.1, 0.1), 0.0, VOCAB, rng_for(2), win)
+            apply_policy(plan, policy_config((0.8, 0.1, 0.1)), VOCAB, rng_for(2), win)
 
     def test_extra_same_infeasible(self):
         win = full_window(L=10)
-        plan = plan_decoupled(win, VOCAB, sample_uniform, 0.9, 0.9, rng_for())[0]
+        plan = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.9)),
+                              rng_for())[0]
         with pytest.raises(InfeasibleError):
-            apply_policy(plan, (1.0, 0.0, 0.0), 0.5, VOCAB, rng_for(1), win)
+            apply_policy(plan, policy_config((1.0, 0.0, 0.0), 0.5), VOCAB, rng_for(1), win)
 
     def test_bernoulli_sampling_counts_vary(self):
         win = full_window()
         counts = set()
         for i in range(30):
-            plan = apply_policy(self._plan(win), (0.8, 0.1, 0.1), 0.0, VOCAB,
-                                rng_for(i), win, sampling="bernoulli")
+            config = policy_config((0.8, 0.1, 0.1), sampling="bernoulli")
+            plan = apply_policy(self._plan(win), config, VOCAB, rng_for(i), win)
             counts.add(plan.kinds.tolist().count(MASK))
         assert len(counts) > 1
 
@@ -512,6 +522,8 @@ class TestPolicyOracle:
     @pytest.mark.parametrize("policy", [(0.8, 0.1, 0.1), (0.0, 1.0, 0.0), (0.5, 0.3, 0.2)])
     @pytest.mark.parametrize("rates", [(0.4, 0.4), (0.5, 0.3)])
     def test_equals_oracle(self, sampling, extra_same, policy, rates):
+        config = MaskingConfig(corruption_rate=rates[0], prediction_rate=rates[1],
+                               policy=policy, extra_same=extra_same, policy_sampling=sampling)
         gen = np.random.default_rng(17)
         for i in range(30):
             # ordinary ids on both sides of every special, a few pad and sep
@@ -520,9 +532,9 @@ class TestPolicyOracle:
             ids[gen.random(64) < 0.1] = SCATTERED.sep_id
             ids[64 - gen.integers(0, 8):] = SCATTERED.pad_id
             win = make_window(ids)
-            plan = plan_decoupled(win, SCATTERED, sample_uniform, *rates, rng_for(i))[0]
+            plan = plan_decoupled(win, SCATTERED, sample_uniform, config, rng_for(i))[0]
             got_rng, want_rng = rng_for(1000 + i), rng_for(1000 + i)
-            got = apply_policy(plan, policy, extra_same, SCATTERED, got_rng, win, sampling)
+            got = apply_policy(plan, config, SCATTERED, got_rng, win)
             want = oracle_apply_policy(plan, policy, extra_same, SCATTERED, want_rng, win,
                                        sampling)
             assert plan_fields(got) == plan_fields(want)
@@ -531,24 +543,24 @@ class TestPolicyOracle:
 
 class TestEffectiveRates:
     def test_eighty_ten_ten(self):
-        cfg = MaskingConfig(m=0.40, policy=(0.8, 0.1, 0.1))
+        cfg = MaskingConfig(**rates(0.40), policy=(0.8, 0.1, 0.1))
         corr, pred = effective_rates(cfg)
         assert corr == pytest.approx(0.36, abs=1e-12)
         assert pred == pytest.approx(0.36, abs=1e-12)
 
     def test_all_mask_default(self):
-        cfg = MaskingConfig(m=0.40)
+        cfg = MaskingConfig(**rates(0.40))
         assert effective_rates(cfg) == (0.40, 0.40)
 
     def test_decoupled_rates(self):
-        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1))
+        cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1))
         corr, pred = effective_rates(cfg)
         assert corr == pytest.approx(0.18, abs=1e-12)
         assert pred == pytest.approx(0.36, abs=1e-12)
 
     def test_five_percent_random(self):
         # 35% mask + 5% random of all tokens = policy (0.875, 0.125, 0) at m=0.40
-        cfg = MaskingConfig(m=0.40, policy=(0.875, 0.125, 0.0))
+        cfg = MaskingConfig(**rates(0.40), policy=(0.875, 0.125, 0.0))
         corr, pred = effective_rates(cfg)
         assert corr == pytest.approx(0.40, abs=1e-12)
         assert pred == pytest.approx(0.40, abs=1e-12)
@@ -563,7 +575,8 @@ class TestMaterialize:
 
     def test_mask_actions_write_mask_id(self):
         win = full_window()
-        plan = plan_decoupled(win, VOCAB, sample_uniform, 0.15, 0.15, rng_for())[0]
+        plan = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.15)),
+                              rng_for())[0]
         block = materialize_one(win, plan)
         positions = set(plan.positions.tolist())
         for i, (orig, got) in enumerate(zip(win.ids.tolist(), block.corrupted_ids[0].tolist())):
@@ -596,7 +609,7 @@ class TestMaterialize:
 class TestStreamDeterminism:
     def test_identical_runs(self):
         ds = packed_dataset(n_docs=30)
-        cfg = MaskingConfig(m=0.4, policy=(0.8, 0.1, 0.1), extra_same=0.02, seed=9)
+        cfg = MaskingConfig(**rates(0.4), policy=(0.8, 0.1, 0.1), extra_same=0.02, seed=9)
         a = [block_fields(block) for block in generate_blocks(ds, cfg)]
         b = [block_fields(block) for block in generate_blocks(ds, cfg)]
         assert a == b
@@ -604,7 +617,7 @@ class TestStreamDeterminism:
     def test_parallel_equals_serial(self):
         # consuming per-sequence substreams out of order gives identical masks
         ds = packed_dataset(n_docs=20)
-        cfg = MaskingConfig(m=0.3, seed=5)
+        cfg = MaskingConfig(**rates(0.3), seed=5)
         serial = {p.source_sequence: p.positions.tolist()
                   for p in chain.from_iterable(generate_plans(ds, cfg))}
         scattered = {}
@@ -622,7 +635,7 @@ class TestStreamDeterminism:
     def test_exact_budget_and_no_special_positions(self, strategy, m, seed):
         ds = packed_dataset(n_docs=4, seed=seed % 17)
         pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
-        cfg = MaskingConfig(strategy=strategy, m=m, seed=seed)
+        cfg = MaskingConfig(strategy=strategy, **rates(m), seed=seed)
         for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
             maskable = set(win.maskable_positions(VOCAB).tolist())
@@ -634,7 +647,7 @@ class TestStreamDeterminism:
     def test_unit_atomicity_in_stream(self):
         ds = packed_dataset(n_docs=10, seed=3)
         pv = PmiVocabulary(entries={(7, 8): 1.0, (9, 10): 0.8})
-        cfg = MaskingConfig(strategy="pmi", m=0.3, seed=11)
+        cfg = MaskingConfig(strategy="pmi", **rates(0.3), seed=11)
         from mlmpipe.pmi import segment_units
         for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
@@ -651,10 +664,10 @@ class TestStreamDeterminism:
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("strategy, rates, k", [
-    ("uniform", {"m": 0.15}, 1),
-    ("span", {"m_corr": 0.4, "m_pred": 0.2}, 1),
-    ("uniform", {"m_corr": 0.1, "m_pred": 0.3}, 3),
-    ("pmi", {"m_corr": 0.2, "m_pred": 0.8}, 4),
+    ("uniform", rates(0.15), 1),
+    ("span", rates(0.4, 0.2), 1),
+    ("uniform", rates(0.1, 0.3), 3),
+    ("pmi", rates(0.2, 0.8), 4),
 ])
 def test_generate_plans_yields_window_blocks(block, strategy, rates, k, monkeypatch):
     # each list holds the plans of the next min(BLOCK_EXAMPLES, windows left)
@@ -696,7 +709,7 @@ def reference_plans(window, config, rng, pmi_vocab=None):
         def sampler(allowed, budget, rng):
             return oracle_sample_units(units, allowed, budget, rng)
     else:
-        sampler = make_sampler(window, VOCAB, config, pmi_vocab)
+        sampler = make_sampler(config)
     maskable = window.maskable_positions(VOCAB)
     n = len(maskable)
     c = exact_count(config.corruption_rate, n)
@@ -713,9 +726,13 @@ def reference_plans(window, config, rng, pmi_vocab=None):
     else:
         k = int(math.ceil(config.prediction_rate / config.corruption_rate - 1e-9))
         raw, remaining = [], maskable
-        for _ in range(k):
+        for d in range(k):
             positions = sampler(remaining, c, rng)
-            raw.append((positions, positions))
+            # the last duplicate predicts only what the prediction budget leaves
+            last = p - (k - 1) * c
+            predicted = rng.choice(positions, size=last, replace=False) \
+                if d == k - 1 and last < c else positions
+            raw.append((positions, predicted))
             remaining = np.setdiff1d(remaining, positions, assume_unique=True)
     plans = []
     for positions, predicted in raw:
@@ -755,20 +772,22 @@ def reference_plans(window, config, rng, pmi_vocab=None):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(strategy="uniform", m=0.15),
-    dict(strategy="span", m=0.4, policy=(0.8, 0.1, 0.1)),
-    dict(strategy="whole_word", m=0.5, policy=(0.8, 0.1, 0.1), extra_same=0.05),
-    dict(strategy="uniform", m=0.4, policy=(0.8, 0.1, 0.1), policy_sampling="bernoulli"),
-    dict(strategy="uniform", m_corr=0.4, m_pred=0.2, policy=(0.6, 0.2, 0.2)),
-    dict(strategy="pmi", m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1)),
-    dict(strategy="uniform", m_corr=0.1, m_pred=0.3, extra_same=0.05),
+    dict(strategy="uniform", **rates(0.15)),
+    dict(strategy="span", **rates(0.4), policy=(0.8, 0.1, 0.1)),
+    dict(strategy="whole_word", **rates(0.5), policy=(0.8, 0.1, 0.1), extra_same=0.05),
+    dict(strategy="uniform", **rates(0.4), policy=(0.8, 0.1, 0.1), policy_sampling="bernoulli"),
+    dict(strategy="uniform", **rates(0.4, 0.2), policy=(0.6, 0.2, 0.2)),
+    dict(strategy="pmi", **rates(0.2, 0.4), policy=(0.8, 0.1, 0.1)),
+    dict(strategy="uniform", **rates(0.1, 0.3), extra_same=0.05),
+    dict(strategy="span", **rates(0.2, 0.3), policy=(0.8, 0.1, 0.1)),
 ])
 def test_array_plans_match_reference(kw):
     ds = packed_dataset(n_docs=12, seed=5)
     pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
     config = MaskingConfig(seed=3, **kw)
     for idx, win in enumerate(ds):
-        got = plan_window(win, VOCAB, config, substream(3, 0, idx), pv, source_sequence=idx)
+        got = plan_window(win, VOCAB, config, substream(3, 0, idx),
+                          window_units(win, config, pv), source_sequence=idx)
         want = reference_plans(win, config, substream(3, 0, idx), pv)
         assert len(got) == len(want)
         for d, (plan, (actions, predictions)) in enumerate(zip(got, want)):
@@ -841,7 +860,7 @@ class TestArrayPlans:
 
     def test_block_equals_one_plan_at_a_time(self):
         ds = packed_dataset(n_docs=20)
-        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=2)
+        cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), seed=2)
         plans = list(chain.from_iterable(generate_plans(ds, cfg)))
         rows = ds.ids[[p.source_sequence for p in plans]]
         block = materialize(rows, plans, VOCAB)
@@ -892,7 +911,7 @@ class TestArrayPlans:
         # one call per block, and the blocks do not change
         ds = packed([full_window(rng=np.random.default_rng(i))
                      for i in range(2 * masking.BLOCK_EXAMPLES)])
-        cfg = MaskingConfig(m_corr=0.2, m_pred=0.4, policy=(0.8, 0.1, 0.1), seed=3)
+        cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), seed=3)
         want = [block_fields(block) for block in generate_blocks(ds, cfg)]
         calls = []
 
@@ -912,7 +931,7 @@ class TestArrayPlans:
         ds = packed_dataset(n_docs=20)
         pv = PmiVocabulary(entries={tuple(w.ids[i:i + n].tolist()): 1.0
                                     for w in ds for i, n in ((3, 2), (20, 3))})
-        cfg = MaskingConfig(strategy=strategy, m_corr=0.2, m_pred=0.4,
+        cfg = MaskingConfig(strategy=strategy, **rates(0.2, 0.4),
                             policy=(0.8, 0.1, 0.1), extra_same=0.05, seed=4)
 
         def fields(p):
@@ -924,8 +943,8 @@ class TestArrayPlans:
                  for p in chain.from_iterable(generate_plans(ds, cfg, pv, epoch=1))]
         order = [src for src, dup, *_ in whole if dup == 0]
         assert sorted(order) == list(range(len(ds)))
-        planned = {idx: plan_window(ds[idx], VOCAB, cfg, substream(4, 1, idx), pv,
-                                    source_sequence=idx)
+        planned = {idx: plan_window(ds[idx], VOCAB, cfg, substream(4, 1, idx),
+                                    window_units(ds[idx], cfg, pv), source_sequence=idx)
                    for idx in reversed(order)}
         assert [fields(p) for idx in order for p in planned[idx]] == whole
         assert len(whole) == 2 * len(ds)

@@ -29,7 +29,7 @@ from mlmpipe.errors import DataError, IntegrityError
 from mlmpipe.masking import MaskingConfig, generate_blocks, generate_plans, materialize
 from mlmpipe.pmi import PmiVocabulary, segment_block, segment_units
 
-from conftest import VOCAB, make_window, random_docs
+from conftest import VOCAB, make_window, random_docs, rates
 
 PAD, SEP = VOCAB.pad_id, VOCAB.sep_id
 
@@ -317,8 +317,8 @@ def small_dataset(seed, windows, L):
        windows=st.integers(1, 40),
        L=st.sampled_from([3, 16, 40]),
        strategy=st.sampled_from(["uniform", "span", "whole_word", "pmi"]),
-       rates=st.sampled_from([{"m": 0.15}, {"m": 0.5}, {"m_corr": 0.2, "m_pred": 0.4},
-                              {"m_corr": 0.4, "m_pred": 0.2}]),
+       rates=st.sampled_from([rates(0.15), rates(0.5), rates(0.2, 0.4),
+                              rates(0.4, 0.2)]),
        policy=st.sampled_from([(1.0, 0.0, 0.0), (0.8, 0.1, 0.1)]),
        extra_same=st.sampled_from([0.0, 0.1]),
        block=st.sampled_from([1, 7, 64]),
@@ -353,7 +353,7 @@ def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch
     # cut anywhere else give the same counts
     ds = small_dataset(3, 30, 40)
     pv = PmiVocabulary(entries={(5, 6): 1.0, (6, 7, 8): 1.0, (7,): 1.0, (SEP, 5): 1.0})
-    cfg = MaskingConfig(strategy="pmi", m_corr=0.2, m_pred=0.6, policy=(0.8, 0.1, 0.1),
+    cfg = MaskingConfig(strategy="pmi", **rates(0.2, 0.6), policy=(0.8, 0.1, 0.1),
                         extra_same=0.05, seed=9)
     monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
     blocks = list(generate_blocks(ds, cfg, pv))
