@@ -34,16 +34,11 @@ class Scorer(Protocol):
 @dataclass
 class TokenScorer:
     """Context-free scoring: a target with original id t scores the entry of
-    ``logp`` at t's place in the ascending ``ids``, or ``logp[t]`` when
-    ``ids`` is None. An id the table lacks or with a NaN entry has no count.
-    A table of zeros is the oracle."""
+    ``logp`` at t's place in the ascending ``ids``. An id the table lacks or
+    with a NaN entry has no count. A table of zeros is the oracle."""
 
     logp: np.ndarray    # float64, one entry per id of ``ids``
-    ids: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.ids is None:
-            self.ids = np.arange(len(self.logp))
+    ids: np.ndarray     # int64, ascending
 
     def log_probs(self, block: MaskedBlock) -> np.ndarray:
         targets = block.target_originals
@@ -73,9 +68,9 @@ def uniform(vocab_size: int) -> UniformScorer:
     return UniformScorer(vocab_size)
 
 
-def unigram(counts: Sequence[int], ids: np.ndarray | None = None) -> TokenScorer:
+def unigram(counts: Sequence[int], ids: np.ndarray) -> TokenScorer:
     """Maximum-likelihood unigram model from the counts of the ascending
-    token ids ``ids``, or of ids 0, 1, ... when ``ids`` is None."""
+    token ids ``ids``."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:

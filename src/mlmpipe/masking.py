@@ -280,9 +280,10 @@ def sample_units(units: np.ndarray | Sequence[tuple[int, int]], allowed: np.ndar
 Sampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 
-def make_sampler(config: MaskingConfig, units: np.ndarray | None = None) -> Sampler:
+def make_sampler(config: MaskingConfig, units: np.ndarray | None) -> Sampler:
     """Bind a strategy to a window, returning f(allowed, budget, rng). Unit
-    strategies take the window's ``segment_block`` unit array as ``units``."""
+    strategies take the window's ``segment_block`` unit array as ``units``;
+    uniform and span take None."""
     if config.strategy == "uniform":
         return sample_uniform
     if config.strategy == "span":
@@ -517,7 +518,7 @@ def materialize(rows: np.ndarray, plans: Sequence[MaskPlan], vocab: Vocab) -> Ma
 
 
 def plan_window(window: TokenSequence, vocab: Vocab, config: MaskingConfig,
-                rng: np.random.Generator, units: np.ndarray | None = None,
+                rng: np.random.Generator, units: np.ndarray | None,
                 source_sequence: int = 0) -> list[MaskPlan]:
     """All plans for one window: strategy sampling, decoupling, policy.
     ``units`` is as for ``make_sampler``."""

@@ -54,7 +54,7 @@ def test_criterion_1_count_exactness():
         expected = exact_count(m, L)
         for idx in range(n_windows):
             rng = substream(cfg.seed, 0, idx)
-            plan = plan_window(ds[idx], VOCAB, cfg, rng)[0]
+            plan = plan_window(ds[idx], VOCAB, cfg, rng, None)[0]
             if len(plan.positions) != expected:
                 ok = False
                 break
@@ -221,13 +221,13 @@ def test_criterion_7_perplexity_contracts():
 
 def test_criterion_8_pll_contracts():
     sentences = [[10, 11, 12, 13], [20, 21], [30]]
-    oracle = TokenScorer(np.zeros(VOCAB.size))
+    oracle = TokenScorer(np.zeros(VOCAB.size), np.arange(VOCAB.size))
     oracle_ok = all(pll_score(s, oracle, VOCAB) == 0.0 for s in sentences)
 
     # oracle-consistent scorer: good sentences use frequent tokens
     counts = np.zeros(VOCAB.size, dtype=np.int64)
     counts[10:20], counts[20:30] = 1000, 1
-    scorer = unigram(counts)
+    scorer = unigram(counts, np.arange(VOCAB.size))
     pairs = [([10, 11], [20, 21]), ([12, 13, 14], [22, 23, 24])]
     acc = minimal_pair_accuracy(pairs, scorer, VOCAB)
 
@@ -311,7 +311,7 @@ def test_criterion_10_cli_determinism(desk_corpus, tmp_path):
     order = [idx for idx, _ in epoch_stream(ds, 23, 0)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         planned = list(pool.map(lambda idx: plan_window(
-            ds[idx], ds.vocab, cfg, substream(23, 0, idx), source_sequence=idx),
+            ds[idx], ds.vocab, cfg, substream(23, 0, idx), None, source_sequence=idx),
             order))
     examples = [materialize_one(ds[plan.source_sequence], plan, ds.vocab)
                 for plans in planned for plan in plans]

@@ -23,14 +23,7 @@ from mlmpipe.pmi import PmiVocabulary
 from conftest import (VOCAB, make_window, mask_plan, materialize_one, mean_run_length,
                       packed_dataset, rates)
 
-ORACLE = TokenScorer(np.zeros(VOCAB.size))
-
-
-def unigram_counts(counts: dict[int, int]) -> np.ndarray:
-    """A {token id: count} map as the per-id count array ``unigram`` takes."""
-    table = np.zeros(VOCAB.size, dtype=np.int64)
-    table[list(counts)] = list(counts.values())
-    return table
+ORACLE = TokenScorer(np.zeros(VOCAB.size), np.arange(VOCAB.size))
 
 
 def block_rows(block):
@@ -115,7 +108,7 @@ class TestMaskedPerplexity:
             total += v
         for other in (math.fsum(values), float(np.sum(values))):
             assert math.exp(-other / len(values)) != math.exp(-total / len(values))
-        assert masked_perplexity(generate_blocks(ds, cfg), TokenScorer(table)) == \
+        assert masked_perplexity(generate_blocks(ds, cfg), TokenScorer(table, np.arange(VOCAB.size))) == \
             math.exp(-total / len(values))
 
 
@@ -170,7 +163,7 @@ class TestPllScore:
 
     def test_unigram_is_sum_of_unigram_logs(self):
         counts = {5: 3, 6: 1, 7: 6}
-        scorer = unigram(unigram_counts(counts))
+        scorer = unigram(list(counts.values()), np.array(list(counts)))
         sent = [5, 6, 7, 5]
         expected = sum(math.log(counts[t] / 10) for t in sent)
         assert pll_score(sent, scorer, VOCAB) == pytest.approx(expected, rel=1e-12)
@@ -201,7 +194,7 @@ class TestPllScore:
 
     def test_positive_logprob_rejected(self):
         with pytest.raises(DataError, match=r"^scorer returned log-probability 0\.5 > 0$"):
-            pll_score([5, 6, 7], TokenScorer(np.full(VOCAB.size, 0.5)), VOCAB)
+            pll_score([5, 6, 7], TokenScorer(np.full(VOCAB.size, 0.5), np.arange(VOCAB.size)), VOCAB)
 
     def test_sums_left_to_right(self):
         # -1 then many tiny values: adding one at a time drops every tiny
@@ -213,7 +206,7 @@ class TestPllScore:
         for t in sent:
             total += table[t]
         assert math.fsum(table[sent]) != total
-        assert pll_score(sent, TokenScorer(table), VOCAB) == total == -1.0
+        assert pll_score(sent, TokenScorer(table, np.arange(VOCAB.size)), VOCAB) == total == -1.0
 
 
 class TestMinimalPairs:
@@ -542,7 +535,7 @@ class TestExternScorer:
 class TestTokenScorer:
     def test_unigram_table_is_one_math_log_per_id(self):
         counts = [0, 3, 0, 7, 1, 10 ** 6]
-        table = unigram(counts).logp
+        table = unigram(counts, np.arange(len(counts))).logp
         total = sum(counts)
         assert np.isnan(table[[0, 2]]).all()
         assert [table[i] for i in (1, 3, 4, 5)] == [math.log(c / total) for c in (3, 7, 1, 10 ** 6)]
@@ -584,10 +577,10 @@ class TestTokenScorer:
 
     def test_unigram_needs_a_count(self):
         with pytest.raises(DataError, match="non-empty"):
-            unigram([0, 0])
+            unigram([0, 0], np.arange(2))
 
     def test_the_first_token_without_a_count_is_named(self):
-        scorer = unigram([0, 1, 0, 0, 0, 1, 1, 0, 0, 0])
+        scorer = unigram([0, 1, 0, 0, 0, 1, 1, 0, 0, 0], np.arange(10))
         block = MaskedBlock(original_ids=np.array([[5, 7, 6, 3]]),
                             corrupted_ids=np.array([[5, 2, 6, 2]]),
                             corrupted=np.array([[False, True, False, True]]),

@@ -276,18 +276,9 @@ class TestMask:
 
 class TestRealizedRates:
     """The counts read back from `mask` output against the exact per-window
-    budgets, and their totals against ``effective_rates``."""
-
-    # a random replacement equal to the original id would read as SAME; over
-    # a million ids none occurs at these seeds, so every kind can be counted
-    WIDE = ["--vocab-size", "1000000", *VOCAB_FLAGS[2:]]
-
-    @pytest.fixture
-    def wide_packed(self, tmp_path, corpus_path):
-        out = tmp_path / "wide.jsonl"
-        assert run(["pack", "--input", str(corpus_path), "--output", str(out)]
-                   + self.WIDE) == 0
-        return out
+    budgets, and their totals against ``effective_rates``. A random
+    replacement that draws the original id reads as SAME, so the output fixes
+    only the total of random and same."""
 
     @staticmethod
     def expected(n, config, dup, k):
@@ -311,9 +302,9 @@ class TestRealizedRates:
           "--p-mask", "0.8", "--p-rand", "0.1", "--p-same", "0.1"], 2),
         (["--strategy", "span", "--corruption-rate", "0.2", "--prediction-rate", "0.3"], 2),
     ], ids=["80-10-10", "extra-same", "bernoulli", "0.45-0.3", "0.2-0.4", "0.2-0.3"])
-    def test_counts_match_the_budgets(self, tmp_path, wide_packed, flags, k):
+    def test_counts_match_the_budgets(self, tmp_path, packed_path, flags, k):
         out = tmp_path / "masked.jsonl"
-        assert run(["--seed", "5", "mask", "--input", str(wide_packed), "--output", str(out),
+        assert run(["--seed", "5", "mask", "--input", str(packed_path), "--output", str(out),
                     *flags]) == 0
         header, *lines = out.read_text().splitlines()
         args = json.loads(header)["_config"]
@@ -324,7 +315,7 @@ class TestRealizedRates:
                                extra_same=args["extra_same"],
                                policy_sampling=args["policy_sampling"])
         bernoulli = config.policy_sampling == "bernoulli"
-        ds = load_packed(wide_packed)
+        ds = load_packed(packed_path)
         special = (ds.ids == VOCAB.pad_id) | (ds.ids == VOCAB.sep_id)
         maskable = (~special).sum(axis=1)
         corrupted = predicted = examples_n = windows_n = 0
@@ -344,7 +335,8 @@ class TestRealizedRates:
                 # per-token kinds: only their total is fixed
                 assert (n_mask + n_random + n_same, len(targets)) == (sum(want[:3]), want[3])
             else:
-                assert (n_mask, n_random, n_same, len(targets)) == want, (src, dup)
+                assert (n_mask, n_random + n_same, len(targets)) == \
+                    (want[0], want[1] + want[2], want[3]), (src, dup)
             corrupted += n_mask + n_random
             predicted += int((seq[targets] != ids[targets]).sum())
             examples_n += n

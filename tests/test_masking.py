@@ -623,7 +623,7 @@ class TestStreamDeterminism:
         scattered = {}
         for idx in reversed(range(len(ds))):
             rng = substream(cfg.seed, 0, idx)
-            plan = plan_window(ds[idx], ds.vocab, cfg, rng,
+            plan = plan_window(ds[idx], ds.vocab, cfg, rng, None,
                                source_sequence=idx)[0]
             scattered[idx] = plan.positions.tolist()
         assert serial == scattered
@@ -709,7 +709,7 @@ def reference_plans(window, config, rng, pmi_vocab=None):
         def sampler(allowed, budget, rng):
             return oracle_sample_units(units, allowed, budget, rng)
     else:
-        sampler = make_sampler(config)
+        sampler = make_sampler(config, None)
     maskable = window.maskable_positions(VOCAB)
     n = len(maskable)
     c = exact_count(config.corruption_rate, n)
