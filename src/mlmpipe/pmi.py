@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,17 +37,6 @@ class NgramCounts:
     counts: Counter
     slots: dict[int, int]
     n_max: int
-
-    def merge(self, other: "NgramCounts") -> "NgramCounts":
-        """Combine shard counts; associative and commutative."""
-        if self.n_max != other.n_max:
-            raise ConfigError(f"cannot merge counts with n_max {self.n_max} != {other.n_max}")
-        merged = Counter(self.counts)
-        merged.update(other.counts)
-        slots = dict(self.slots)
-        for n, s in other.slots.items():
-            slots[n] = slots.get(n, 0) + s
-        return NgramCounts(counts=merged, slots=slots, n_max=self.n_max)
 
 
 @dataclass
@@ -186,23 +176,13 @@ class PmiVocabulary:
 _KEY_LIMIT = 2 ** 63
 _INT64 = range(-2 ** 63, 2 ** 63)
 _NO_POS = np.empty(0, dtype=np.int64)
+_SLOT = np.zeros(1, dtype=np.int64)
+# tokens per chunk that count_ngrams reads at a time
+_CHUNK_TOKENS = 1 << 16
 # n-grams turned into tuples at a time by count_ngrams
-_CHUNK = 1 << 14
-
-
-def _flatten(data: PackedDataset | Iterable[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """All token ids as one int64 array, plus each position's room: how many
-    positions from it to the end of its run, itself included.
-
-    A run is a document, or in packed data a stretch of a window between
-    sep/pad positions (see ``_run_room``).
-    """
-    if isinstance(data, PackedDataset):
-        return data.ids.ravel(), _run_room(data.ids, data.vocab)
-    seqs = list(data)
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.concatenate([seq.ids for seq in seqs]) if seqs else np.empty(0, dtype=np.int64)
-    return ids, np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+_TUPLE_BLOCK = 1 << 14
+# the dtypes a position's rank may take, narrowest first
+_RANK_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,6 +211,104 @@ def sorted_lookup(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np
     return at, (keys[at] == needles) if len(keys) else np.zeros(len(needles), dtype=bool)
 
 
+def _chunks(data: PackedDataset | list[TokenSequence]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The corpus in chunks of whole documents (window rows of a
+    ``PackedDataset``): a chunk ends with the document that brings it to
+    ``_CHUNK_TOKENS`` tokens, so a longer document makes a longer chunk. Each
+    chunk is its token ids and each position's room, with one slot of room 0
+    after each document or row.
+
+    A position's room is how many positions from it to the end of its run,
+    itself included. A run is a document, or in packed data a stretch of a
+    row between sep/pad positions (see ``_run_room``); sep/pad positions and
+    the added slots have room 0, so no run crosses a chunk.
+    """
+    if isinstance(data, PackedDataset):
+        rows = max(1, _CHUNK_TOKENS // data.seq_len)
+        for lo in range(0, len(data), rows):
+            ids = data.ids[lo:lo + rows]
+            room = _run_room(ids, data.vocab).reshape(ids.shape)
+            yield np.pad(ids, ((0, 0), (0, 1))).ravel(), np.pad(room, ((0, 0), (0, 1))).ravel()
+        return
+    start, size = 0, 0
+    for end, seq in enumerate(data, start=1):
+        size += len(seq)
+        if size >= _CHUNK_TOKENS or end == len(data):
+            docs = data[start:end]
+            lengths = np.fromiter((len(d) + 1 for d in docs), dtype=np.int64, count=len(docs))
+            ids = np.concatenate([part for d in docs for part in (d.ids, _SLOT)])
+            yield ids, np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(ids) + 1)
+            start, size = end, 0
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and how often each occurs."""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+class _KeyTable:
+    """Sorted distinct int64 keys and how often each occurs, built a chunk of
+    keys at a time. Chunks wait until they hold as many keys as the table;
+    then one sort reduces them and one sorted merge folds them in. So each
+    merge, whose time is linear in the table, is spread over at least as many
+    keys, and the peak is about twice the table plus one chunk."""
+
+    def __init__(self) -> None:
+        self.keys = self.counts = np.zeros(0, dtype=np.int64)
+        self._pending: list[np.ndarray] = []
+        self._size = 0
+
+    def add(self, keys: np.ndarray) -> None:
+        self._pending.append(keys)
+        self._size += len(keys)
+        if self._size >= len(self.keys):
+            self.flush()
+
+    def flush(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fold in the waiting chunks; the table's keys and counts."""
+        if self._pending:
+            keys, counts = _distinct(np.concatenate(self._pending))
+            self._pending, self._size = [], 0
+            if not len(self.keys):
+                self.keys, self.counts = keys, counts
+                return keys, counts
+            # both sorted: where each key is or would go
+            at = np.searchsorted(self.keys, keys)
+            hit = self.keys[np.minimum(at, len(self.keys) - 1)] == keys
+            self.counts[at[hit]] += counts[hit]
+            new = ~hit
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.counts = np.insert(self.counts, at[new], counts[new])
+        return self.keys, self.counts
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative ``values`` in the narrowest unsigned dtype that holds them."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)))
+
+
+def _rank_type(kept: int) -> type:
+    """The narrowest rank dtype that holds ranks 0..kept-1 and -1."""
+    for dtype in _RANK_TYPES:
+        if kept <= np.iinfo(dtype).max:
+            return dtype
+    raise DataError(f"{kept} kept n-grams overflow the widest rank type")
+
+
+def _level_keys(rank: np.ndarray, code: np.ndarray, n: int,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of a chunk where both (n-1)-gram sub-grams of an n-gram
+    were kept, and each such n-gram's key: the rank of its (n-1)-prefix times
+    ``width`` plus the code of its last token."""
+    pos = np.flatnonzero((rank[:-1] >= 0) & (rank[1:] >= 0))
+    return pos, rank[pos].astype(np.int64) * width + code[pos + n - 1].astype(np.int64)
+
+
 def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
                  min_count: int = 1) -> NgramCounts:
     """Exact counts of the contiguous n-grams of length 1..n_max that occur at
@@ -238,79 +316,104 @@ def count_ngrams(data: PackedDataset | Iterable[TokenSequence], n_max: int,
     n-gram is longer than the longest run, so counting stops there whatever
     ``n_max`` is.
 
-    Each level ranks the n-grams starting at every position by chaining the
-    rank of the (n-1)-gram there with the rank of the token that extends it.
-    An n-gram is kept only if its two (n-1)-gram sub-grams were, so positions
-    whose sub-grams fell below ``min_count`` are not ranked again. Every
-    contiguous sub-gram of a kept n-gram is kept, which is all ``pmi_score``
-    reads. Merging pruned counts would be wrong: shards count with the
-    default of 1.
-
-    Ranking keeps one start position and one count per kept n-gram, in
-    chunks. Tuples are built only once the per-position arrays are freed,
-    shortest n-grams first and a chunk at a time, so the peak is the count
-    table plus little more.
+    Counting goes level by level over chunks of whole documents (see
+    ``_chunks``). Across levels each position keeps only its token's code (the
+    position of the id among the distinct ids) and the rank of the kept
+    (n-1)-gram starting there, or -1, both in the narrowest dtype that holds
+    them. An n-gram is counted only if its two (n-1)-gram sub-grams were
+    kept, so every contiguous sub-gram of a kept n-gram is kept, which is all
+    ``pmi_score`` reads. Each level reads the chunks twice: once to fold each
+    chunk's keys into one sorted table of distinct keys and counts, which is
+    then pruned to ``min_count``, and once to write each position's new rank,
+    the index of its key in that table. The peak is the per-position state
+    plus about twice the table and one chunk. The tuples are built from the
+    kept keys once the per-position state is freed, shortest n-grams first.
     """
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    ids, room = _flatten(data)
+    if not isinstance(data, PackedDataset):
+        data = list(data)
+    table, room_counts, bounds = _KeyTable(), np.zeros(0, dtype=np.int64), [0]
+    for ids, room in _chunks(data):
+        table.add(ids[room > 0])
+        chunk_counts = np.bincount(room)
+        if len(chunk_counts) > len(room_counts):
+            room_counts, chunk_counts = chunk_counts, room_counts
+        room_counts[:len(chunk_counts)] += chunk_counts
+        bounds.append(bounds[-1] + len(ids))
     # at_least[n] positions have room for an n-gram, for n up to the longest run
-    at_least = np.cumsum(np.bincount(room)[::-1])[::-1].tolist()
+    at_least = np.cumsum(room_counts[::-1])[::-1].tolist()
     slots = dict(enumerate(at_least[1:n_max + 1], start=1))
-    pos = np.flatnonzero(room >= 1)
-    rank = np.zeros(len(ids), dtype=np.int64)  # rank of the n-gram at each position
-    kept = np.zeros(len(ids) + 1, dtype=bool)  # one spare slot for kept[pos + 1]
-    # (n, starts, counts) for a chunk of kept n-grams: one start position and
-    # the count of each
-    chunks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    pos_type = np.min_scalar_type(len(ids))
-    for n in range(1, n_max + 1):
-        if n == 1:
-            keys = ids[pos]
-        else:
-            if groups * width >= _KEY_LIMIT:
-                raise DataError(f"{groups} distinct {n - 1}-grams over {width} tokens "
-                                "overflow the int64 n-gram keys")
-            pos = pos[(room[pos] >= n) & kept[pos] & kept[pos + 1]]
-            keys = rank[pos] * width + tok_rank[pos + n - 1]
-        ranks, sizes, members = _group(keys)
-        rank[pos] = ranks
-        groups = len(sizes)
-        if n == 1:
-            tok_rank, width = rank.copy(), groups
-            # one Python int per distinct token, shared by every tuple built below
-            tokens = np.array(ids[pos[members]].tolist(), dtype=object)
-        frequent = sizes >= min_count
-        kept[:] = False
-        kept[pos] = frequent[ranks]
-        starts, sizes = pos[members[frequent]], sizes[frequent]
-        count_type = np.min_scalar_type(sizes.max(initial=0))
-        chunks.extend((n, starts[lo:lo + _CHUNK].astype(pos_type),
-                       sizes[lo:lo + _CHUNK].astype(count_type))
-                      for lo in range(0, len(starts), _CHUNK))
-        if not len(starts):   # no n-gram kept, so no longer one either
+    tokens, counts = table.flush()
+    width, kept = len(tokens), counts >= min_count
+    # the kept n-grams of each level: sorted keys (the codes, at level 1) and
+    # counts, each in the narrowest dtype that holds it
+    levels = [(_narrow(np.flatnonzero(kept)), _narrow(counts[kept]))]
+    code = np.empty(bounds[-1], dtype=np.min_scalar_type(max(width - 1, 0)))
+    rank = np.empty(bounds[-1], dtype=_rank_type(len(levels[0][0])))
+    unigram_rank = np.where(kept, np.cumsum(kept) - 1, -1)
+    chunks = list(zip(bounds, bounds[1:]))
+    for (lo, hi), (ids, room) in zip(chunks, _chunks(data)):
+        code[lo:hi] = sorted_lookup(tokens, ids)[0]
+        inside = room > 0
+        rank[lo:hi] = -1
+        rank[lo:hi][inside] = unigram_rank[code[lo:hi][inside]]
+    del table, unigram_rank
+    for n in range(2, n_max + 1):
+        groups = len(levels[-1][0])
+        if groups * width >= _KEY_LIMIT:
+            raise DataError(f"{groups} distinct {n - 1}-grams over {width} tokens "
+                            "overflow the int64 n-gram keys")
+        table = _KeyTable()
+        for lo, hi in chunks:
+            table.add(_level_keys(rank[lo:hi], code[lo:hi], n, width)[1])
+        keys, counts = table.flush()
+        kept = counts >= min_count
+        keys, counts = keys[kept], counts[kept]
+        levels.append((_narrow(keys), _narrow(counts)))
+        del table, kept   # the table before pruning
+        if n == n_max or not len(keys):   # no n-gram kept, so no longer one either
             break
-    del ids, room, pos, rank, kept, keys, ranks, sizes, members, frequent, starts
-    tok_rank = tok_rank.astype(np.min_scalar_type(width))
+        # widened, never narrowed: the ranks of level n-1 are read below
+        rank = rank.astype(np.promote_types(rank.dtype, _rank_type(len(keys))), copy=False)
+        live = []         # the chunks that still hold a kept n-gram
+        for lo, hi in chunks:
+            pos, chunk_keys = _level_keys(rank[lo:hi], code[lo:hi], n, width)
+            at, hit = sorted_lookup(keys, chunk_keys)
+            rank[lo:hi] = -1
+            rank[lo + pos[hit]] = at[hit]
+            if hit.any():
+                live.append((lo, hi))
+        chunks = live
+    del code, rank
 
-    counts: Counter = Counter()
-    chunks.reverse()
-    while chunks:            # shortest n-grams first; each chunk is freed once used
-        n, starts, sizes = chunks.pop()
-        columns = [tokens[tok_rank[starts + k]].tolist() for k in range(n)]
-        # dict.update takes the pairs in C; Counter.update would add one by one
-        dict.update(counts, zip(zip(*columns), sizes.tolist()))
-    return NgramCounts(counts=counts, slots=slots, n_max=n_max)
+    ngrams: Counter = Counter()
+    # one Python int and one 1-tuple per distinct token, shared by every tuple
+    singles = list(zip(tokens.tolist()))
+    # a level-1 key is a code, so its prefix is 0: the one empty 0-gram
+    previous: list[Gram] = [()]
+    levels.reverse()
+    while levels:         # shortest n-grams first; each level is freed once used
+        keys, counts = levels.pop()
+        grams: list[Gram] = []
+        for lo in range(0, len(keys), _TUPLE_BLOCK):
+            # int64, as width need not fit the keys' narrow dtype
+            prefix, last = divmod(keys[lo:lo + _TUPLE_BLOCK].astype(np.int64), width)
+            block = list(map(operator.add, map(previous.__getitem__, prefix.tolist()),
+                             map(singles.__getitem__, last.tolist())))
+            grams.extend(block)
+            # dict.update takes the pairs in C; Counter.update would add one by one
+            dict.update(ngrams, zip(block, counts[lo:lo + _TUPLE_BLOCK].tolist()))
+        previous = grams
+    return NgramCounts(counts=ngrams, slots=slots, n_max=n_max)
 
 
 def count_ngrams_sharded(shards: Iterable[Iterable[TokenSequence]], n_max: int) -> NgramCounts:
-    """Count each shard independently and merge; equals unsharded counting."""
-    result = NgramCounts(counts=Counter(), slots={}, n_max=n_max)
-    for shard in shards:
-        result = result.merge(count_ngrams(shard, n_max))
-    return result
+    """Counts over the documents of every shard. An n-gram never crosses a
+    document, so these equal unsharded counting by construction."""
+    return count_ngrams(itertools.chain.from_iterable(shards), n_max)
 
 
 def _prob(gram: Gram, counts: NgramCounts) -> float:

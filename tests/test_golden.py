@@ -6,6 +6,8 @@ input paths, is left out). The analysis cases pin `stats`, `metric` and
 `ppl` output in the same way: every CSV line after the `# <config>` line,
 and the `ppl` JSON line without its `_config` key. The digests guard the
 stream contract: refactors and speed-ups of planning must keep these bytes.
+The `pmi-build` cases pin the mined TSV, every line after its `# <config>`
+line, in the same way: n-gram counting and scoring must keep those bytes.
 A change that alters the stream on purpose must bump ``stream_version`` in
 the provenance header (a header without the field is version 1) and update
 these digests in the same change.
@@ -227,3 +229,25 @@ def test_analysis_output_digest(tmp_path, capsys, argv, output, digest):
     got = stdout if output is None else (tmp_path / output).read_bytes()
     assert (output is None) == bool(stdout)
     assert hashlib.sha256(without_provenance(got)).hexdigest() == digest
+
+
+# id: (pmi-build flags, SHA-256 of the TSV without its `# <config>` line)
+PMI_BUILD_GOLDEN = {
+    "pmi-build-5-min-count-2": (
+        ["--n-max", "5", "--min-count", "2"],
+        "de1c5681f80135e630db132761c1d4f24121d8723030e2920525df1bd837cdd9"),
+    "pmi-build-5-min-count-1": (
+        ["--n-max", "5", "--min-count", "1"],
+        "0edf746602ba435b82c8b67aa7a67ea8c804e20bca356375ef94a5cbad05a1d9"),
+}
+
+
+@pytest.mark.parametrize("flags, digest", PMI_BUILD_GOLDEN.values(), ids=PMI_BUILD_GOLDEN.keys())
+def test_pmi_build_tsv_digest(tmp_path, flags, digest):
+    write_inputs(tmp_path)
+    out = tmp_path / "mined.tsv"
+    assert run(["pmi-build", "--input", str(tmp_path / "corpus.jsonl"), "--output", str(out),
+                "--vocab-size", str(SIZE)] + flags) == 0
+    tsv = out.read_bytes()
+    assert tsv.count(b"\n") > 1000
+    assert hashlib.sha256(without_provenance(tsv)).hexdigest() == digest

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -171,6 +172,56 @@ class TestCountNgrams:
             count_ngrams([doc([3, 4, 5, 6])], n_max=2)
         monkeypatch.setattr(pmi, "_KEY_LIMIT", 17)
         assert count_ngrams([doc([3, 4, 5, 6])], n_max=2).slots[2] == 3
+
+    @given(st.lists(st.lists(st.integers(min_value=3, max_value=5), max_size=16), max_size=5),
+           st.lists(st.lists(st.sampled_from([VOCAB.pad_id, VOCAB.sep_id, 3, 4, 5]),
+                             min_size=3, max_size=3), max_size=8),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_chunk_boundaries_match_oracle(self, token_lists, windows, min_count):
+        # chunks of 1, 3 and 7 tokens: documents longer than a chunk, chunks of
+        # several documents or rows, and rows that hold pad/sep
+        ds = PackedDataset(ids=np.array(windows, dtype=np.int64).reshape(-1, 3),
+                           word_starts=np.ones((len(windows), 3), dtype=bool), vocab=VOCAB)
+        with pytest.MonkeyPatch.context() as patch:
+            for chunk in (1, 3, 7):
+                patch.setattr(pmi, "_CHUNK_TOKENS", chunk)
+                assert_counts_match_oracle([doc(t) for t in token_lists], 5, min_count)
+                assert_counts_match_oracle([], 5, min_count)
+                assert_counts_match_oracle(ds, 5, min_count)
+
+    def test_peak_memory_per_token(self):
+        # about 200k Zipf-distributed tokens in documents of 50 to 400 tokens
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(50, 400, size=900)
+        weights = 1 / np.arange(1, 998) ** 1.1
+        ids = rng.choice(np.arange(3, 1000), size=int(lengths.sum()), p=weights / weights.sum())
+        docs = [doc(part) for part in np.split(ids, np.cumsum(lengths)[:-1])]
+        tracemalloc.start()
+        try:
+            loaded = tracemalloc.get_traced_memory()[0]
+            counts = count_ngrams(docs, 5, min_count=10)
+            peak = tracemalloc.get_traced_memory()[1] - loaded
+        finally:
+            tracemalloc.stop()
+        assert any(len(g) == 5 for g in counts.counts)
+        # the per-position state, the key tables and one chunk; whole-corpus
+        # int64 arrays took about 100 bytes per token
+        assert peak / len(ids) <= 32
+
+    def test_rank_type_widens_or_raises(self, monkeypatch):
+        # 18 distinct tokens, so more than 127 distinct bigrams but not unigrams
+        docs = [doc(np.random.default_rng(3).integers(3, 21, size=2000).tolist())]
+        monkeypatch.setattr(pmi, "_RANK_TYPES", (np.int8, np.int16))
+        assert_counts_match_oracle(docs, 3, 1)
+        monkeypatch.setattr(pmi, "_RANK_TYPES", (np.int8,))
+        with pytest.raises(DataError, match="overflow"):
+            count_ngrams(docs, n_max=3)
+
+    def test_keys_narrower_than_the_token_count(self):
+        # 256 distinct tokens: the codes fit uint8, the token count does not
+        ids = list(range(3, 259))
+        assert_counts_match_oracle([doc(ids + ids[:40]), doc(ids[::-1])], 3, 1)
 
     def test_subgram_count_dominates(self):
         docs = random_docs(5, 40)
