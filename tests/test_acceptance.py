@@ -9,7 +9,6 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from mlmpipe.pmi import (build_vocab, count_ngrams, count_ngrams_sharded,
                          pmi_score)
 from mlmpipe.rng import substream
 
-from conftest import VOCAB, materialize_one, mean_run_length, rates
+from conftest import VOCAB, all_plans, materialize_one, mean_run_length, rates
 
 
 def report(num, desc, ok, detail=""):
@@ -52,12 +51,11 @@ def test_criterion_1_count_exactness():
     for m in (0.15, 0.20, 0.40, 0.80):
         cfg = MaskingConfig(**rates(m), seed=11)
         expected = exact_count(m, L)
-        for idx in range(n_windows):
-            rng = substream(cfg.seed, 0, idx)
-            plan = plan_window(ds[idx], VOCAB, cfg, rng, None)[0]
-            if len(plan.positions) != expected:
-                ok = False
-                break
+        seen = 0
+        for plans in generate_plans(ds, cfg):
+            seen += len(plans)
+            ok = ok and (plans.counts == expected).all()
+        ok = ok and seen == n_windows
     elapsed = time.perf_counter() - start
     report(1, "exact floor(m*L) corruption counts over 10k windows, 4 rates",
            ok and elapsed < 10.0, f"{elapsed:.1f}s")
@@ -69,7 +67,7 @@ def test_criterion_2_effective_rate_arithmetic():
 
     ds = full_windows(1, 128, seed=2)
     cfg = MaskingConfig(**rates(0.40), extra_same=0.05, seed=3)
-    [plan] = next(generate_plans(ds, cfg))     # one window: one block of one plan
+    [plan] = next(generate_plans(ds, cfg)).plans()     # one window: one block of one plan
     n_pred = len(plan.pred_positions)
     ok = ok and n_pred == 57 and len(plan.corrupted_positions) == 51
     report(2, "80-10-10 at m=0.40 -> (0.36, 0.36); +5% same -> 57 predictions",
@@ -77,20 +75,21 @@ def test_criterion_2_effective_rate_arithmetic():
 
 
 def test_criterion_3_decoupling():
+    # 1000 windows as one block, each window on its own substream
     ds = full_windows(1000, 128, seed=4)
-    ok = True
-    for idx in range(1000):
-        rng = substream(21, 0, idx)
-        plans = plan_decoupled(ds[idx], VOCAB, sample_uniform,
-                               MaskingConfig(**rates(0.20, 0.40)), rng, source_sequence=idx)
-        sets = [set(p.positions.tolist()) for p in plans]
-        if len(plans) != 2 or any(len(s) != 25 for s in sets) or (sets[0] & sets[1]):
+    plans = plan_decoupled(ds.ids, VOCAB, sample_uniform, MaskingConfig(**rates(0.20, 0.40)),
+                           [substream(21, 0, idx) for idx in range(1000)],
+                           np.arange(1000)).plans()
+    ok = len(plans) == 2000
+    for first, second in zip(plans[::2], plans[1::2]):
+        sets = [set(p.positions.tolist()) for p in (first, second)]
+        if any(len(s) != 25 for s in sets) or (sets[0] & sets[1]):
             ok = False
             break
     raised = False
     try:
-        plan_decoupled(ds[0], VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.90)),
-                       substream(21, 0, 0))
+        plan_decoupled(ds.ids[:1], VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.90)),
+                       [substream(21, 0, 0)], np.zeros(1, dtype=np.int64))
     except InfeasibleError:
         raised = True
     report(3, "(0.20, 0.40) -> 2 disjoint 25-mask plans on 1k windows; "
@@ -98,16 +97,18 @@ def test_criterion_3_decoupling():
 
 
 def test_criterion_4_hypergeometric_coverage():
-    n_windows, L = 100_000, 128
-    allowed = np.arange(L)
+    n_windows, L, rows = 100_000, 128, 10_000
     start = time.perf_counter()
     coverage = {}
     for m in (0.15, 0.40):
         k = exact_count(m, L)
         hits = 0
-        for i in range(n_windows):
-            picked = sample_uniform(allowed, k, substream(77, int(m * 100), i))
-            hits += int(np.count_nonzero(np.diff(picked) == 1))
+        # blocks of 10k windows, each window on its own substream
+        for first in range(0, n_windows, rows):
+            picked = sample_uniform(np.ones((rows, L), dtype=bool), np.full(rows, k),
+                                    [substream(77, int(m * 100), i)
+                                     for i in range(first, first + rows)])
+            hits += int(np.count_nonzero(picked[:, 1:] & picked[:, :-1]))
         coverage[m] = hits / (n_windows * (L - 1))
     elapsed = time.perf_counter() - start
     closed = {m: (exact_count(m, L) * (exact_count(m, L) - 1)) / (L * (L - 1))
@@ -209,7 +210,7 @@ def test_criterion_7_perplexity_contracts():
                      if int(t) not in VOCAB.special_ids)
     total = sum(counts.values())
     logs = [math.log(counts[orig] / total)
-            for plan in chain.from_iterable(generate_plans(ds, cfg))
+            for plan in all_plans(generate_plans(ds, cfg))
             for orig in plan.pred_originals.tolist()]
     brute = math.exp(-sum(logs) / len(logs))
     unigram_ok = abs(ppl_unigram - brute) / brute < 1e-9

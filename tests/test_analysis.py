@@ -2,7 +2,6 @@ import math
 import sys
 import weakref
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from mlmpipe.masking import (BLOCK_EXAMPLES, STRATEGIES, MaskedBlock, MaskingCon
                              generate_blocks, generate_plans)
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import (VOCAB, make_window, mask_plan, materialize_one, mean_run_length,
-                      packed_dataset, rates)
+from conftest import (VOCAB, all_plans, make_window, mask_plan, materialize_one,
+                      mean_run_length, packed_dataset, rates)
 
 ORACLE = TokenScorer(np.zeros(VOCAB.size), np.arange(VOCAB.size))
 
@@ -79,7 +78,7 @@ class TestMaskedPerplexity:
             counts.update(int(t) for t in keep)
         total = sum(counts.values())
         logs = []
-        for plan in chain.from_iterable(generate_plans(ds, cfg)):
+        for plan in all_plans(generate_plans(ds, cfg)):
             for orig in plan.pred_originals.tolist():
                 logs.append(math.log(counts[orig] / total))
         expected = math.exp(-sum(logs) / len(logs))
@@ -101,7 +100,7 @@ class TestMaskedPerplexity:
         ds = packed_dataset(n_docs=12)
         cfg = MaskingConfig(**rates(0.4), seed=2)
         table = -np.log1p(np.arange(VOCAB.size)) / 3
-        values = [table[orig] for plan in chain.from_iterable(generate_plans(ds, cfg))
+        values = [table[orig] for plan in all_plans(generate_plans(ds, cfg))
                   for orig in plan.pred_originals.tolist()]
         total = 0.0
         for v in values:
@@ -115,7 +114,7 @@ class TestMaskedPerplexity:
 def reference_perplexity(ds, cfg, scorer, pmi_vocab=None):
     """masked_perplexity with each plan materialized and scored as a one-row block."""
     total, count = 0.0, 0
-    for plan in chain.from_iterable(generate_plans(ds, cfg, pmi_vocab)):
+    for plan in all_plans(generate_plans(ds, cfg, pmi_vocab)):
         block = materialize_one(ds[plan.source_sequence], plan, ds.vocab)
         if len(block.target_positions):
             for v in scorer.log_probs(block).tolist():
@@ -376,7 +375,7 @@ class TestSpanHistogram:
         cfg = MaskingConfig(**rates(0.15), seed=8)
         total = 0
         n_runs = 0
-        for plan in chain.from_iterable(generate_plans(ds, cfg)):
+        for plan in all_plans(generate_plans(ds, cfg)):
             positions = plan.corrupted_positions.tolist()
             if not positions:
                 continue

@@ -6,14 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from mlmpipe import masking
+from mlmpipe import jsonl, masking
 from mlmpipe.cli import run
-from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, load_packed, save_packed,
-                            serialize_tokens)
+from mlmpipe.corpus import (PackedDataset, TokenSequence, Vocab, epoch_stream, load_packed,
+                            save_packed, serialize_tokens)
 from mlmpipe.masking import MaskingConfig, generate_plans
 from mlmpipe.pmi import PmiVocabulary
 
-from conftest import VOCAB, materialize_one, random_docs, rates
+from conftest import VOCAB, materialize_one, padded_windows, random_docs, rates
 
 VOCAB_FLAGS = ["--vocab-size", str(VOCAB.size), "--mask-id", str(VOCAB.mask_id),
                "--pad-id", str(VOCAB.pad_id), "--sep-id", str(VOCAB.sep_id)]
@@ -162,8 +162,8 @@ class TestMask:
         assert len(ds) > 2 * masking.BLOCK_EXAMPLES
         cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), seed=9)
         examples = [materialize_one(ds[plan.source_sequence], plan, ds.vocab)
-                    for epoch in (0, 1) for plans in generate_plans(ds, cfg, epoch=epoch)
-                    for plan in plans]
+                    for epoch in (0, 1) for block in generate_plans(ds, cfg, epoch=epoch)
+                    for plan in block.plans()]
         expected = [json.dumps({"seq": e.corrupted_ids[0].tolist(),
                                 "targets": [[p, o] for p, o in zip(e.target_positions.tolist(),
                                                                    e.target_originals.tolist())],
@@ -191,6 +191,29 @@ class TestMask:
                   "--corruption-rate", "0.4", "--prediction-rate", "0.9"])
         assert rc == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infeasible_window_mid_stream_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the stream's sixth window cannot hold 3 disjoint duplicates; the
+        # blocks before it were written, and the failed run removes the file
+        monkeypatch.setattr(masking, "BLOCK_EXAMPLES", 4)
+        order = [idx for idx, _ in epoch_stream(padded_windows([7] * 12, 12), 2, 0)]
+        counts = [7] * 12
+        counts[order[5]] = 10
+        packed_file, out = tmp_path / "packed.jsonl", tmp_path / "o"
+        save_packed(padded_windows(counts, 12), packed_file)
+        written, lines = [], jsonl.example_lines
+
+        def counting(block):
+            written.append(len(block.source_sequence))
+            return lines(block)
+
+        monkeypatch.setattr(jsonl, "example_lines", counting)
+        rc = run(["--seed", "2", "mask", "--input", str(packed_file), "--output", str(out),
+                  "--corruption-rate", "0.4", "--prediction-rate", "0.9"])
+        err = capsys.readouterr().err
+        assert rc == 3 and written == [3 * 4]
+        assert len(err.splitlines()) == 1 and "3 x 4 corrupted positions > 10" in err
         assert not out.exists()
 
     def test_failed_run_keeps_an_output_that_existed(self, tmp_path, packed_path, capsys):

@@ -20,7 +20,6 @@ random replacements must skip ids in the middle of the vocabulary.
 
 import hashlib
 import json
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -143,7 +142,8 @@ def test_corrupted_flags_are_the_plans_corrupted_positions(tmp_path, flags):
                                       "--output", str(tmp_path / "unused")] + flags)
     config, ds, pmi_vocab = _masking_config(args), load_packed(packed), PmiVocabulary.load_tsv(tsv)
     for epoch in range(args.epochs):
-        plans = list(chain.from_iterable(generate_plans(ds, config, pmi_vocab, epoch)))
+        plans = [plan for block in generate_plans(ds, config, pmi_vocab, epoch)
+                 for plan in block.plans()]
         rows = [row for block in generate_blocks(ds, config, pmi_vocab, epoch)
                 for row in block.corrupted]
         assert len(rows) == len(plans) >= len(ds)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,23 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmpipe import masking
-from mlmpipe.corpus import Vocab, epoch_stream
+from mlmpipe.corpus import PackedDataset, Vocab, epoch_stream
 from mlmpipe.errors import ConfigError, DataError, InfeasibleError, IntegrityError
 from mlmpipe.masking import (MASK, RANDOM, SAME, ActionKind, MaskAction, MaskingConfig,
-                             MaskPlan, apply_policy, effective_rates, exact_count,
+                             MaskPlan, PlanBlock, apply_policy, effective_rates, exact_count,
                              generate_blocks, generate_plans, largest_remainder,
-                             make_sampler, materialize,
-                             plan_decoupled, plan_window, sample_span,
+                             materialize, plan_decoupled, plan_window, sample_span,
                              sample_uniform, sample_units)
 from mlmpipe.pmi import PmiVocabulary, segment_units
 from mlmpipe.rng import substream
 
-from conftest import (VOCAB, full_window, make_window, mask_plan, materialize_one, packed,
-                      packed_dataset, rates, window_units)
+import window_planner
+from conftest import (VOCAB, all_plans, full_window, make_window, mask_plan, materialize_one,
+                      one_row, packed, packed_dataset, padded_windows, plan_block, rates,
+                      window_units)
 
 
 def rng_for(i=0):
     return substream(1234, 0, i)
+
+
+def decoupled(win, config, rng, vocab=VOCAB):
+    """The all-MASK plans of one window, under the uniform sampler."""
+    return plan_decoupled(win.ids[np.newaxis], vocab, sample_uniform, config, [rng],
+                          np.zeros(1, dtype=np.int64)).plans()
+
+
+def policy_one(plan, config, rng, win, vocab=VOCAB):
+    """``apply_policy`` on a block of one plan."""
+    return apply_policy(plan_block([plan]), config, vocab, [rng], win.ids[np.newaxis]).plans()[0]
 
 
 class TestConfig:
@@ -54,29 +65,27 @@ class TestSampleUniform:
         # L=128, m=0.15 -> floor(0.15*128) = 19
         assert exact_count(0.15, 128) == 19
         win = full_window()
-        positions = sample_uniform(win.maskable_positions(VOCAB), 19, rng_for())
+        positions = one_row(sample_uniform, win.maskable_positions(VOCAB), 19, rng_for())
         assert len(positions) == 19
         assert len(set(positions.tolist())) == 19
 
     def test_zero_budget(self):
         win = full_window()
-        assert len(sample_uniform(win.maskable_positions(VOCAB), 0, rng_for())) == 0
+        assert len(one_row(sample_uniform, win.maskable_positions(VOCAB), 0, rng_for())) == 0
 
     def test_infeasible_budget(self):
         win = full_window(L=8)
         with pytest.raises(InfeasibleError):
-            sample_uniform(win.maskable_positions(VOCAB), 9, rng_for())
+            one_row(sample_uniform, win.maskable_positions(VOCAB), 9, rng_for())
 
     def test_hypergeometric_pair_probability(self):
         # P(two fixed positions both masked) = k(k-1)/(n(n-1))
+        # every trial a row of one block, on its own generator
         n, k, trials = 128, 51, 40_000
-        allowed = np.arange(n)
-        hits = 0
-        for i in range(trials):
-            picked = sample_uniform(allowed, k, rng_for(i))
-            s = set(picked.tolist())
-            if 10 in s and 11 in s:
-                hits += 1
+        picked = sample_uniform(np.ones((trials, n), dtype=bool), np.full(trials, k),
+                                [rng_for(i) for i in range(trials)])
+        assert (picked.sum(axis=1) == k).all()
+        hits = int((picked[:, 10] & picked[:, 11]).sum())
         expected = k * (k - 1) / (n * (n - 1))
         assert hits / trials == pytest.approx(expected, rel=0.05)
 
@@ -84,10 +93,11 @@ class TestSampleUniform:
 class TestSampleSpan:
     def test_mean_span_band(self):
         # budget 19 in round(19/3)=6 spans -> mean 19/6 by construction
-        allowed = np.arange(128)
+        block = sample_span(np.ones((2000, 128), dtype=bool), np.full(2000, 19), 3.0,
+                            [rng_for(i) for i in range(2000)])
         lengths = []
-        for i in range(2000):
-            picked = sample_span(allowed, 19, 3.0, rng_for(i))
+        for row in block:
+            picked = row.nonzero()[0]
             assert len(picked) == 19
             runs = np.split(picked, np.where(np.diff(picked) != 1)[0] + 1)
             lengths.extend(len(r) for r in runs)
@@ -95,23 +105,23 @@ class TestSampleSpan:
         assert 2.7 <= mean <= 3.5
 
     def test_zero_budget(self):
-        assert len(sample_span(np.arange(128), 0, 3.0, rng_for())) == 0
+        assert len(one_row(sample_span, np.arange(128), 0, rng_for(), 3.0)) == 0
 
     def test_feasibility_reduction_single_span(self):
         # L=10, budget=9: gaps infeasible for >1 span -> one span of 9
-        picked = sample_span(np.arange(10), 9, 3.0, rng_for())
+        picked = one_row(sample_span, np.arange(10), 9, rng_for(), 3.0)
         assert len(picked) == 9
         assert np.all(np.diff(picked) == 1)
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleError):
-            sample_span(np.arange(10), 11, 3.0, rng_for())
+            one_row(sample_span, np.arange(10), 11, rng_for(), 3.0)
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=500))
     @settings(max_examples=80, deadline=None)
     def test_exact_budget_any_rate(self, budget, salt):
         allowed = np.arange(64)
-        picked = sample_span(allowed, budget, 3.0, rng_for(salt))
+        picked = one_row(sample_span, allowed, budget, rng_for(salt), 3.0)
         assert len(picked) == budget
         assert len(set(picked.tolist())) == budget
 
@@ -123,7 +133,7 @@ class TestSampleSpan:
         # same generator calls, same picks as the span-by-span copy loop
         allowed = np.sort(np.random.default_rng(seed).choice(3 * n, size=n, replace=False))
         budget = int(rate * n)
-        assert np.array_equal(sample_span(allowed, budget, mean_span, rng_for(seed)),
+        assert np.array_equal(one_row(sample_span, allowed, budget, rng_for(seed), mean_span),
                               reference_sample_span(allowed, budget, mean_span, rng_for(seed)))
 
 
@@ -219,16 +229,23 @@ def unit_cases(draw):
     return units, allowed, budget, draw(st.integers(0, 2 ** 32))
 
 
+def units_on_one_row(units, allowed, budget, rng):
+    """``sample_units`` on a one-row block wide enough for the units and the
+    allowed positions: the picked positions, ascending."""
+    units = np.array(units, dtype=np.int64).reshape(-1, 2)
+    length = max(int(units[:, 1].max(initial=0)), int(allowed[-1]) + 1 if len(allowed) else 0)
+    return one_row(lambda *a: sample_units(units, *a), allowed, budget, rng, length=length)
+
+
 def check_against_oracle(units, allowed, budget, seed):
-    array_units = np.array(units, dtype=np.int64).reshape(-1, 2)
     got_rng, want_rng = rng_for(seed), rng_for(seed)
     if budget > len(allowed):
         with pytest.raises(InfeasibleError):
-            sample_units(array_units, allowed, budget, got_rng)
+            units_on_one_row(units, allowed, budget, got_rng)
         with pytest.raises(InfeasibleError):
             oracle_sample_units(units, allowed, budget, want_rng)
         return
-    got = sample_units(array_units, allowed, budget, got_rng)
+    got = units_on_one_row(units, allowed, budget, got_rng)
     want = oracle_sample_units(units, allowed, budget, want_rng)
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
     assert generator_state(got_rng) == generator_state(want_rng)
@@ -253,7 +270,7 @@ class TestSampleUnitsOracle:
         units = [(0, 2), (2, 4), (4, 6)]
         for seed in range(20):
             check_against_oracle(units, np.arange(6), 3, seed)
-        picked = sample_units(np.array(units), np.arange(6), 3, rng_for())
+        picked = units_on_one_row(units, np.arange(6), 3, rng_for())
         assert len(picked) == 3 and np.all(np.diff(picked) > 0)
 
 
@@ -261,7 +278,7 @@ class TestSampleUnits:
     def test_unit_atomicity(self):
         units = [(2, 4), (5, 7)]
         for i in range(50):
-            picked = set(sample_units(units, np.arange(10), 2, rng_for(i)).tolist())
+            picked = set(units_on_one_row(units, np.arange(10), 2, rng_for(i)).tolist())
             # a selected 2-token unit is fully masked or a single-fill happened
             for s, e in units:
                 inside = picked & set(range(s, e))
@@ -269,7 +286,7 @@ class TestSampleUnits:
                     # partial overlap can only come from single-position fill
                     assert len(picked) == 2
         # with budget 4 both units fit exactly; fills are impossible
-        picked = set(sample_units(units, np.arange(10), 4, rng_for()).tolist())
+        picked = set(units_on_one_row(units, np.arange(10), 4, rng_for()).tolist())
         for s, e in units:
             inside = picked & set(range(s, e))
             assert inside in (set(), set(range(s, e))) or len(picked) == 4
@@ -277,26 +294,25 @@ class TestSampleUnits:
     def test_fallback_single_position(self):
         # budget 1 with only 2-token units -> one uniformly chosen single
         units = [(0, 2), (2, 4)]
-        picked = sample_units(units, np.arange(4), 1, rng_for())
+        picked = units_on_one_row(units, np.arange(4), 1, rng_for())
         assert len(picked) == 1
 
     def test_budget_exactness_whole_words(self):
         # words of lengths 1, 2, 3 and budget 3 -> selected multiset sums to 3
         units = [(0, 1), (1, 3), (3, 6)]
         for i in range(100):
-            picked = sample_units(units, np.arange(6), 3, rng_for(i))
+            picked = units_on_one_row(units, np.arange(6), 3, rng_for(i))
             assert len(picked) == 3
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
-            sample_units([(0, 2)], np.arange(2), 3, rng_for())
+            units_on_one_row([(0, 2)], np.arange(2), 3, rng_for())
 
 
 class TestPlanDecoupled:
     def test_coupled_predicts_all(self):
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.15)),
-                               rng_for())
+        plans = decoupled(win, MaskingConfig(**rates(0.15)), rng_for())
         assert len(plans) == 1
         assert len(plans[0].positions) == 19
         assert plans[0].pred_positions.tolist() == plans[0].positions.tolist()
@@ -304,8 +320,7 @@ class TestPlanDecoupled:
     def test_lower_prediction_rate(self):
         # mask 40% (51), predict on 20% (25)
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.20)),
-                               rng_for())
+        plans = decoupled(win, MaskingConfig(**rates(0.40, 0.20)), rng_for())
         assert len(plans) == 1
         assert len(plans[0].positions) == 51
         assert len(plans[0].pred_positions) == 25
@@ -315,8 +330,7 @@ class TestPlanDecoupled:
     def test_duplicates_disjoint(self):
         # corruption 0.20, prediction 0.40 -> 2 plans of 25, disjoint
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.20, 0.40)),
-                               rng_for())
+        plans = decoupled(win, MaskingConfig(**rates(0.20, 0.40)), rng_for())
         assert len(plans) == 2
         sets = [set(p.positions.tolist()) for p in plans]
         assert all(len(s) == 25 for s in sets)
@@ -328,16 +342,14 @@ class TestPlanDecoupled:
     def test_ceil_of_exact_ratio(self):
         # 0.40 / 0.20 must give k=2, not 3 (float division artifact)
         win = full_window()
-        plans = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.20, 0.40)),
-                               rng_for())
+        plans = decoupled(win, MaskingConfig(**rates(0.20, 0.40)), rng_for())
         assert len(plans) == 2
 
     def test_infeasible_disjointness(self):
         # 0.40, 0.90 -> k=3, 3*51=153 > 128
         win = full_window()
         with pytest.raises(InfeasibleError):
-            plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.40, 0.90)),
-                           rng_for())
+            decoupled(win, MaskingConfig(**rates(0.40, 0.90)), rng_for())
 
 
 class TestLargestRemainder:
@@ -364,13 +376,11 @@ def policy_config(policy, extra_same=0.0, sampling="exact"):
 
 class TestApplyPolicy:
     def _plan(self, win, budget=51):
-        return plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(budget / 128)),
-                              rng_for())[0]
+        return decoupled(win, MaskingConfig(**rates(budget / 128)), rng_for())[0]
 
     def test_exact_apportionment(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), policy_config((0.8, 0.1, 0.1)), VOCAB,
-                            rng_for(1), win)
+        plan = policy_one(self._plan(win), policy_config((0.8, 0.1, 0.1)), rng_for(1), win)
         kinds = plan.kinds.tolist()
         assert kinds.count(MASK) == 41
         assert kinds.count(RANDOM) == 5
@@ -379,22 +389,20 @@ class TestApplyPolicy:
     def test_identity_policy(self):
         win = full_window()
         before = self._plan(win)
-        after = apply_policy(before, policy_config((1.0, 0.0, 0.0)), VOCAB, rng_for(1), win)
+        after = policy_one(before, policy_config((1.0, 0.0, 0.0)), rng_for(1), win)
         assert after.positions.tolist() == before.positions.tolist()
         assert all(k == MASK for k in after.kinds.tolist())
 
     def test_extra_same_predictions(self):
         # m=0.40 with extra_same=0.05 -> 51 corrupted + 6 same = 57 predictions
         win = full_window()
-        plan = apply_policy(self._plan(win), policy_config((1.0, 0.0, 0.0), 0.05), VOCAB,
-                            rng_for(1), win)
+        plan = policy_one(self._plan(win), policy_config((1.0, 0.0, 0.0), 0.05), rng_for(1), win)
         assert len(plan.pred_positions) == 57
         assert len(plan.corrupted_positions) == 51
 
     def test_random_replacements_avoid_specials(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), policy_config((0.0, 1.0, 0.0)), VOCAB,
-                            rng_for(1), win)
+        plan = policy_one(self._plan(win), policy_config((0.0, 1.0, 0.0)), rng_for(1), win)
         assert len(plan.replacements) == len(plan.positions)
         for kind, replacement in zip(plan.kinds.tolist(), plan.replacements.tolist()):
             assert kind == RANDOM
@@ -406,31 +414,28 @@ class TestApplyPolicy:
         win = full_window()
         seen = set()
         for i in range(200):
-            plan = apply_policy(self._plan(win), policy_config((0.0, 1.0, 0.0)), VOCAB,
-                                rng_for(i), win)
+            plan = policy_one(self._plan(win), policy_config((0.0, 1.0, 0.0)), rng_for(i), win)
             seen.update(plan.replacements.tolist())
         assert seen == set(range(VOCAB.size)) - set(VOCAB.special_ids)
 
     def test_requires_all_mask_plan(self):
         win = full_window()
-        plan = apply_policy(self._plan(win), policy_config((0.8, 0.1, 0.1)), VOCAB,
-                            rng_for(1), win)
+        plan = policy_one(self._plan(win), policy_config((0.8, 0.1, 0.1)), rng_for(1), win)
         with pytest.raises(DataError):
-            apply_policy(plan, policy_config((0.8, 0.1, 0.1)), VOCAB, rng_for(2), win)
+            policy_one(plan, policy_config((0.8, 0.1, 0.1)), rng_for(2), win)
 
     def test_extra_same_infeasible(self):
         win = full_window(L=10)
-        plan = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.9)),
-                              rng_for())[0]
+        plan = decoupled(win, MaskingConfig(**rates(0.9)), rng_for())[0]
         with pytest.raises(InfeasibleError):
-            apply_policy(plan, policy_config((1.0, 0.0, 0.0), 0.5), VOCAB, rng_for(1), win)
+            policy_one(plan, policy_config((1.0, 0.0, 0.0), 0.5), rng_for(1), win)
 
     def test_bernoulli_sampling_counts_vary(self):
         win = full_window()
         counts = set()
         for i in range(30):
             config = policy_config((0.8, 0.1, 0.1), sampling="bernoulli")
-            plan = apply_policy(self._plan(win), config, VOCAB, rng_for(i), win)
+            plan = policy_one(self._plan(win), config, rng_for(i), win)
             counts.add(plan.kinds.tolist().count(MASK))
         assert len(counts) > 1
 
@@ -492,15 +497,6 @@ def block_fields(block):
     return tuple(getattr(block, f.name).tolist() for f in dataclasses.fields(block))
 
 
-class AllDraws:
-    """A stand-in generator whose ``integers`` returns every value of its
-    range once, in order."""
-
-    def integers(self, low, high, size):
-        assert size == high - low
-        return np.arange(low, high)
-
-
 class TestPolicyOracle:
     @pytest.mark.parametrize("vocab", [
         SCATTERED, VOCAB, Vocab(size=12, mask_id=5, pad_id=6, sep_id=7),
@@ -513,7 +509,7 @@ class TestPolicyOracle:
         want = np.arange(n)
         for s in sorted(vocab.special_ids):
             want[want >= s] += 1
-        got = masking._random_replacements(n, vocab, AllDraws())
+        got = masking._random_replacements(np.arange(n), vocab)
         assert got.tolist() == want.tolist()
         assert sorted(got.tolist()) == sorted(set(range(vocab.size)) - set(vocab.special_ids))
 
@@ -522,23 +518,30 @@ class TestPolicyOracle:
     @pytest.mark.parametrize("policy", [(0.8, 0.1, 0.1), (0.0, 1.0, 0.0), (0.5, 0.3, 0.2)])
     @pytest.mark.parametrize("rates", [(0.4, 0.4), (0.5, 0.3)])
     def test_equals_oracle(self, sampling, extra_same, policy, rates):
+        # one block of 30 plans, each on its own generator, against the
+        # oracle plan by plan
         config = MaskingConfig(corruption_rate=rates[0], prediction_rate=rates[1],
                                policy=policy, extra_same=extra_same, policy_sampling=sampling)
         gen = np.random.default_rng(17)
+        windows, plans = [], []
         for i in range(30):
             # ordinary ids on both sides of every special, a few pad and sep
             ids = gen.integers(1, 999, size=64)
             ids[ids == 500] = 501
             ids[gen.random(64) < 0.1] = SCATTERED.sep_id
             ids[64 - gen.integers(0, 8):] = SCATTERED.pad_id
-            win = make_window(ids)
-            plan = plan_decoupled(win, SCATTERED, sample_uniform, config, rng_for(i))[0]
-            got_rng, want_rng = rng_for(1000 + i), rng_for(1000 + i)
-            got = apply_policy(plan, config, SCATTERED, got_rng, win)
+            windows.append(make_window(ids))
+            plans.append(window_planner.plan_decoupled(
+                windows[-1], SCATTERED, window_planner.sample_uniform, config, rng_for(i))[0])
+        got_rngs = [rng_for(1000 + i) for i in range(30)]
+        got = apply_policy(plan_block(plans), config, SCATTERED, got_rngs,
+                           np.stack([w.ids for w in windows])).plans()
+        for i, (plan, win) in enumerate(zip(plans, windows)):
+            want_rng = rng_for(1000 + i)
             want = oracle_apply_policy(plan, policy, extra_same, SCATTERED, want_rng, win,
                                        sampling)
-            assert plan_fields(got) == plan_fields(want)
-            assert generator_state(got_rng) == generator_state(want_rng)
+            assert plan_fields(got[i]) == plan_fields(want)
+            assert generator_state(got_rngs[i]) == generator_state(want_rng)
 
 
 class TestEffectiveRates:
@@ -575,8 +578,7 @@ class TestMaterialize:
 
     def test_mask_actions_write_mask_id(self):
         win = full_window()
-        plan = plan_decoupled(win, VOCAB, sample_uniform, MaskingConfig(**rates(0.15)),
-                              rng_for())[0]
+        plan = decoupled(win, MaskingConfig(**rates(0.15)), rng_for())[0]
         block = materialize_one(win, plan)
         positions = set(plan.positions.tolist())
         for i, (orig, got) in enumerate(zip(win.ids.tolist(), block.corrupted_ids[0].tolist())):
@@ -619,7 +621,7 @@ class TestStreamDeterminism:
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(**rates(0.3), seed=5)
         serial = {p.source_sequence: p.positions.tolist()
-                  for p in chain.from_iterable(generate_plans(ds, cfg))}
+                  for p in all_plans(generate_plans(ds, cfg))}
         scattered = {}
         for idx in reversed(range(len(ds))):
             rng = substream(cfg.seed, 0, idx)
@@ -636,7 +638,7 @@ class TestStreamDeterminism:
         ds = packed_dataset(n_docs=4, seed=seed % 17)
         pv = PmiVocabulary(entries={(7, 8): 1.0, (10, 11, 12): 0.4})
         cfg = MaskingConfig(strategy=strategy, **rates(m), seed=seed)
-        for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
+        for plan in all_plans(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
             maskable = set(win.maskable_positions(VOCAB).tolist())
             expected = exact_count(m, len(maskable))
@@ -649,7 +651,7 @@ class TestStreamDeterminism:
         pv = PmiVocabulary(entries={(7, 8): 1.0, (9, 10): 0.8})
         cfg = MaskingConfig(strategy="pmi", **rates(0.3), seed=11)
         from mlmpipe.pmi import segment_units
-        for plan in chain.from_iterable(generate_plans(ds, cfg, pv)):
+        for plan in all_plans(generate_plans(ds, cfg, pv)):
             win = ds[plan.source_sequence]
             units = segment_units(win, VOCAB, "pmi", pv)
             masked = set(plan.positions.tolist())
@@ -679,19 +681,22 @@ def test_generate_plans_yields_window_blocks(block, strategy, rates, k, monkeypa
     stream = [idx for idx, _ in epoch_stream(ds, cfg.seed, 1)]
     assert len(stream) > 64
     blocks = list(generate_plans(ds, cfg, pv, epoch=1))
-    assert all(isinstance(b, list) for b in blocks)
+    assert all(isinstance(b, PlanBlock) for b in blocks)
     windows = [stream[i:i + block] for i in range(0, len(stream), block)]
     assert len(blocks) == len(windows)
     for plans, want in zip(blocks, windows):
         assert plans and len(plans) == k * len(want)
-        assert [p.source_sequence for p in plans] == [w for w in want for _ in range(k)]
-        assert [p.duplicate_index for p in plans] == list(range(k)) * len(want)
+        assert plans.source_sequence.tolist() == [w for w in want for _ in range(k)]
+        assert plans.duplicate_index.tolist() == list(range(k)) * len(want)
 
 
-def test_generate_plans_yields_no_empty_list(monkeypatch):
-    monkeypatch.setattr(masking, "plan_decoupled", lambda *a, **k: [])
-    assert list(generate_plans(packed_dataset(n_docs=5), MaskingConfig())) == []
-    assert list(generate_blocks(packed_dataset(n_docs=5), MaskingConfig())) == []
+def test_generate_plans_yields_no_empty_block():
+    # an empty dataset yields no block at all, and no block is empty
+    empty = PackedDataset(ids=np.empty((0, 8), dtype=np.int64),
+                          word_starts=np.empty((0, 8), dtype=bool), vocab=VOCAB)
+    assert list(generate_plans(empty, MaskingConfig())) == []
+    assert list(generate_blocks(empty, MaskingConfig())) == []
+    assert all(len(b) for b in generate_plans(packed_dataset(n_docs=5), MaskingConfig()))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +714,7 @@ def reference_plans(window, config, rng, pmi_vocab=None):
         def sampler(allowed, budget, rng):
             return oracle_sample_units(units, allowed, budget, rng)
     else:
-        sampler = make_sampler(config, None)
+        sampler = window_planner.make_sampler(config, None)
     maskable = window.maskable_positions(VOCAB)
     n = len(maskable)
     c = exact_count(config.corruption_rate, n)
@@ -797,6 +802,105 @@ def test_array_plans_match_reference(kw):
                             plan.pred_originals.tolist())) == predictions
 
 
+_KIND_CODES = {"mask": MASK, "random": RANDOM, "same": SAME}
+
+
+def reference_block(ds, config, pmi_vocab, epoch, order):
+    """The windows ``order`` of the stream planned one at a time by
+    ``reference_plans``, each on its own (seed, epoch, index) substream, and
+    materialized as one block."""
+    plans = []
+    for idx in order:
+        want = reference_plans(ds[idx], config, substream(config.seed, epoch, idx), pmi_vocab)
+        for d, (actions, predictions) in enumerate(want):
+            predictions = np.array(predictions, dtype=np.int64).reshape(-1, 2)
+            plans.append(MaskPlan(
+                positions=np.array([a[0] for a in actions], dtype=np.int64),
+                kinds=np.array([_KIND_CODES[a[1]] for a in actions], dtype=np.uint8),
+                replacements=np.array([a[2] for a in actions if a[1] == "random"],
+                                      dtype=np.int64),
+                pred_positions=predictions[:, 0], pred_originals=predictions[:, 1],
+                duplicate_index=d, source_sequence=idx))
+    return materialize(ds.ids[[p.source_sequence for p in plans]], plan_block(plans), VOCAB)
+
+
+def stage_windows():
+    """21 windows of 24 positions: random documents, plus one window with no
+    maskable position, one with two (a span budget of 1 leaves a remainder
+    of 1: the one-span branch) and one of two-token words only (a unit
+    budget that is odd leaves a fill draw)."""
+    rng = np.random.default_rng(8)
+    ids = rng.integers(3, 12, size=(21, 24))
+    starts = rng.random((21, 24)) < 0.6
+    ids[rng.random((21, 24)) < 0.05] = VOCAB.sep_id
+    ids[3] = VOCAB.pad_id
+    ids[9, 2:] = VOCAB.pad_id
+    starts[14] = np.arange(24) % 2 == 0
+    ids[14] = rng.integers(20, 40, size=24)
+    starts[:, 0] = True
+    return packed([make_window(i, w) for i, w in zip(ids, starts)])
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "span", "whole_word", "pmi"])
+@pytest.mark.parametrize("kw", [
+    dict(**rates(0.3), policy=(0.8, 0.1, 0.1), extra_same=0.05),
+    dict(**rates(0.4, 0.2), policy=(0.8, 0.1, 0.1), policy_sampling="bernoulli"),
+    dict(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), extra_same=0.05),
+    dict(**rates(0.2, 0.3), policy=(0.8, 0.1, 0.1), policy_sampling="bernoulli",
+         extra_same=0.05),
+    dict(**rates(1.0)),
+    dict(**rates(0.5, 1.0), policy=(0.6, 0.2, 0.2)),
+], ids=["coupled-exact-extra", "lower-bernoulli", "dup-exact-extra", "dup-subset-bernoulli",
+        "rate-1", "half-dup-exact"])
+def test_blocks_equal_per_window_reference(strategy, kw, monkeypatch):
+    # blocks of 8 windows (two full, one partial), planned stage by stage,
+    # against each window planned alone: the same examples, byte for byte
+    monkeypatch.setattr(masking, "BLOCK_EXAMPLES", 8)
+    ds = stage_windows()
+    pv = PmiVocabulary(entries={(3, 4): 1.0, (5, 6, 7): 0.5, (8, 9): 0.2})
+    config = MaskingConfig(strategy=strategy, seed=6, **kw)
+    order = [idx for idx, _ in epoch_stream(ds, config.seed, 1)]
+    blocks = list(generate_blocks(ds, config, pv, epoch=1))
+    assert [len(set(b.source_sequence.tolist())) for b in blocks] == [8, 8, 5]
+    for b, first in zip(blocks, range(0, len(order), 8)):
+        want = reference_block(ds, config, pv, 1, order[first:first + 8])
+        assert block_fields(b) == block_fields(want)
+
+
+@pytest.mark.parametrize("maskable, message", [
+    # 0.4/0.9 makes 3 disjoint duplicates: 3 x 2 of 7 positions fit, 3 x 4 of 10 do not
+    ({6: 10}, "disjoint duplicates infeasible: 3 x 4 corrupted positions > 10"),
+    # with 75% extra same-token predictions, 12 maskable positions leave 8
+    # untouched for 9 extra targets: that window fails before a later one of 10
+    ({5: 12, 6: 10}, "9 extra same-token predictions requested but only 8"),
+    ({5: 10, 6: 12}, "disjoint duplicates infeasible: 3 x 4 corrupted positions > 10"),
+])
+def test_infeasible_window_mid_stream(maskable, message, monkeypatch):
+    # a window in the stream's second block fails while its neighbours plan:
+    # the same error, from the same block, as planning one window at a time
+    monkeypatch.setattr(masking, "BLOCK_EXAMPLES", 4)
+    config = MaskingConfig(**rates(0.4, 0.9), extra_same=0.75 if len(maskable) > 1 else 0.0,
+                           seed=2)
+    order = [idx for idx, _ in epoch_stream(padded_windows([7] * 12, 12), config.seed, 0)]
+    counts = [7] * 12
+    for position, n in maskable.items():
+        counts[order[position]] = n
+    ds = padded_windows(counts, 12)
+    for position, idx in enumerate(order):
+        try:
+            window_planner.plan_window(ds[idx], VOCAB, config, substream(2, 0, idx), None)
+        except InfeasibleError as exc:
+            want = str(exc)
+            break
+    assert want.startswith(message) and position == min(maskable)
+    blocks = []
+    with pytest.raises(InfeasibleError) as raised:
+        for block in generate_blocks(ds, config):
+            blocks.append(block)
+    assert str(raised.value) == want
+    assert len(blocks) == position // masking.BLOCK_EXAMPLES == 1
+
+
 def policy_plan(win):
     """A plan with every kind: mask at 0-1, random at 2-3, same at 4, predicting 0-4."""
     ids = win.ids
@@ -824,7 +928,7 @@ class TestArrayPlans:
         ds = packed([full_window(L=8), full_window(L=8, rng=np.random.default_rng(1))])
         rows = ds.ids[1:2].copy() if writable else ds.ids[1:2]
         before = rows.copy()
-        block = materialize(rows, [policy_plan(ds[1])], VOCAB)
+        block = materialize(rows, plan_block([policy_plan(ds[1])]), VOCAB)
         assert block.original_ids is rows and np.array_equal(rows, before)
         assert block.corrupted_ids[0].tolist() == \
             [VOCAB.mask_id, VOCAB.mask_id, 50, 60] + before[0, 4:].tolist()
@@ -861,9 +965,9 @@ class TestArrayPlans:
     def test_block_equals_one_plan_at_a_time(self):
         ds = packed_dataset(n_docs=20)
         cfg = MaskingConfig(**rates(0.2, 0.4), policy=(0.8, 0.1, 0.1), seed=2)
-        plans = list(chain.from_iterable(generate_plans(ds, cfg)))
+        plans = all_plans(generate_plans(ds, cfg))
         rows = ds.ids[[p.source_sequence for p in plans]]
-        block = materialize(rows, plans, VOCAB)
+        block = materialize(rows, plan_block(plans), VOCAB)
         offset = 0
         for i, plan in enumerate(plans):
             one = materialize_one(ds[plan.source_sequence], plan)
@@ -885,7 +989,7 @@ class TestArrayPlans:
         before = rows.copy()
         bad = mask_plan([], predictions=[(0, int(win.ids[0]) + 1)])
         with pytest.raises(IntegrityError):
-            materialize(rows, [mask_plan([1, 2]), bad], VOCAB)
+            materialize(rows, plan_block([mask_plan([1, 2]), bad]), VOCAB)
         assert np.array_equal(rows, before)
 
     def test_block_rejects_plan_count_mismatch(self):
@@ -893,15 +997,26 @@ class TestArrayPlans:
         rows = np.stack([win.ids, win.ids])
         before = rows.copy()
         with pytest.raises(IntegrityError, match="block has 2 rows but 1 plans"):
-            materialize(rows, [mask_plan([1, 2])], VOCAB)
+            materialize(rows, plan_block([mask_plan([1, 2])]), VOCAB)
         with pytest.raises(IntegrityError, match="block has 0 rows but 1 plans"):
-            materialize(rows[:0], [mask_plan([])], VOCAB)
+            materialize(rows[:0], plan_block([mask_plan([])]), VOCAB)
         assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("field, value", [
+        ("counts", [3]), ("target_counts", [0]), ("kinds", np.zeros(1, dtype=np.uint8)),
+        ("pred_originals", np.empty(0, dtype=np.int64)), ("source_sequence", [0, 0]),
+    ])
+    def test_block_rejects_arrays_off_their_counts(self, field, value):
+        win = full_window(L=8)
+        block = plan_block([mask_plan([1, 2], predictions=[(1, int(win.ids[1]))])])
+        setattr(block, field, np.asarray(value))
+        with pytest.raises(IntegrityError, match="plan arrays do not match their counts"):
+            materialize(win.ids[np.newaxis], block, VOCAB)
 
     def test_empty_block(self):
         win = full_window(L=8)
         full = materialize_one(win, mask_plan([1], predictions=[(1, int(win.ids[1]))]))
-        empty = materialize(np.empty((0, 8), dtype=np.int64), [], VOCAB)
+        empty = materialize(np.empty((0, 8), dtype=np.int64), plan_block([]), VOCAB)
         for field in dataclasses.fields(empty):
             got, want = getattr(empty, field.name), getattr(full, field.name)
             assert got.dtype == want.dtype and got.shape == (0,) + want.shape[1:], field.name
@@ -940,7 +1055,7 @@ class TestArrayPlans:
                     p.pred_originals.tolist())
 
         whole = [fields(p)
-                 for p in chain.from_iterable(generate_plans(ds, cfg, pv, epoch=1))]
+                 for p in all_plans(generate_plans(ds, cfg, pv, epoch=1))]
         order = [src for src, dup, *_ in whole if dup == 0]
         assert sorted(order) == list(range(len(ds)))
         planned = {idx: plan_window(ds[idx], VOCAB, cfg, substream(4, 1, idx),

@@ -14,7 +14,7 @@ The index, the block segmenter and the block coverage driver must agree
 with them exactly.
 """
 
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from mlmpipe.errors import DataError, IntegrityError
 from mlmpipe.masking import MaskingConfig, generate_blocks, generate_plans, materialize
 from mlmpipe.pmi import PmiVocabulary, segment_block, segment_units
 
-from conftest import VOCAB, make_window, random_docs, rates
+from conftest import VOCAB, all_plans, make_window, plan_block, random_docs, rates
 
 PAD, SEP = VOCAB.pad_id, VOCAB.sep_id
 
@@ -331,7 +331,7 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
     pv = PmiVocabulary(entries={g: 1.0 for g in grams})
     cfg = MaskingConfig(strategy=strategy, policy=policy, extra_same=extra_same,
                         seed=seed, **rates)
-    want = oracle_coverage(chain.from_iterable(generate_plans(ds, cfg, pv)), pv, ds)
+    want = oracle_coverage(all_plans(generate_plans(ds, cfg, pv)), pv, ds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masking, "BLOCK_EXAMPLES", block)
         got = pmi_coverage(generate_blocks(ds, cfg, pv), pv)
@@ -342,7 +342,7 @@ def test_block_coverage_equals_set_loop(seed, windows, L, strategy, rates, polic
 
 def materialized(plan_lists, ds):
     """Each list of plans as one block, as ``generate_blocks`` materializes them."""
-    return [materialize(ds.ids[[p.source_sequence for p in plans]], plans, ds.vocab)
+    return [materialize(ds.ids[[p.source_sequence for p in plans]], plan_block(plans), ds.vocab)
             for plans in plan_lists]
 
 
@@ -357,7 +357,7 @@ def test_block_coverage_with_repeated_and_disjoint_duplicates(block, monkeypatch
                         extra_same=0.05, seed=9)
     monkeypatch.setattr(masking, "BLOCK_EXAMPLES", block)
     blocks = list(generate_blocks(ds, cfg, pv))
-    plans = list(chain.from_iterable(generate_plans(ds, cfg, pv)))
+    plans = all_plans(generate_plans(ds, cfg, pv))
     assert [p.duplicate_index for p in plans[:3]] == [0, 1, 2]
     assert [len(b.source_sequence) for b in blocks] == [3 * block] * (len(ds) // block) + \
         [3 * (len(ds) % block)] * (len(ds) % block > 0)
